@@ -41,6 +41,9 @@ from .sampling import sample_columns, sample_rows
 
 MEASURES = ("subgraph", "communicability", "katz", "perron")
 SEED_ENV = "SAMPLED_CENTRALITY_SEED"
+# estimate metadata copied into each report["results"] row
+PERRON_ROW_KEYS = ("iterations", "converged", "note")
+MATFUN_ROW_KEYS = ("method", "fallback_reason", "condition_estimate", "spectral_radius_estimate")
 
 
 @dataclass
@@ -303,6 +306,7 @@ def run(cfg: ExperimentConfig) -> int:
         ref_ranking = rank_nodes(reference, cfg.k)
         candidates: list[tuple[str, Ranking]] = []
         seeds = _expand_seeds(cfg.seeds, cfg.trials)
+        row_keys = PERRON_ROW_KEYS if cfg.measure == "perron" else MATFUN_ROW_KEYS
         for ell in cfg.ell_list:
             times = []
             for run_index, seed in enumerate(seeds):
@@ -321,6 +325,7 @@ def run(cfg: ExperimentConfig) -> int:
                         "overlap_at_k": topk_overlap(ref_ranking, ranking, cfg.k),
                         "exact_at_k": exact_matches(ref_ranking, ranking, cfg.k),
                     }
+                    | {key: scores.params[key] for key in row_keys}
                 )
             report["timing"].append(
                 {

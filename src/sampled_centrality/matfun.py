@@ -1,19 +1,17 @@
-"""Diagonal and row sums of f(A_masked) via Krylov decompositions.
+"""Diagonal and row sums of f(A_masked) from exact small-core computations.
 
 Two scalar functions are supported, both with f(0) = 0:
 
     exp_minus_one:       f(t) = exp(gamma * t) - 1
     resolvent_minus_one: f(t) = 1 / (1 - gamma * t) - 1
 
-For a directed graph the mask zeroes every column outside the sampled set J;
-the Arnoldi basis of that operator breaks down once the Krylov space is
-exhausted, and the surviving Ritz pairs reconstruct the nonzero columns of
-f(A_masked) through a structured solve against the sampled rows of the
-eigenvector block.  For an undirected graph the mask keeps entries with a
-sampled row or column ("arrow" pattern) and symmetric Lanczos applies.  An
-exact dense evaluation of the leading core backs both paths whenever the
-spectral route is unusable (no breakdown, defective or ill-conditioned
-eigenbasis, rank-deficient core).
+Directed graphs use the column mask (``direct_core_evaluation``), undirected
+graphs the "arrow" mask that keeps entries with a sampled row or column
+(``arrow_core_evaluation``).  Each reduces f(A_masked) to one dense
+computation on a core of order at most 2*ell plus sparse products, with no
+iteration.  The Arnoldi spectral reconstruction
+(``krylov_spectral_evaluation``) is an independent second method kept for
+cross-checks.
 
 The permutation that would move sampled columns first is never materialized:
 everything is indexed in original node order, with the selection order of J
@@ -29,12 +27,16 @@ from typing import Callable, TextIO
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
-from .graph import ArrowMaskedOperator, ColumnMaskedOperator, SparseGraph, transpose
+from .graph import ColumnMaskedOperator, SparseGraph, transpose
 from .sampling import SampleSet
 
 EXP_MINUS_ONE = "exp_minus_one"
 RESOLVENT_MINUS_ONE = "resolvent_minus_one"
+
+# entries of the dense row block of A21 @ K held at once in the arrow diagonal
+_ROW_BLOCK_ENTRIES = 1 << 22
 
 
 class EvaluationError(RuntimeError):
@@ -78,9 +80,7 @@ class ScalarFunction:
         m = a.shape[0]
         if self.kind == EXP_MINUS_ONE:
             return sla.expm(self.gamma * a) - np.eye(m)
-        shifted = np.eye(m) - self.gamma * a
-        _check_resolvent_pole(shifted)
-        return sla.solve(shifted, np.eye(m)) - np.eye(m)
+        return self._resolvent(a) - np.eye(m)
 
     def matrix_quotient(self, a: np.ndarray) -> np.ndarray:
         """g(t) = f(t)/t evaluated at a small dense matrix (exact at 0)."""
@@ -92,9 +92,34 @@ class ScalarFunction:
             aug[:m, :m] = self.gamma * a
             aug[:m, m:] = np.eye(m)
             return self.gamma * sla.expm(aug)[:m, m:]
-        shifted = np.eye(m) - self.gamma * a
-        _check_resolvent_pole(shifted)
-        return self.gamma * sla.solve(shifted, np.eye(m))
+        return self.gamma * self._resolvent(a)
+
+    def matrix_value_and_quotient_sum(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """f(A) and g(A) @ 1 of a small dense matrix from one factorization.
+
+        For exp both come from one augmented exponential of order m + 1,
+        expm([[gamma*A, c*1], [0, 0]]) = [[exp(gamma*A), c*phi1(gamma*A) @ 1], [0, 1]]
+        (Higham, Functions of Matrices, SIAM 2008), exact for singular A;
+        c = 1/m keeps the added column's 1-norm at 1.  For the resolvent both
+        come from one LU solve with I - gamma*A.
+        """
+        a = np.asarray(a, dtype=np.float64)
+        m = a.shape[0]
+        if self.kind == EXP_MINUS_ONE:
+            c = 1.0 / max(m, 1)
+            aug = np.zeros((m + 1, m + 1))
+            aug[:m, :m] = self.gamma * a
+            aug[:m, m] = c
+            e = sla.expm(aug)
+            return e[:m, :m] - np.eye(m), (self.gamma / c) * e[:m, m]
+        x = self._resolvent(a)
+        return x - np.eye(m), self.gamma * x.sum(axis=1)
+
+    def _resolvent(self, a: np.ndarray) -> np.ndarray:
+        shifted = np.eye(a.shape[0]) - self.gamma * a
+        if shifted.size and not np.linalg.cond(shifted) <= 1e14:
+            raise EvaluationError("resolvent pole: I - gamma*A is singular to working precision")
+        return sla.solve(shifted, np.eye(a.shape[0]))
 
 
 def exp_minus_one(gamma: float = 1.0) -> ScalarFunction:
@@ -105,22 +130,12 @@ def resolvent_minus_one(gamma: float) -> ScalarFunction:
     return ScalarFunction(RESOLVENT_MINUS_ONE, gamma)
 
 
-def _check_resolvent_pole(shifted: np.ndarray) -> None:
-    if shifted.size == 0:
-        return
-    cond = np.linalg.cond(shifted)
-    if not np.isfinite(cond) or cond > 1e14:
-        raise EvaluationError("resolvent pole: I - gamma*A is singular to working precision")
-
-
 @dataclass(frozen=True)
 class Tolerances:
-    """Numerical thresholds for the Krylov evaluation pipeline."""
+    """Numerical thresholds for the evaluation routes."""
 
     breakdown: float = 1e-12       # times the norm of the first Krylov image
-    orth: float = 1e-10            # max |V^T V - I|
-    invariance: float = 1e-8       # times max(1, rho) on |A V - V H|_F
-    zero_eig: float = 1e-10        # times max(1, rho) classifies vanishing Ritz values
+    zero_eig: float = 1e-10        # relative level of vanishing Ritz values and Gram eigenvalues
     cond_threshold: float = 1e8    # eigenbasis / core-solve conditioning gate
     imag: float = 1e-8             # times max(1, |result|_inf) on residual imaginary parts
     katz_safety: float = 0.95      # require gamma * rho_hat <= this for the resolvent
@@ -128,11 +143,11 @@ class Tolerances:
 
 @dataclass(frozen=True)
 class KrylovDecomposition:
-    """Orthonormal basis and square small matrix from Arnoldi or Lanczos.
+    """Orthonormal basis and square Hessenberg matrix from Arnoldi.
 
     At breakdown the relation ``A_masked @ basis == basis @ small_matrix``
-    holds to the invariance tolerance; ``residual_norm`` is the magnitude of
-    the final subdiagonal coefficient.
+    holds to rounding; ``residual_norm`` is the magnitude of the final
+    subdiagonal coefficient.
     """
 
     basis: np.ndarray
@@ -140,7 +155,6 @@ class KrylovDecomposition:
     steps: int
     breakdown: bool
     residual_norm: float
-    kind: str
 
     def invariance_residual(self, op: Callable[[np.ndarray], np.ndarray]) -> float:
         image = np.column_stack([op(v) for v in self.basis.T])
@@ -207,26 +221,200 @@ class MatfunResult:
             stream.write(f"{int(ids[i])},{self.diag[i]!r},{self.rowsum[i]!r}\n")
 
 
-# -- Krylov iterations ------------------------------------------------------
+def _check_katz_bound(f: ScalarFunction, rho: float, tolerances: Tolerances) -> None:
+    if f.kind == RESOLVENT_MINUS_ONE and f.gamma * rho > tolerances.katz_safety:
+        raise EvaluationError(
+            f"resolvent parameter inadmissible: gamma*rho_hat = {f.gamma * rho:.6g} "
+            f"> {tolerances.katz_safety}"
+        )
 
 
-def _start_vector(n: int, seed: int, attempt: int) -> np.ndarray:
-    rng = np.random.default_rng(seed + attempt)
-    v = rng.standard_normal(n)
-    return v / np.linalg.norm(v)
+# -- exact small-core evaluation ----------------------------------------------
 
 
-def _krylov(op, v1: np.ndarray, max_steps: int, tol: float, tridiagonal: bool):
-    """Shared Arnoldi/Lanczos loop with full reorthogonalization.
+def evaluate_masked_function(
+    g: SparseGraph,
+    mask: SampleSet,
+    f: ScalarFunction,
+    seed: int = 0,
+    tolerances: Tolerances = Tolerances(),
+    dense_cap: int = 4000,
+) -> MatfunResult:
+    """diag and rowsum of f(A_masked) from the sampled columns.
+
+    Directed graphs use the column mask (``direct_core_evaluation``) and
+    undirected graphs the arrow mask (``arrow_core_evaluation``).  Both are
+    exact and deterministic; ``seed`` is only recorded in the metadata.
+    """
+    core = direct_core_evaluation if g.directed else arrow_core_evaluation
+    return dataclasses.replace(core(g, mask, f, tolerances, dense_cap), seed=seed)
+
+
+def _core_blocks(g: SparseGraph, mask: SampleSet, dense_cap: float = np.inf):
+    """Dense leading core A[J, J] and the sparse trailing block A[rest, J]."""
+    if mask.kind != "column":
+        raise ValueError("masked evaluation expects a column mask")
+    if len(mask) > dense_cap:
+        raise EvaluationError(f"core size {len(mask)} exceeds the dense cap {dense_cap}")
+    J = np.asarray(mask.indices, dtype=np.int64)
+    rest = np.setdiff1d(np.arange(g.n), J, assume_unique=False)
+    cols = g.csc[:, J].tocsr()
+    a11 = cols[J, :].toarray()
+    a21 = cols[rest, :]
+    return J, rest, a11, a21
+
+
+def direct_core_evaluation(
+    g: SparseGraph,
+    mask: SampleSet,
+    f: ScalarFunction,
+    tolerances: Tolerances = Tolerances(),
+    dense_cap: int = 4000,
+) -> MatfunResult:
+    """Exact dense evaluation of the column mask.
+
+    Only the sampled columns of f(A_masked) are nonzero, and in the leading
+    block they equal f(A11) stacked on A21 @ g(A11) with g(t) = f(t)/t, so
+    f(A11) and g(A11) @ 1 from one factorization of the ell-by-ell core give
+    diag and rowsum exactly (up to the dense kernel), defective cores included.
+    """
+    J, rest, a11, a21 = _core_blocks(g, mask, dense_cap)
+    ell = len(mask)
+    f11, g1 = f.matrix_value_and_quotient_sum(a11)
+
+    diag = np.zeros(g.n)
+    diag[J] = np.diagonal(f11)
+    rowsum = np.zeros(g.n)
+    rowsum[J] = f11.sum(axis=1)
+    rowsum[rest] = a21 @ g1
+
+    # A_masked is block lower triangular, so its spectrum is that of A11
+    rho = float(np.max(np.abs(np.linalg.eigvals(a11)))) if ell else 0.0
+    _check_katz_bound(f, rho, tolerances)
+    return MatfunResult(
+        diag=diag,
+        rowsum=rowsum,
+        method="direct_core",
+        spectral_radius_estimate=rho,
+        ell=ell,
+        gamma=f.gamma,
+        function=f.kind,
+    )
+
+
+def arrow_core_evaluation(
+    g: SparseGraph,
+    mask: SampleSet,
+    f: ScalarFunction,
+    tolerances: Tolerances = Tolerances(),
+    dense_cap: int = 4000,
+) -> MatfunResult:
+    """Exact evaluation of the arrow mask of an undirected graph.
+
+    The Gram matrix A21^T A21 = V S^2 V^T, restricted to its r nonzero
+    eigenvalues, gives A21 = Q R with R = S V^T and orthonormal
+    Q = A21 V S^{-1}.  Then A_arrow = U C U^T with U = [E_J, E_rest Q] and
+    C = [[A11, R^T], [R, 0]], and since f(0) = 0, f(A_arrow) = U f(C) U^T.
+    One symmetric eigendecomposition of C (order ell + r <= 2*ell) and
+    sparse products with A21 give every diagonal entry and row sum; Q is
+    never formed.
+    """
+    if g.directed:
+        raise ValueError("arrow_core_evaluation requires an undirected graph")
+    J, rest, a11, a21 = _core_blocks(g, mask, dense_cap)
+    ell = len(mask)
+
+    s2, V = np.linalg.eigh((a21.T @ a21).toarray())
+    keep = s2 > tolerances.zero_eig * max(1.0, np.max(s2, initial=0.0))
+    s = np.sqrt(s2[keep])
+    P = V[:, keep] / s  # Q = A21 @ P
+    R = s[:, np.newaxis] * V[:, keep].T
+    core = np.block([[a11, R.T], [R, np.zeros((s.size, s.size))]])
+    mu, W = np.linalg.eigh(core)
+    rho = float(np.max(np.abs(mu), initial=0.0))
+    _check_katz_bound(f, rho, tolerances)
+    fmu = f.value(mu)
+
+    # U^T 1 = [1_J; Q^T 1_rest], and U maps the core back to node order
+    z = np.concatenate([np.ones(ell), P.T @ np.asarray(a21.sum(axis=0)).ravel()])
+    fz = W @ (fmu * (W.T @ z))
+    rowsum = np.empty(g.n)
+    rowsum[J] = fz[:ell]
+    rowsum[rest] = a21 @ (P @ fz[ell:])
+
+    # diag over rest is a_i^T K a_i with K = P F22 P^T, F22 = f(C)[ell:, ell:]
+    PW2 = P @ W[ell:]
+    K = (PW2 * fmu) @ PW2.T
+    diag = np.empty(g.n)
+    diag[J] = (W[:ell] ** 2) @ fmu
+    diag[rest] = _row_quadratic_forms(a21, K)
+    return MatfunResult(
+        diag=diag,
+        rowsum=rowsum,
+        method="arrow_core",
+        spectral_radius_estimate=rho,
+        ell=ell,
+        gamma=f.gamma,
+        function=f.kind,
+        condition_estimate=1.0,
+    )
+
+
+def _row_quadratic_forms(a: sp.csr_matrix, K: np.ndarray) -> np.ndarray:
+    """a_i^T K a_i for every row a_i of a, in row blocks of bounded size."""
+    out = np.empty(a.shape[0])
+    step = max(1, _ROW_BLOCK_ENTRIES // max(1, K.shape[0]))
+    for start in range(0, a.shape[0], step):
+        block = a[start : start + step]
+        out[start : start + step] = np.asarray(block.multiply(block @ K).sum(axis=1)).ravel()
+    return out
+
+
+def _masked_function_columns(
+    g: SparseGraph, mask: SampleSet, f: ScalarFunction
+) -> np.ndarray:
+    """Dense n-by-ell block of the nonzero columns of f(A_masked).
+
+    Diagnostic helper for structure checks; memory is n * ell.
+    """
+    J, rest, a11, a21 = _core_blocks(g, mask)
+    f11 = f.matrix_value(a11)
+    g11 = f.matrix_quotient(a11).real
+    out = np.zeros((g.n, len(mask)))
+    out[J, :] = f11
+    out[rest, :] = a21 @ g11
+    return out
+
+
+def transpose_measures(
+    g: SparseGraph,
+    rows: SampleSet,
+    f: ScalarFunction,
+    seed: int = 0,
+    tolerances: Tolerances = Tolerances(),
+    dense_cap: int = 4000,
+) -> MatfunResult:
+    """diag and rowsum of f(A^T) computed from sampled rows of A."""
+    if rows.kind != "row":
+        raise ValueError("transpose_measures expects a row mask")
+    as_columns = dataclasses.replace(rows, kind="column")
+    return evaluate_masked_function(transpose(g), as_columns, f, seed, tolerances, dense_cap)
+
+
+# -- Arnoldi spectral reconstruction (cross-check) ----------------------------
+
+
+def _krylov(op, v1: np.ndarray, max_steps: int, tol: float):
+    """Arnoldi loop with full reorthogonalization.
 
     Returns (V, H, breakdown, residual) where H is square of order len(V.T);
     the below-threshold subdiagonal that triggered breakdown is dropped.
+    Returns None when ``op`` annihilates ``v1``.
     """
-    n = v1.size
     first_image = op(v1)
     scale = float(np.linalg.norm(first_image))
     if scale <= 1e-13:
-        return None  # caller redraws the start vector
+        return None
     threshold = tol * scale
 
     V = [v1]
@@ -263,107 +451,33 @@ def _krylov(op, v1: np.ndarray, max_steps: int, tol: float, tridiagonal: bool):
     for c, h in enumerate(cols):
         top = min(c + 2, m)
         H[:top, c] = h[:top]
-    if tridiagonal:
-        T = np.zeros_like(H)
-        d = np.arange(m)
-        T[d, d] = H[d, d]
-        if m > 1:
-            sub = np.diag(H, -1)
-            T[d[1:], d[:-1]] = sub
-            T[d[:-1], d[1:]] = sub
-        H = T
     return np.column_stack(V), H, breakdown, residual
-
-
-def _run_krylov(
-    g: SparseGraph,
-    mask: SampleSet,
-    seed: int,
-    max_steps: int | None,
-    tol: float,
-    v1: np.ndarray | None,
-    symmetric: bool,
-) -> KrylovDecomposition:
-    ell = len(mask)
-    if symmetric:
-        op = ArrowMaskedOperator(g, mask.indices)
-        cap = min(max_steps if max_steps is not None else 2 * ell + 1, 2 * ell + 1, g.n)
-        kind = "lanczos"
-    else:
-        op = ColumnMaskedOperator(g, mask.indices)
-        cap = min(max_steps if max_steps is not None else ell + 1, g.n)
-        kind = "arnoldi"
-
-    attempts = 1 if v1 is not None else 5
-    for attempt in range(attempts):
-        start = v1 if v1 is not None else _start_vector(g.n, seed, attempt)
-        out = _krylov(op, start, cap, tol, tridiagonal=symmetric)
-        if out is not None:
-            V, H, breakdown, residual = out
-            return KrylovDecomposition(V, H, V.shape[1], breakdown, residual, kind)
-    raise EvaluationError(
-        "start vector stagnates under the masked operator after retries"
-    )
 
 
 def arnoldi(
     g: SparseGraph,
     mask: SampleSet,
     seed: int = 0,
-    max_steps: int | None = None,
     tol: float = 1e-12,
     v1: np.ndarray | None = None,
 ) -> KrylovDecomposition:
-    """Arnoldi on the column-masked operator; stops at breakdown or max_steps.
+    """Arnoldi on the column-masked operator from a seeded random start.
 
-    ``v1`` overrides the seeded random start (used by closed-form tests).
-    The default step cap is ell + 1, where the Krylov space of a rank-ell
-    operator is necessarily exhausted.
+    ``v1`` overrides the start (used by closed-form tests).  Iteration stops
+    at breakdown or after min(ell + 1, n) steps, where the Krylov space of
+    the rank-ell operator is necessarily exhausted.
     """
     if mask.kind != "column":
         raise ValueError("arnoldi expects a column mask")
-    return _run_krylov(g, mask, seed, max_steps, tol, v1, symmetric=False)
-
-
-def lanczos(
-    g: SparseGraph,
-    mask: SampleSet,
-    seed: int = 0,
-    max_steps: int | None = None,
-    tol: float = 1e-12,
-    v1: np.ndarray | None = None,
-) -> KrylovDecomposition:
-    """Symmetric Lanczos with full reorthogonalization on the arrow mask.
-
-    The arrow-masked matrix keeps entries with a sampled row or column and
-    has rank at most 2*ell, so iteration is capped at min(2*ell + 1, n) and
-    the observed breakdown step is reported in the decomposition.
-    """
-    if g.directed:
-        raise ValueError("lanczos requires an undirected graph")
-    if mask.kind != "column":
-        raise ValueError("lanczos expects a column mask")
-    return _run_krylov(g, mask, seed, max_steps, tol, v1, symmetric=True)
-
-
-def _factorize_small(small: np.ndarray, kind: str) -> SpectralData:
-    m = small.shape[0]
-    if kind == "lanczos":
-        lam, S = np.linalg.eigh(small)
-        lam = lam.astype(complex)
-        S = S.astype(complex)
-        cond = 1.0
-    else:
-        try:
-            lam, S = np.linalg.eig(small)
-        except np.linalg.LinAlgError as exc:
-            raise EvaluationError(f"eigen-solver failure: {exc}") from exc
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            cond = float(np.linalg.cond(S))
-        if np.isnan(cond):
-            cond = np.inf
-    order = np.lexsort((np.arange(m), -np.abs(lam)))
-    return SpectralData(lam[order], S[:, order], cond)
+    if v1 is None:
+        v1 = np.random.default_rng(seed).standard_normal(g.n)
+        v1 /= np.linalg.norm(v1)
+    op = ColumnMaskedOperator(g, mask.indices)
+    out = _krylov(op, v1, min(len(mask) + 1, g.n), tol)
+    if out is None:
+        raise EvaluationError("the masked operator annihilates the start vector")
+    V, H, breakdown, residual = out
+    return KrylovDecomposition(V, H, V.shape[1], breakdown, residual)
 
 
 def spectral_factorize(d: KrylovDecomposition) -> SpectralData:
@@ -372,7 +486,16 @@ def spectral_factorize(d: KrylovDecomposition) -> SpectralData:
         raise EvaluationError(
             "spectral factorization requires a breakdown (invariant) decomposition"
         )
-    return _factorize_small(d.small_matrix, d.kind)
+    try:
+        lam, S = np.linalg.eig(d.small_matrix)
+    except np.linalg.LinAlgError as exc:
+        raise EvaluationError(f"eigen-solver failure: {exc}") from exc
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cond = float(np.linalg.cond(S))
+    if np.isnan(cond):
+        cond = np.inf
+    order = np.lexsort((np.arange(lam.size), -np.abs(lam)))
+    return SpectralData(lam[order], S[:, order], cond)
 
 
 def estimate_spectral_radius(sd: SpectralData) -> float:
@@ -380,14 +503,6 @@ def estimate_spectral_radius(sd: SpectralData) -> float:
     if sd.eigenvalues.size == 0:
         raise ValueError("empty spectral data")
     return float(np.abs(sd.eigenvalues[0]))
-
-
-def _check_katz_bound(f: ScalarFunction, rho: float, tolerances: Tolerances) -> None:
-    if f.kind == RESOLVENT_MINUS_ONE and f.gamma * rho > tolerances.katz_safety:
-        raise EvaluationError(
-            f"resolvent parameter inadmissible: gamma*rho_hat = {f.gamma * rho:.6g} "
-            f"> {tolerances.katz_safety}"
-        )
 
 
 def _realize(values: np.ndarray, tolerances: Tolerances) -> np.ndarray:
@@ -402,69 +517,43 @@ def _realize(values: np.ndarray, tolerances: Tolerances) -> np.ndarray:
     return np.ascontiguousarray(real)
 
 
-# -- evaluation paths --------------------------------------------------------
-
-
-def evaluate_masked_function(
+def krylov_spectral_evaluation(
     g: SparseGraph,
     mask: SampleSet,
     f: ScalarFunction,
     seed: int = 0,
     tolerances: Tolerances = Tolerances(),
-    max_steps: int | None = None,
-    dense_cap: int = 4000,
 ) -> MatfunResult:
-    """diag and rowsum of f(A_masked) from the sampled columns.
+    """diag and rowsum of f on the column mask by Arnoldi spectral reconstruction.
 
-    Directed graphs take the Arnoldi spectral route and drop to the exact
-    dense-core formula when that route is unusable; undirected graphs use
-    symmetric Lanczos on the arrow-masked matrix.
+    An independent cross-check of ``direct_core_evaluation``: once the
+    Arnoldi basis of the column-masked operator breaks down, the Ritz pairs
+    reconstruct the nonzero columns of f(A_masked) through a solve against
+    the sampled rows of the eigenvector block.  Raises EvaluationError when
+    that is unusable (no breakdown, defective or ill-conditioned eigenbasis,
+    rank-deficient core).
     """
-    if mask.kind != "column":
-        raise ValueError("evaluate_masked_function expects a column mask")
-    if not g.directed:
-        return _evaluate_symmetric(g, mask, f, seed, tolerances, max_steps)
-    return _evaluate_nonsymmetric(g, mask, f, seed, tolerances, max_steps, dense_cap)
-
-
-def _evaluate_nonsymmetric(g, mask, f, seed, tolerances, max_steps, dense_cap):
     ell = len(mask)
-
-    def fall_back(reason: str, cond: float | None) -> MatfunResult:
-        result = direct_core_evaluation(g, mask, f, dense_cap=dense_cap)
-        _check_katz_bound(f, result.spectral_radius_estimate, tolerances)
-        return dataclasses.replace(
-            result, seed=seed, fallback_reason=reason, condition_estimate=cond
-        )
-
-    d = arnoldi(g, mask, seed, max_steps, tolerances.breakdown)
-    if not d.breakdown:
-        return fall_back("no Arnoldi breakdown within the step cap", None)
-    try:
-        sd = spectral_factorize(d)
-    except EvaluationError as exc:
-        return fall_back(str(exc), None)
-
+    d = arnoldi(g, mask, seed, tolerances.breakdown)
+    sd = spectral_factorize(d)
     rho = estimate_spectral_radius(sd)
     _check_katz_bound(f, rho, tolerances)
     if sd.condition_estimate > tolerances.cond_threshold:
-        return fall_back("ill-conditioned eigenbasis of the small matrix", sd.condition_estimate)
+        raise EvaluationError(
+            f"ill-conditioned eigenbasis of the small matrix ({sd.condition_estimate:.3e})"
+        )
 
     keep = np.abs(sd.eigenvalues) > tolerances.zero_eig * max(1.0, rho)
     kept = int(np.count_nonzero(keep))
     if kept != ell:
-        return fall_back(
-            f"{kept} nonvanishing Ritz values for {ell} sampled columns",
-            sd.condition_estimate,
-        )
+        raise EvaluationError(f"{kept} nonvanishing Ritz values for {ell} sampled columns")
 
     W = d.basis.astype(complex) @ sd.eigenvectors[:, keep]
     WJ = W[mask.indices, :]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         cond_wj = float(np.linalg.cond(WJ))
-    cond = max(sd.condition_estimate, cond_wj)
     if not np.isfinite(cond_wj) or cond_wj > tolerances.cond_threshold:
-        return fall_back("sampled rows of the eigenvector block are singular", cond)
+        raise EvaluationError("sampled rows of the eigenvector block are singular")
 
     lam = sd.eigenvalues[keep]
     flam = f.value(lam)
@@ -480,11 +569,9 @@ def _evaluate_nonsymmetric(g, mask, f, seed, tolerances, max_steps, dense_cap):
     diag_c = np.zeros(g.n, dtype=complex)
     diag_c[mask.indices] = np.diagonal(X)
 
-    diag = _realize(diag_c, tolerances)
-    rowsum = _realize(rowsum_c, tolerances)
     return MatfunResult(
-        diag=diag,
-        rowsum=rowsum,
+        diag=_realize(diag_c, tolerances),
+        rowsum=_realize(rowsum_c, tolerances),
         method="krylov_spectral",
         spectral_radius_estimate=rho,
         ell=ell,
@@ -492,117 +579,5 @@ def _evaluate_nonsymmetric(g, mask, f, seed, tolerances, max_steps, dense_cap):
         function=f.kind,
         seed=seed,
         steps=d.steps,
-        condition_estimate=cond,
-    )
-
-
-def _evaluate_symmetric(g, mask, f, seed, tolerances, max_steps):
-    d = lanczos(g, mask, seed, max_steps, tolerances.breakdown)
-    sd = _factorize_small(d.small_matrix, d.kind)
-    rho = estimate_spectral_radius(sd)
-    _check_katz_bound(f, rho, tolerances)
-
-    lam = sd.eigenvalues.real
-    Q = sd.eigenvectors.real
-    flam = f.value(lam)
-    Y = d.basis @ Q
-    rowsum = Y @ (flam * (Y.T @ np.ones(g.n)))
-    diag = (Y * Y) @ flam
-    return MatfunResult(
-        diag=diag,
-        rowsum=rowsum,
-        method="lanczos",
-        spectral_radius_estimate=rho,
-        ell=len(mask),
-        gamma=f.gamma,
-        function=f.kind,
-        seed=seed,
-        steps=d.steps,
-        condition_estimate=1.0,
-        fallback_reason=None if d.breakdown else "no Lanczos breakdown within the step cap",
-    )
-
-
-def _core_blocks(g: SparseGraph, mask: SampleSet):
-    """Dense leading core A[J, J] and the sparse trailing block A[rest, J]."""
-    J = np.asarray(mask.indices, dtype=np.int64)
-    rest = np.setdiff1d(np.arange(g.n), J, assume_unique=False)
-    cols = g.csc[:, J].tocsr()
-    a11 = cols[J, :].toarray()
-    a21 = cols[rest, :]
-    return J, rest, a11, a21
-
-
-def direct_core_evaluation(
-    g: SparseGraph,
-    mask: SampleSet,
-    f: ScalarFunction,
-    dense_cap: int = 4000,
-) -> MatfunResult:
-    """Exact dense evaluation of the sampled-column structure.
-
-    Only the sampled columns of f(A_masked) are nonzero, and in the leading
-    block they equal f(A11) stacked on A21 @ g(A11) with g(t) = f(t)/t, so
-    dense work on the ell-by-ell core gives diag and rowsum exactly (up to
-    the dense exponential), for defective cores included.
-    """
-    if mask.kind != "column":
-        raise ValueError("direct_core_evaluation expects a column mask")
-    ell = len(mask)
-    if ell > dense_cap:
-        raise EvaluationError(f"core size {ell} exceeds the dense cap {dense_cap}")
-    J, rest, a11, a21 = _core_blocks(g, mask)
-
-    f11 = f.matrix_value(a11)
-    g11 = f.matrix_quotient(a11).real
-
-    diag = np.zeros(g.n)
-    diag[J] = np.diagonal(f11)
-    rowsum = np.zeros(g.n)
-    rowsum[J] = f11 @ np.ones(ell)
-    rowsum[rest] = a21 @ (g11 @ np.ones(ell))
-
-    rho = float(np.max(np.abs(np.linalg.eigvals(a11)))) if ell else 0.0
-    return MatfunResult(
-        diag=diag,
-        rowsum=rowsum,
-        method="direct_core",
-        spectral_radius_estimate=rho,
-        ell=ell,
-        gamma=f.gamma,
-        function=f.kind,
-    )
-
-
-def _masked_function_columns(
-    g: SparseGraph, mask: SampleSet, f: ScalarFunction
-) -> np.ndarray:
-    """Dense n-by-ell block of the nonzero columns of f(A_masked).
-
-    Diagnostic helper for structure checks; memory is n * ell.
-    """
-    J, rest, a11, a21 = _core_blocks(g, mask)
-    f11 = f.matrix_value(a11)
-    g11 = f.matrix_quotient(a11).real
-    out = np.zeros((g.n, len(mask)))
-    out[J, :] = f11
-    out[rest, :] = a21 @ g11
-    return out
-
-
-def transpose_measures(
-    g: SparseGraph,
-    rows: SampleSet,
-    f: ScalarFunction,
-    seed: int = 0,
-    tolerances: Tolerances = Tolerances(),
-    max_steps: int | None = None,
-    dense_cap: int = 4000,
-) -> MatfunResult:
-    """diag and rowsum of f(A^T) computed from sampled rows of A."""
-    if rows.kind != "row":
-        raise ValueError("transpose_measures expects a row mask")
-    as_columns = dataclasses.replace(rows, kind="column")
-    return evaluate_masked_function(
-        transpose(g), as_columns, f, seed, tolerances, max_steps, dense_cap
+        condition_estimate=max(sd.condition_estimate, cond_wj),
     )

@@ -71,7 +71,7 @@ def krylov_full_matfun(
     v1 /= np.linalg.norm(v1)
     csc = g.csc
 
-    out = _krylov(lambda x: csc @ x, v1, k, tol, tridiagonal=False)
+    out = _krylov(lambda x: csc @ x, v1, k, tol)
     if out is None:
         raise EvaluationError("start vector is annihilated by the adjacency matrix")
     V, H, breakdown, _ = out

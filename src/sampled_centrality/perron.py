@@ -125,8 +125,10 @@ def power_iteration(
 
     Convergence is a 2-norm difference of successive sign-normalized
     iterates below ``cfg.tol``.  With ``detect_oscillation`` a period-2
-    cycle (bipartite-type spectrum) returns the normalized average of the
-    last two iterates with ``converged=False``.
+    cycle (bipartite-type spectrum: each iterate within ``cfg.tol`` of the
+    one two steps back, while successive iterates stay more than
+    sqrt(``cfg.tol``) apart) returns the normalized average of the last two
+    iterates with ``converged=False``.
     """
     rng = np.random.default_rng(cfg.seed)
     v = np.full(n, 1.0 / np.sqrt(n)) if start is None else start / np.linalg.norm(start)
@@ -153,7 +155,8 @@ def power_iteration(
         v_new = w / norm
         if v_new[int(np.argmax(np.abs(v_new)))] < 0:
             v_new = -v_new
-        if float(np.linalg.norm(v_new - v)) <= cfg.tol:
+        step = float(np.linalg.norm(v_new - v))
+        if step <= cfg.tol:
             converged = True
             if iterations == 1 and cfg.epsilon == 0.0:
                 note = (
@@ -162,9 +165,12 @@ def power_iteration(
                 )
             v = v_new
             break
+        # a decaying negative subdominant eigenvalue also brings v_new close
+        # to prev; only a one-step difference far above tol is a cycle
         if (
             detect_oscillation
             and prev is not None
+            and step > np.sqrt(cfg.tol)
             and float(np.linalg.norm(v_new - prev)) <= cfg.tol
         ):
             avg = v + v_new

@@ -13,6 +13,7 @@ import numpy as np
 import scipy.sparse.csgraph as csgraph
 
 from sampled_centrality import (
+    EvaluationError,
     PerronConfig,
     SampleSet,
     SparseGraph,
@@ -23,6 +24,7 @@ from sampled_centrality import (
     draw_categorical,
     evaluate_masked_function,
     exp_minus_one,
+    krylov_spectral_evaluation,
     left_perron,
     rank_nodes,
     resolvent_minus_one,
@@ -148,8 +150,11 @@ def test_criterion_4_method_cross_validation():
             continue
         ell = int(rng.integers(3, min(31, nz.size + 1)))
         mask = sample_columns(g, ell, seed=trial * 7 + 1)
-        res = evaluate_masked_function(g, mask, f, seed=trial)
-        if res.method != "krylov_spectral" or res.condition_estimate > 1e6:
+        try:
+            res = krylov_spectral_evaluation(g, mask, f, seed=trial)
+        except EvaluationError:
+            continue
+        if res.condition_estimate > 1e6:
             continue
         core = direct_core_evaluation(g, mask, f)
         worst = max(worst, rel_err(res.diag, core.diag), rel_err(res.rowsum, core.rowsum))
@@ -159,15 +164,20 @@ def test_criterion_4_method_cross_validation():
     mask = SampleSet(np.array([1]), "column", "guided", 0, 2)
     fixture = evaluate_masked_function(gd, mask, exp_minus_one(1.0), seed=0)
     fixture_ok = fixture.method == "direct_core" and fixture.rowsum.tolist() == [1.0, 0.0]
+    try:
+        krylov_spectral_evaluation(gd, mask, exp_minus_one(1.0), seed=0)
+        fixture_ok = False  # the spectral route must refuse the defective core
+    except EvaluationError:
+        pass
 
-    passed = worst <= 1e-8 and compared >= 1 and fixture_ok
+    passed = worst <= 1e-8 and compared >= 20 and fixture_ok
     _report(
         f"4 method cross-validation ({compared} spectral-path instances, worst rel "
         f"{worst:.2e}; defective fixture routed={fixture_ok})",
         passed,
     )
     assert worst <= 1e-8
-    assert compared >= 1
+    assert compared >= 20
     assert fixture_ok
 
 

@@ -235,3 +235,36 @@ def test_config_validation():
         ExperimentConfig(trials=0)
     with pytest.raises(ValueError):
         ExperimentConfig(seeds=[])
+
+
+def test_run_rows_carry_estimate_metadata(tmp_path):
+    cfg = ExperimentConfig(
+        generate="pa:n=200,m=3,seed=1",
+        measure="katz",
+        gamma=0.02,
+        ell_list=[10, 20],
+        seeds=[3],
+        out=str(tmp_path / "arrow"),
+    )
+    assert run(cfg) == 0
+    rows = json.loads((tmp_path / "arrow.json").read_text())["results"]
+    assert len(rows) == 2
+    for row in rows:
+        assert row["method"] == "arrow_core"
+        assert row["fallback_reason"] is None
+        assert row["condition_estimate"] == 1.0
+        assert 0 < row["spectral_radius_estimate"] * 0.02 <= 0.95
+
+    cfg = ExperimentConfig(
+        generate="pa:n=200,m=3,seed=1",
+        measure="perron",
+        epsilon=1e-3,
+        ell_list=[20],
+        seeds=[3],
+        out=str(tmp_path / "perron"),
+    )
+    assert run(cfg) == 0
+    (row,) = json.loads((tmp_path / "perron.json").read_text())["results"]
+    assert row["converged"] is True
+    assert row["iterations"] >= 1
+    assert row["note"] is None

@@ -1,4 +1,4 @@
-"""Krylov decompositions, spectral evaluation, and the exact dense core."""
+"""Exact small-core evaluation and the Arnoldi spectral cross-check."""
 
 from __future__ import annotations
 
@@ -11,18 +11,19 @@ from sampled_centrality import (
     SampleSet,
     SparseGraph,
     arnoldi,
+    arrow_core_evaluation,
     dense_matfun,
     direct_core_evaluation,
     estimate_spectral_radius,
     evaluate_masked_function,
     exp_minus_one,
-    lanczos,
+    krylov_spectral_evaluation,
     resolvent_minus_one,
     sample_columns,
     spectral_factorize,
     transpose_measures,
 )
-from sampled_centrality.graph import ColumnMaskedOperator
+from sampled_centrality.graph import ArrowMaskedOperator, ColumnMaskedOperator
 from sampled_centrality.matfun import ScalarFunction, _masked_function_columns
 from conftest import (
     directed_edge,
@@ -48,6 +49,24 @@ def _masked_dense(g, mask):
     keep = np.zeros(g.n)
     keep[mask.indices] = 1.0
     return a * keep[np.newaxis, :]
+
+
+def _column_mask(n, indices):
+    return SampleSet(np.asarray(indices), "column", "guided", 0, n)
+
+
+def _assert_arrow_matches_dense(g, mask, f):
+    """diag and rowsum on every node against dense f of the arrow-masked matrix."""
+    arrow = ArrowMaskedOperator(g, mask.indices)._sub.toarray()
+    keep = np.zeros(g.n, dtype=bool)
+    keep[mask.indices] = True
+    assert np.array_equal(arrow, g.dense() * (keep[:, None] | keep[None, :]))
+    exact = dense_matfun(arrow, f)
+    res = arrow_core_evaluation(g, mask, f)
+    assert res.method == "arrow_core"
+    assert rel_err(res.diag, np.diagonal(exact)) <= 1e-10
+    assert rel_err(res.rowsum, exact @ np.ones(g.n)) <= 1e-10
+    return res
 
 
 # -- scalar functions ---------------------------------------------------------
@@ -80,6 +99,32 @@ def test_matrix_quotient_handles_singular_core():
     assert np.allclose(f.matrix_quotient(a), expected, atol=1e-13)
 
 
+def test_augmented_exponential_matches_matrix_quotient():
+    nilpotent = np.triu(np.ones((6, 6)), k=1)
+    rng = np.random.default_rng(5)
+    dense_random = (rng.random((30, 30)) < 0.2).astype(np.float64)
+    for a in (nilpotent, dense_random):
+        for gamma in (1.0, 0.3):
+            f = exp_minus_one(gamma)
+            f11, g1 = f.matrix_value_and_quotient_sum(a)
+            assert rel_err(f11, f.matrix_value(a)) <= 1e-12
+            assert rel_err(g1, f.matrix_quotient(a) @ np.ones(a.shape[0])) <= 1e-12
+    # the nilpotent series terminates: g(A) 1 = sum_k A^k 1 / (k + 1)!
+    f11, g1 = exp_minus_one(1.0).matrix_value_and_quotient_sum(nilpotent)
+    series = np.zeros(6)
+    power = np.ones(6)
+    factorial = 1.0
+    for k in range(6):
+        factorial *= k + 1
+        series += power / factorial
+        power = nilpotent @ power
+    assert np.max(np.abs(g1 - series)) <= 1e-13
+    r = resolvent_minus_one(0.02)
+    f11, g1 = r.matrix_value_and_quotient_sum(dense_random)
+    assert rel_err(f11, r.matrix_value(dense_random)) <= 1e-12
+    assert rel_err(g1, r.matrix_quotient(dense_random) @ np.ones(30)) <= 1e-12
+
+
 # -- Arnoldi ------------------------------------------------------------------
 
 
@@ -107,6 +152,8 @@ def test_arnoldi_nilpotent_masked_edge():
     assert np.all(np.abs(sd.eigenvalues) <= 1e-7)
     res = evaluate_masked_function(g, mask, exp_minus_one(1.0), seed=0)
     assert res.method == "direct_core"
+    with pytest.raises(EvaluationError):
+        krylov_spectral_evaluation(g, mask, exp_minus_one(1.0), seed=0)
 
 
 def test_arnoldi_er_digraph_breakdown_and_invariance():
@@ -128,53 +175,82 @@ def test_arnoldi_requires_column_mask():
         arnoldi(g, rows)
 
 
-# -- Lanczos ------------------------------------------------------------------
+# -- arrow core ---------------------------------------------------------------
 
 
-def test_lanczos_two_cycle_closed_form():
+def test_arrow_core_two_cycle():
     g = undirected_edge()
-    mask = full_column_sample(g)
-    d = lanczos(g, mask, v1=np.array([1.0, 0.0]))
-    assert d.breakdown
-    assert d.steps == 2
-    assert np.allclose(np.abs(d.small_matrix), [[0.0, 1.0], [1.0, 0.0]], atol=1e-14)
+    c = np.cosh(1.0) - 1.0
+    s_ = np.sinh(1.0)
+    for indices in ([0, 1], [0], [1]):
+        res = _assert_arrow_matches_dense(g, _column_mask(2, indices), exp_minus_one(1.0))
+        assert np.allclose(res.diag, [c, c], atol=1e-14)
+        assert np.allclose(res.rowsum, [c + s_, c + s_], atol=1e-14)
+        assert res.spectral_radius_estimate == pytest.approx(1.0, abs=1e-14)
+    _assert_arrow_matches_dense(g, _column_mask(2, [1]), resolvent_minus_one(0.5))
 
 
-def test_lanczos_star_center_mask_covers_matrix():
+def test_arrow_core_star_masks():
     g = star(3)
-    mask = SampleSet(np.array([0]), "column", "guided", 0, 4)
-    f = exp_minus_one(1.0)
-    res = evaluate_masked_function(g, mask, f, seed=2)
-    exact = dense_matfun(g.dense(), f)
+    rho = np.sqrt(3.0)
+    for indices in ([0], [1], [2, 3]):
+        mask = _column_mask(4, indices)
+        _assert_arrow_matches_dense(g, mask, exp_minus_one(1.0))
+        _assert_arrow_matches_dense(g, mask, resolvent_minus_one(0.5 / rho))
+    # the centre alone keeps every edge
+    res = evaluate_masked_function(g, _column_mask(4, [0]), exp_minus_one(1.0), seed=2)
+    exact = dense_matfun(g.dense(), exp_minus_one(1.0))
     assert rel_err(res.diag, np.diagonal(exact)) <= 1e-10
     assert rel_err(res.rowsum, exact @ np.ones(4)) <= 1e-10
 
 
-def test_lanczos_triangle_ritz_values():
+def test_arrow_core_triangle():
     g = triangle()
-    d = lanczos(g, full_column_sample(g), seed=1)
-    ritz = np.sort(np.linalg.eigvalsh(d.small_matrix))
-    for value in ritz:
-        assert min(abs(value - 2.0), abs(value + 1.0)) <= 1e-10
+    for indices in ([0], [2, 0], [0, 1, 2]):
+        mask = _column_mask(3, indices)
+        _assert_arrow_matches_dense(g, mask, exp_minus_one(1.0))
+        _assert_arrow_matches_dense(g, mask, resolvent_minus_one(0.2))
+    res = arrow_core_evaluation(g, full_column_sample(g), exp_minus_one(1.0))
+    assert res.spectral_radius_estimate == pytest.approx(2.0, abs=1e-12)
+    assert res.condition_estimate == 1.0
 
 
-def test_lanczos_rejects_directed():
+def test_arrow_core_rejects_directed():
     g = directed_edge()
     with pytest.raises(ValueError, match="undirected"):
-        lanczos(g, SampleSet(np.array([1]), "column", "guided", 0, 2))
+        arrow_core_evaluation(g, _column_mask(2, [1]), exp_minus_one(1.0))
 
 
-def test_lanczos_tridiagonal_and_orthonormal():
+def test_arrow_core_random_graphs_match_dense():
     rng = np.random.default_rng(8)
     edges = rng.integers(0, 40, size=(150, 2))
     g = SparseGraph.from_edges(40, edges, directed=False)
-    mask = sample_columns(g, 10, seed=2)
-    d = lanczos(g, mask, seed=4)
-    T = d.small_matrix
-    assert np.allclose(T, T.T)
-    assert np.allclose(T - np.diag(np.diag(T)) - np.diag(np.diag(T, 1), 1) - np.diag(np.diag(T, -1), -1), 0.0)
-    assert np.max(np.abs(d.basis.T @ d.basis - np.eye(d.steps))) <= 1e-10
-    assert d.steps <= 2 * len(mask) + 1
+    for ell, seed in ((10, 2), (1, 0), (25, 4)):
+        mask = sample_columns(g, ell, seed=seed)
+        arrow = ArrowMaskedOperator(g, mask.indices)._sub.toarray()
+        rho = float(np.max(np.abs(np.linalg.eigvalsh(arrow))))
+        _assert_arrow_matches_dense(g, mask, exp_minus_one(1.0))
+        _assert_arrow_matches_dense(g, mask, resolvent_minus_one(0.5 / rho))
+
+
+def test_arrow_core_rank_deficient_trailing_block():
+    # triangle 0-1-2 with the tail 2-3-4: nodes 0 and 1 have every neighbour
+    # inside J = {0, 1, 2}, so A[rest, J] has two zero columns
+    tail = SparseGraph.from_edges(
+        5, np.array([[0, 1], [1, 2], [2, 0], [2, 3], [3, 4]]), directed=False
+    )
+    # nodes 0 and 1 share the neighbourhood {2, 3} outside J = {0, 1, 4}
+    twins = SparseGraph.from_edges(
+        6, np.array([[0, 2], [0, 3], [1, 2], [1, 3], [2, 4], [4, 5], [3, 5]]), directed=False
+    )
+    for g, indices in ((tail, [0, 1, 2]), (tail, [1, 0]), (twins, [0, 1, 4]), (twins, [1, 0])):
+        mask = _column_mask(g.n, indices)
+        rest = np.setdiff1d(np.arange(g.n), mask.indices)
+        assert np.linalg.matrix_rank(g.dense()[np.ix_(rest, mask.indices)]) < len(indices)
+        arrow = ArrowMaskedOperator(g, mask.indices)._sub.toarray()
+        rho = float(np.max(np.abs(np.linalg.eigvalsh(arrow))))
+        _assert_arrow_matches_dense(g, mask, exp_minus_one(1.0))
+        _assert_arrow_matches_dense(g, mask, resolvent_minus_one(0.5 / rho))
 
 
 # -- spectral factorization ---------------------------------------------------
@@ -189,13 +265,6 @@ def test_spectral_factorize_tie_order():
     assert estimate_spectral_radius(sd) == pytest.approx(1.0)
 
 
-def test_spectral_factorize_lanczos_orthogonal():
-    g = triangle()
-    d = lanczos(g, full_column_sample(g), seed=0)
-    sd = spectral_factorize(d)
-    assert sd.condition_estimate == 1.0
-
-
 def test_spectral_factorize_defective_flags_condition():
     from sampled_centrality.matfun import KrylovDecomposition
 
@@ -205,7 +274,6 @@ def test_spectral_factorize_defective_flags_condition():
         steps=2,
         breakdown=True,
         residual_norm=0.0,
-        kind="arnoldi",
     )
     sd = spectral_factorize(d)
     assert sd.condition_estimate > 1e8
@@ -220,7 +288,6 @@ def test_spectral_factorize_requires_breakdown():
         steps=2,
         breakdown=False,
         residual_norm=0.5,
-        kind="arnoldi",
     )
     with pytest.raises(EvaluationError, match="breakdown"):
         spectral_factorize(d)
@@ -228,9 +295,11 @@ def test_spectral_factorize_requires_breakdown():
 
 def test_estimate_spectral_radius_fixtures():
     for g, expected in ((star(3), np.sqrt(3)), (triangle(), 2.0)):
-        d = lanczos(g, full_column_sample(g), seed=3)
+        d = arnoldi(g, full_column_sample(g), seed=3)
         sd = spectral_factorize(d)
         assert estimate_spectral_radius(sd) == pytest.approx(expected, abs=1e-10)
+        res = evaluate_masked_function(g, full_column_sample(g), exp_minus_one(1.0))
+        assert res.spectral_radius_estimate == pytest.approx(expected, abs=1e-10)
 
 
 # -- evaluation ---------------------------------------------------------------
@@ -265,6 +334,11 @@ def test_evaluate_rejects_inadmissible_katz_gamma():
     g = undirected_edge()  # rho = 1
     with pytest.raises(EvaluationError, match="inadmissible"):
         evaluate_masked_function(g, full_column_sample(g), resolvent_minus_one(0.99), seed=0)
+    # the centre of a 4-leaf star keeps every edge of the arrow: rho = 2
+    with pytest.raises(EvaluationError, match="inadmissible"):
+        evaluate_masked_function(star(4), _column_mask(5, [0]), resolvent_minus_one(0.49))
+    res = evaluate_masked_function(star(4), _column_mask(5, [0]), resolvent_minus_one(0.47))
+    assert res.spectral_radius_estimate == pytest.approx(2.0, abs=1e-12)
 
 
 def test_evaluate_diag_zero_outside_mask():
@@ -287,24 +361,17 @@ def test_evaluate_full_sampling_exactness_directed():
 
 
 def test_evaluate_full_sampling_exactness_symmetric():
-    # the Lanczos route reconstructs f exactly when the nonzero spectrum is
-    # simple; fixtures are filtered accordingly
+    # every nonzero column sampled: A[rest, J] is empty or zero (r = 0), and
+    # the arrow core is A itself, repeated eigenvalues included
     f = exp_minus_one(1.0)
-    checked = 0
     for seed in range(20):
         rng = np.random.default_rng(seed)
         edges = rng.integers(0, 24, size=(60, 2))
         g = SparseGraph.from_edges(24, edges, directed=False)
-        eigs = np.linalg.eigvalsh(g.dense())
-        nonzero = np.sort(eigs[np.abs(eigs) > 1e-8])
-        if nonzero.size > 1 and np.min(np.diff(nonzero)) < 1e-6:
-            continue
         res = evaluate_masked_function(g, full_column_sample(g), f, seed=seed)
         exact = dense_matfun(g.dense(), f)
-        assert rel_err(res.diag, np.diagonal(exact)) <= 1e-6
-        assert rel_err(res.rowsum, exact @ np.ones(g.n)) <= 1e-6
-        checked += 1
-    assert checked >= 3
+        assert rel_err(res.diag, np.diagonal(exact)) <= 1e-10
+        assert rel_err(res.rowsum, exact @ np.ones(g.n)) <= 1e-10
 
 
 def test_method_equivalence_on_random_instances():
@@ -319,14 +386,17 @@ def test_method_equivalence_on_random_instances():
         ell = int(rng.integers(4, min(25, nz.size + 1)))
         mask = sample_columns(g, ell, seed=trial)
         f = exp_minus_one(1.0)
-        res = evaluate_masked_function(g, mask, f, seed=trial)
-        if res.method != "krylov_spectral" or res.condition_estimate > 1e6:
+        try:
+            res = krylov_spectral_evaluation(g, mask, f, seed=trial)
+        except EvaluationError:
+            continue
+        if res.condition_estimate > 1e6:
             continue
         core = direct_core_evaluation(g, mask, f)
         assert rel_err(res.diag, core.diag) <= 1e-8
         assert rel_err(res.rowsum, core.rowsum) <= 1e-8
         compared += 1
-    assert compared >= 5
+    assert compared >= 13
 
 
 # -- direct core --------------------------------------------------------------
@@ -465,7 +535,7 @@ def test_matfun_result_serialization():
     g = undirected_edge()
     res = evaluate_masked_function(g, full_column_sample(g), exp_minus_one(1.0), seed=0)
     record = json.loads(res.to_json())
-    assert record["metadata"]["method"] == "lanczos"
+    assert record["metadata"]["method"] == "arrow_core"
     assert record["metadata"]["ell"] == 2
     assert len(record["scores"]) == 2
     import io

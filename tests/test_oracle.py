@@ -165,3 +165,20 @@ def test_dense_left_perron_two_cycle_random_start_oscillates():
     uniform = dense_left_perron(directed_two_cycle())
     assert uniform.converged
     assert uniform.eigenvalue_estimate == pytest.approx(1.0)
+
+
+def test_dense_left_perron_decaying_negative_eigenvalue_is_not_a_cycle():
+    # not bipartite (lambda_min -15.4, lambda_max 24.6): the decaying negative
+    # subdominant mode brings each iterate close to the one two steps back
+    # before successive iterates agree, which is no period-2 cycle
+    import scipy.sparse.linalg as spla
+
+    from sampled_centrality.cli import generate
+
+    g = generate("pa:n=5000,m=5,seed=1")
+    res = dense_left_perron(g)
+    assert res.converged
+    assert res.note is None
+    _, vecs = spla.eigsh(g.csr.astype(np.float64), k=1, which="LA", tol=1e-14)
+    expected = np.abs(vecs[:, 0])
+    assert np.max(np.abs(res.vector - expected)) <= 1e-9
