@@ -1,10 +1,11 @@
 """Command-line experiment driver: ingest or generate a graph, sample, score,
 rank, and compare against a reference ranking, with seeded reproducibility.
 
-Synthetic generators live here as dataset-free fixtures.  The reference
-ranking comes from the dense oracle when the graph fits under the dense cap
-and from full-matrix Krylov otherwise (Perron references always use the
-sparse power iteration).
+Synthetic generators live here as dataset-free fixtures.  Each measure has
+one exact reference at every size: Perron uses the sparse power iteration,
+communicability the sparse ``expm_multiply`` row sums, and subgraph and Katz
+the dense oracle, which the run refuses above the dense cap rather than
+rank against an approximation.
 """
 
 from __future__ import annotations
@@ -24,10 +25,11 @@ from .graph import SparseGraph, parse_edge_list
 from .matfun import (
     EXP_MINUS_ONE,
     RESOLVENT_MINUS_ONE,
+    EvaluationError,
     ScalarFunction,
     evaluate_masked_function,
 )
-from .oracle import DENSE_CAP, dense_left_perron, dense_matfun, krylov_full_matfun
+from .oracle import DENSE_CAP, dense_left_perron, dense_matfun, expm_rowsum
 from .perron import PerronConfig, left_perron, symmetric_perron
 from .ranking import (
     CentralityVector,
@@ -60,7 +62,6 @@ class ExperimentConfig:
     trials: int = 1
     k: int = 20
     dense_cap: int = DENSE_CAP
-    krylov_k: int = 2000
     out: str | None = None
     write_json: bool = True
     write_csv: bool = False
@@ -248,16 +249,18 @@ def _reference_scores(g: SparseGraph, cfg: ExperimentConfig) -> CentralityVector
     if cfg.measure == "perron":
         ref = dense_left_perron(g)
         return CentralityVector(ref.vector, cfg.measure, {"method": "oracle"} | ref.metadata())
-    f = _scalar_function(cfg)
-    if g.n <= cfg.dense_cap:
-        fa = dense_matfun(g.dense(), f, dense_cap=cfg.dense_cap)
-        scores = np.diagonal(fa) if cfg.measure == "subgraph" else fa @ np.ones(g.n)
-        return CentralityVector(np.ascontiguousarray(scores), cfg.measure, {"method": "oracle"})
-    ref = krylov_full_matfun(g, min(cfg.krylov_k, g.n), f, seed=cfg.seeds[0])
-    scores = ref.diag if cfg.measure == "subgraph" else ref.rowsum
-    return CentralityVector(
-        scores, cfg.measure, {"method": "krylov_full", "k": ref.steps}
-    )
+    if cfg.measure == "communicability":
+        return CentralityVector(
+            expm_rowsum(g, cfg.gamma), cfg.measure, {"method": "expm_multiply"}
+        )
+    if g.n > cfg.dense_cap:
+        raise EvaluationError(
+            f"no exact {cfg.measure} reference for n={g.n} above the dense cap "
+            f"{cfg.dense_cap} (--dense-cap)"
+        )
+    fa = dense_matfun(g.dense(), _scalar_function(cfg), dense_cap=cfg.dense_cap)
+    scores = np.diagonal(fa) if cfg.measure == "subgraph" else fa @ np.ones(g.n)
+    return CentralityVector(np.ascontiguousarray(scores), cfg.measure, {"method": "oracle"})
 
 
 def _expand_seeds(seeds: list[int], trials: int) -> list[int]:
@@ -281,7 +284,6 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
         "trials": int(cfg.trials),
         "k": int(cfg.k),
         "dense_cap": int(cfg.dense_cap),
-        "krylov_k": int(cfg.krylov_k),
     }
 
 
@@ -413,8 +415,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seeds", default=None, help="explicit comma-separated seed list")
     parser.add_argument("--trials", type=int, default=1, help="runs per ell (timing statistics)")
     parser.add_argument("--k", type=int, default=20, help="report depth")
-    parser.add_argument("--dense-cap", type=int, default=DENSE_CAP)
-    parser.add_argument("--krylov-k", type=int, default=2000, help="reference Krylov steps beyond the cap")
+    parser.add_argument(
+        "--dense-cap", type=int, default=DENSE_CAP,
+        help="largest dense order: sampled core, and graph for the subgraph/Katz reference",
+    )
     parser.add_argument("--out", default="report", help="output path base (.json/.csv appended)")
     parser.add_argument("--json", dest="write_json", action="store_true", default=True)
     parser.add_argument("--csv", dest="write_csv", action="store_true", default=False)
@@ -442,7 +446,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         trials=args.trials,
         k=args.k,
         dense_cap=args.dense_cap,
-        krylov_k=args.krylov_k,
         out=args.out,
         write_json=args.write_json,
         write_csv=args.write_csv,

@@ -28,36 +28,6 @@ class GraphParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class SparseVector:
-    """Sparse real vector as strictly increasing (index, value) pairs."""
-
-    dimension: int
-    indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        val = np.asarray(self.values, dtype=np.float64)
-        if idx.shape != val.shape:
-            raise ValueError("indices and values must have equal length")
-        if idx.size and (np.any(np.diff(idx) <= 0)):
-            raise ValueError("indices must be strictly increasing")
-        if idx.size and (idx[0] < 0 or idx[-1] >= self.dimension):
-            raise ValueError("indices out of range")
-        if np.any(val == 0.0):
-            raise ValueError("explicit zeros are not stored")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "values", val)
-        idx.flags.writeable = False
-        val.flags.writeable = False
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.dimension)
-        out[self.indices] = self.values
-        return out
-
-
-@dataclass(frozen=True)
 class SparseGraph:
     """Immutable 0/1 adjacency matrix in paired CSC/CSR form.
 
@@ -151,10 +121,6 @@ class SparseGraph:
     def row(self, i: int) -> np.ndarray:
         """Sorted column indices j with a[i, j] = 1."""
         return self.row_cols[self.row_ptr[i] : self.row_ptr[i + 1]]
-
-    def column_vector(self, j: int) -> SparseVector:
-        rows = self.column(j)
-        return SparseVector(self.n, rows, np.ones(rows.size))
 
     @property
     def col_degrees(self) -> np.ndarray:
@@ -396,12 +362,6 @@ class ArrowMaskedOperator:
         if x.shape != (self.n,):
             raise ValueError(f"vector has shape {x.shape}, expected ({self.n},)")
         return self._sub @ x
-
-
-def masked_matvec(g: SparseGraph, mask, x: np.ndarray) -> np.ndarray:
-    """y_i = sum over masked columns j of a[i, j] * x[j]."""
-    indices = mask.indices if hasattr(mask, "indices") else mask
-    return ColumnMaskedOperator(g, indices)(np.asarray(x, dtype=np.float64))
 
 
 def write_edge_list(g: SparseGraph, stream: TextIO) -> None:

@@ -38,6 +38,13 @@ RESOLVENT_MINUS_ONE = "resolvent_minus_one"
 # entries of the dense row block of A21 @ K held at once in the arrow diagonal
 _ROW_BLOCK_ENTRIES = 1 << 22
 
+# numerical thresholds of the evaluation routes
+BREAKDOWN_TOL = 1e-12   # Arnoldi breakdown, times the norm of the first Krylov image
+ZERO_EIG_TOL = 1e-10    # relative level of vanishing Ritz values and Gram eigenvalues
+COND_THRESHOLD = 1e8    # eigenbasis / core-solve conditioning gate
+IMAG_TOL = 1e-8         # times max(1, |result|_inf) on residual imaginary parts
+KATZ_SAFETY = 0.95      # require gamma * rho_hat <= this for the resolvent
+
 
 class EvaluationError(RuntimeError):
     """A matrix-function evaluation could not be completed."""
@@ -131,17 +138,6 @@ def resolvent_minus_one(gamma: float) -> ScalarFunction:
 
 
 @dataclass(frozen=True)
-class Tolerances:
-    """Numerical thresholds for the evaluation routes."""
-
-    breakdown: float = 1e-12       # times the norm of the first Krylov image
-    zero_eig: float = 1e-10        # relative level of vanishing Ritz values and Gram eigenvalues
-    cond_threshold: float = 1e8    # eigenbasis / core-solve conditioning gate
-    imag: float = 1e-8             # times max(1, |result|_inf) on residual imaginary parts
-    katz_safety: float = 0.95      # require gamma * rho_hat <= this for the resolvent
-
-
-@dataclass(frozen=True)
 class KrylovDecomposition:
     """Orthonormal basis and square Hessenberg matrix from Arnoldi.
 
@@ -221,11 +217,11 @@ class MatfunResult:
             stream.write(f"{int(ids[i])},{self.diag[i]!r},{self.rowsum[i]!r}\n")
 
 
-def _check_katz_bound(f: ScalarFunction, rho: float, tolerances: Tolerances) -> None:
-    if f.kind == RESOLVENT_MINUS_ONE and f.gamma * rho > tolerances.katz_safety:
+def _check_katz_bound(f: ScalarFunction, rho: float) -> None:
+    if f.kind == RESOLVENT_MINUS_ONE and f.gamma * rho > KATZ_SAFETY:
         raise EvaluationError(
             f"resolvent parameter inadmissible: gamma*rho_hat = {f.gamma * rho:.6g} "
-            f"> {tolerances.katz_safety}"
+            f"> {KATZ_SAFETY}"
         )
 
 
@@ -237,7 +233,6 @@ def evaluate_masked_function(
     mask: SampleSet,
     f: ScalarFunction,
     seed: int = 0,
-    tolerances: Tolerances = Tolerances(),
     dense_cap: int = 4000,
 ) -> MatfunResult:
     """diag and rowsum of f(A_masked) from the sampled columns.
@@ -247,7 +242,7 @@ def evaluate_masked_function(
     exact and deterministic; ``seed`` is only recorded in the metadata.
     """
     core = direct_core_evaluation if g.directed else arrow_core_evaluation
-    return dataclasses.replace(core(g, mask, f, tolerances, dense_cap), seed=seed)
+    return dataclasses.replace(core(g, mask, f, dense_cap), seed=seed)
 
 
 def _core_blocks(g: SparseGraph, mask: SampleSet, dense_cap: float = np.inf):
@@ -268,7 +263,6 @@ def direct_core_evaluation(
     g: SparseGraph,
     mask: SampleSet,
     f: ScalarFunction,
-    tolerances: Tolerances = Tolerances(),
     dense_cap: int = 4000,
 ) -> MatfunResult:
     """Exact dense evaluation of the column mask.
@@ -290,7 +284,7 @@ def direct_core_evaluation(
 
     # A_masked is block lower triangular, so its spectrum is that of A11
     rho = float(np.max(np.abs(np.linalg.eigvals(a11)))) if ell else 0.0
-    _check_katz_bound(f, rho, tolerances)
+    _check_katz_bound(f, rho)
     return MatfunResult(
         diag=diag,
         rowsum=rowsum,
@@ -306,7 +300,6 @@ def arrow_core_evaluation(
     g: SparseGraph,
     mask: SampleSet,
     f: ScalarFunction,
-    tolerances: Tolerances = Tolerances(),
     dense_cap: int = 4000,
 ) -> MatfunResult:
     """Exact evaluation of the arrow mask of an undirected graph.
@@ -325,14 +318,14 @@ def arrow_core_evaluation(
     ell = len(mask)
 
     s2, V = np.linalg.eigh((a21.T @ a21).toarray())
-    keep = s2 > tolerances.zero_eig * max(1.0, np.max(s2, initial=0.0))
+    keep = s2 > ZERO_EIG_TOL * max(1.0, np.max(s2, initial=0.0))
     s = np.sqrt(s2[keep])
     P = V[:, keep] / s  # Q = A21 @ P
     R = s[:, np.newaxis] * V[:, keep].T
     core = np.block([[a11, R.T], [R, np.zeros((s.size, s.size))]])
     mu, W = np.linalg.eigh(core)
     rho = float(np.max(np.abs(mu), initial=0.0))
-    _check_katz_bound(f, rho, tolerances)
+    _check_katz_bound(f, rho)
     fmu = f.value(mu)
 
     # U^T 1 = [1_J; Q^T 1_rest], and U maps the core back to node order
@@ -391,81 +384,31 @@ def transpose_measures(
     rows: SampleSet,
     f: ScalarFunction,
     seed: int = 0,
-    tolerances: Tolerances = Tolerances(),
     dense_cap: int = 4000,
 ) -> MatfunResult:
     """diag and rowsum of f(A^T) computed from sampled rows of A."""
     if rows.kind != "row":
         raise ValueError("transpose_measures expects a row mask")
     as_columns = dataclasses.replace(rows, kind="column")
-    return evaluate_masked_function(transpose(g), as_columns, f, seed, tolerances, dense_cap)
+    return evaluate_masked_function(transpose(g), as_columns, f, seed, dense_cap)
 
 
 # -- Arnoldi spectral reconstruction (cross-check) ----------------------------
-
-
-def _krylov(op, v1: np.ndarray, max_steps: int, tol: float):
-    """Arnoldi loop with full reorthogonalization.
-
-    Returns (V, H, breakdown, residual) where H is square of order len(V.T);
-    the below-threshold subdiagonal that triggered breakdown is dropped.
-    Returns None when ``op`` annihilates ``v1``.
-    """
-    first_image = op(v1)
-    scale = float(np.linalg.norm(first_image))
-    if scale <= 1e-13:
-        return None
-    threshold = tol * scale
-
-    V = [v1]
-    cols: list[np.ndarray] = []
-    breakdown = False
-    residual = np.inf
-    w = first_image
-    k = 0
-    while True:
-        h = np.zeros(k + 2)
-        for i, vi in enumerate(V):
-            c = vi @ w
-            w = w - c * vi
-            h[i] = c
-        for i, vi in enumerate(V):  # second pass keeps orthogonality at eps
-            c = vi @ w
-            w = w - c * vi
-            h[i] += c
-        beta = float(np.linalg.norm(w))
-        h[k + 1] = beta
-        cols.append(h)
-        residual = beta
-        if beta <= threshold:
-            breakdown = True
-            break
-        if k + 1 >= max_steps:
-            break
-        V.append(w / beta)
-        k += 1
-        w = op(V[k])
-
-    m = len(V)
-    H = np.zeros((m, m))
-    for c, h in enumerate(cols):
-        top = min(c + 2, m)
-        H[:top, c] = h[:top]
-    return np.column_stack(V), H, breakdown, residual
 
 
 def arnoldi(
     g: SparseGraph,
     mask: SampleSet,
     seed: int = 0,
-    tol: float = 1e-12,
     v1: np.ndarray | None = None,
 ) -> KrylovDecomposition:
-    """Arnoldi on the column-masked operator from a seeded random start.
+    """Arnoldi with full reorthogonalization on the column-masked operator.
 
-    ``v1`` overrides the start (used by closed-form tests).  Iteration stops
-    at breakdown or after min(ell + 1, n) steps, where the Krylov space of
-    the rank-ell operator is necessarily exhausted.
+    Starts from a seeded random vector (``v1`` overrides it, for closed-form
+    tests).  Iteration stops at breakdown, a subdiagonal below BREAKDOWN_TOL
+    times the norm of the first image, which is dropped, or after
+    min(ell + 1, n) steps, where the Krylov space of the rank-ell operator is
+    necessarily exhausted.
     """
     if mask.kind != "column":
         raise ValueError("arnoldi expects a column mask")
@@ -473,11 +416,41 @@ def arnoldi(
         v1 = np.random.default_rng(seed).standard_normal(g.n)
         v1 /= np.linalg.norm(v1)
     op = ColumnMaskedOperator(g, mask.indices)
-    out = _krylov(op, v1, min(len(mask) + 1, g.n), tol)
-    if out is None:
+    max_steps = min(len(mask) + 1, g.n)
+    w = op(v1)
+    scale = float(np.linalg.norm(w))
+    if scale <= 1e-13:
         raise EvaluationError("the masked operator annihilates the start vector")
-    V, H, breakdown, residual = out
-    return KrylovDecomposition(V, H, V.shape[1], breakdown, residual)
+    threshold = BREAKDOWN_TOL * scale
+
+    V = [v1]
+    cols: list[np.ndarray] = []
+    breakdown = False
+    while True:
+        k = len(V) - 1
+        h = np.zeros(k + 2)
+        for _ in range(2):  # the second pass keeps orthogonality at eps
+            for i, vi in enumerate(V):
+                c = vi @ w
+                w = w - c * vi
+                h[i] += c
+        beta = float(np.linalg.norm(w))
+        h[k + 1] = beta
+        cols.append(h)
+        if beta <= threshold:
+            breakdown = True
+            break
+        if k + 1 >= max_steps:
+            break
+        V.append(w / beta)
+        w = op(V[-1])
+
+    m = len(V)
+    H = np.zeros((m, m))
+    for c, h in enumerate(cols):
+        top = min(c + 2, m)
+        H[:top, c] = h[:top]
+    return KrylovDecomposition(np.column_stack(V), H, m, breakdown, beta)
 
 
 def spectral_factorize(d: KrylovDecomposition) -> SpectralData:
@@ -505,10 +478,10 @@ def estimate_spectral_radius(sd: SpectralData) -> float:
     return float(np.abs(sd.eigenvalues[0]))
 
 
-def _realize(values: np.ndarray, tolerances: Tolerances) -> np.ndarray:
+def _realize(values: np.ndarray) -> np.ndarray:
     real = values.real
     worst = float(np.max(np.abs(values.imag))) if values.size else 0.0
-    limit = tolerances.imag * max(1.0, float(np.max(np.abs(real))) if real.size else 0.0)
+    limit = IMAG_TOL * max(1.0, float(np.max(np.abs(real))) if real.size else 0.0)
     if worst > limit:
         raise EvaluationError(
             f"imaginary residue {worst:.3e} exceeds tolerance {limit:.3e}; "
@@ -522,7 +495,6 @@ def krylov_spectral_evaluation(
     mask: SampleSet,
     f: ScalarFunction,
     seed: int = 0,
-    tolerances: Tolerances = Tolerances(),
 ) -> MatfunResult:
     """diag and rowsum of f on the column mask by Arnoldi spectral reconstruction.
 
@@ -534,16 +506,16 @@ def krylov_spectral_evaluation(
     rank-deficient core).
     """
     ell = len(mask)
-    d = arnoldi(g, mask, seed, tolerances.breakdown)
+    d = arnoldi(g, mask, seed)
     sd = spectral_factorize(d)
     rho = estimate_spectral_radius(sd)
-    _check_katz_bound(f, rho, tolerances)
-    if sd.condition_estimate > tolerances.cond_threshold:
+    _check_katz_bound(f, rho)
+    if sd.condition_estimate > COND_THRESHOLD:
         raise EvaluationError(
             f"ill-conditioned eigenbasis of the small matrix ({sd.condition_estimate:.3e})"
         )
 
-    keep = np.abs(sd.eigenvalues) > tolerances.zero_eig * max(1.0, rho)
+    keep = np.abs(sd.eigenvalues) > ZERO_EIG_TOL * max(1.0, rho)
     kept = int(np.count_nonzero(keep))
     if kept != ell:
         raise EvaluationError(f"{kept} nonvanishing Ritz values for {ell} sampled columns")
@@ -552,7 +524,7 @@ def krylov_spectral_evaluation(
     WJ = W[mask.indices, :]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         cond_wj = float(np.linalg.cond(WJ))
-    if not np.isfinite(cond_wj) or cond_wj > tolerances.cond_threshold:
+    if not np.isfinite(cond_wj) or cond_wj > COND_THRESHOLD:
         raise EvaluationError("sampled rows of the eigenvector block are singular")
 
     lam = sd.eigenvalues[keep]
@@ -570,8 +542,8 @@ def krylov_spectral_evaluation(
     diag_c[mask.indices] = np.diagonal(X)
 
     return MatfunResult(
-        diag=_realize(diag_c, tolerances),
-        rowsum=_realize(rowsum_c, tolerances),
+        diag=_realize(diag_c),
+        rowsum=_realize(rowsum_c),
         method="krylov_spectral",
         spectral_radius_estimate=rho,
         ell=ell,

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
+from sampled_centrality import dense_matfun, exp_minus_one
 from sampled_centrality.cli import (
     ExperimentConfig,
     build_parser,
@@ -15,6 +17,7 @@ from sampled_centrality.cli import (
     run,
     _parse_ell,
 )
+from conftest import rel_err
 
 
 def test_generate_star():
@@ -268,3 +271,28 @@ def test_run_rows_carry_estimate_metadata(tmp_path):
     assert row["converged"] is True
     assert row["iterations"] >= 1
     assert row["note"] is None
+
+
+def test_reference_above_dense_cap(tmp_path):
+    # a sparse digraph above the cap: subgraph and Katz have no exact
+    # reference there and must fail; communicability stays exact
+    spec = "er:n=300,p=0.01,seed=2"
+    argv = ["--generate", spec, "--dense-cap", "40", "--ell", "20"]
+    for measure, extra in (("subgraph", []), ("katz", ["--gamma", "0.05"])):
+        out = tmp_path / measure
+        assert main(argv + ["--measure", measure, *extra, "--out", str(out)]) == 1
+        report = json.loads(out.with_suffix(".json").read_text())
+        assert "dense cap 40" in report["failed"]
+        assert "n=300" in report["failed"]
+        assert measure in report["failed"]
+        assert "report" not in report
+
+    out = tmp_path / "communicability"
+    assert main(argv + ["--measure", "communicability", "--out", str(out)]) == 0
+    report = json.loads(out.with_suffix(".json").read_text())
+    assert "failed" not in report
+    g = generate(spec)
+    exact = np.sort(dense_matfun(g.dense(), exp_minus_one(1.0)).sum(axis=1))[::-1]
+    scores = np.array(report["report"]["reference"]["scores"])
+    assert scores.size == 300
+    assert rel_err(scores, exact) <= 1e-12

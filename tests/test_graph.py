@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 
 from sampled_centrality import (
+    ColumnMaskedOperator,
     GraphParseError,
     SampleSet,
     SparseGraph,
-    SparseVector,
-    masked_matvec,
     parse_edge_list,
     remove_self_loops,
     transpose,
@@ -160,14 +159,14 @@ def test_row_column_stores_consistent():
 
 def test_masked_matvec_empty_mask_gives_zero():
     g = directed_edge()
-    y = masked_matvec(g, np.array([], dtype=np.int64), np.ones(2))
+    y = ColumnMaskedOperator(g, np.array([], dtype=np.int64))(np.ones(2))
     assert np.array_equal(y, np.zeros(2))
 
 
 def test_masked_matvec_single_column():
     g = directed_edge()
     mask = SampleSet(np.array([1]), "column", "random", 0, 2)
-    y = masked_matvec(g, mask, np.array([0.0, 1.0]))
+    y = ColumnMaskedOperator(g, mask.indices)(np.array([0.0, 1.0]))
     assert np.array_equal(y, np.array([1.0, 0.0]))
 
 
@@ -177,15 +176,16 @@ def test_masked_matvec_full_mask_matches_dense():
     g = SparseGraph.from_edges(30, edges, directed=True)
     x_int = rng.integers(-5, 6, size=30).astype(np.float64)
     full = SampleSet(np.arange(30), "column", "random", 0, 30)
-    assert np.array_equal(masked_matvec(g, full, x_int), g.dense() @ x_int)
+    op = ColumnMaskedOperator(g, full.indices)
+    assert np.array_equal(op(x_int), g.dense() @ x_int)
     x = rng.standard_normal(30)
-    assert np.allclose(masked_matvec(g, full, x), g.dense() @ x, rtol=1e-13, atol=1e-13)
+    assert np.allclose(op(x), g.dense() @ x, rtol=1e-13, atol=1e-13)
 
 
 def test_masked_matvec_dimension_mismatch():
     g = directed_edge()
     with pytest.raises(ValueError, match="shape"):
-        masked_matvec(g, np.array([0]), np.ones(3))
+        ColumnMaskedOperator(g, np.array([0]))(np.ones(3))
 
 
 def test_edge_list_round_trip():
@@ -198,15 +198,6 @@ def test_edge_list_round_trip():
         buf.seek(0)
         g2 = parse_edge_list(buf, directed=directed)
         assert g2.entry_set() == g.entry_set()
-
-
-def test_sparse_vector_validation():
-    v = SparseVector(5, np.array([1, 3]), np.array([1.0, 2.0]))
-    assert v.to_dense().tolist() == [0.0, 1.0, 0.0, 2.0, 0.0]
-    with pytest.raises(ValueError, match="strictly increasing"):
-        SparseVector(5, np.array([3, 1]), np.array([1.0, 2.0]))
-    with pytest.raises(ValueError, match="out of range"):
-        SparseVector(2, np.array([0, 5]), np.array([1.0, 1.0]))
 
 
 def test_graph_arrays_immutable():

@@ -1,4 +1,4 @@
-"""Dense and full-Krylov reference computations."""
+"""Dense, sparse-exponential and Perron reference computations."""
 
 from __future__ import annotations
 
@@ -8,28 +8,22 @@ import scipy.linalg as sla
 
 from sampled_centrality import (
     EvaluationError,
-    SparseGraph,
     dense_left_perron,
     dense_matfun,
     exp_minus_one,
-    krylov_full_matfun,
+    expm_rowsum,
     resolvent_minus_one,
 )
+from sampled_centrality.cli import generate
 from conftest import (
+    directed_edge,
     directed_path,
     directed_two_cycle,
     path3,
     rel_err,
     star,
     triangle,
-    undirected_edge,
 )
-
-
-def _random_symmetric_graph(n, seed, m=None):
-    rng = np.random.default_rng(seed)
-    edges = rng.integers(0, n, size=(m or 4 * n, 2))
-    return SparseGraph.from_edges(n, edges, directed=False)
 
 
 def test_dense_matfun_zero_matrix():
@@ -86,50 +80,24 @@ def test_dense_resolvent_identity():
     assert np.max(np.abs((np.eye(n) - gamma * a) @ (r + np.eye(n)) - np.eye(n))) <= 1e-10
 
 
-def test_krylov_full_two_cycle_exact_at_two_steps():
-    g = undirected_edge()
-    ref = krylov_full_matfun(g, 2, exp_minus_one(1.0), seed=3)
-    c = np.cosh(1.0) - 1.0
-    assert np.allclose(ref.diag, [c, c], atol=1e-10)
+@pytest.mark.parametrize(
+    "spec, gamma",
+    [("er:n=300,p=0.02,seed=5", 1.0), ("pa:n=300,m=4,seed=3", 0.5)],
+)
+def test_expm_rowsum_matches_dense(spec, gamma):
+    g = generate(spec)
+    f = exp_minus_one(gamma)
+    exact = dense_matfun(g.dense(), f).sum(axis=1)
+    assert rel_err(expm_rowsum(g, gamma), exact) <= 1e-12
 
 
-def test_krylov_full_exact_at_full_dimension():
-    # P3 has three distinct eigenvalues, so k = n spans everything
-    g = path3()
-    ref = krylov_full_matfun(g, 3, exp_minus_one(1.0), seed=1)
-    exact = np.diagonal(dense_matfun(g.dense(), exp_minus_one(1.0)))
-    assert ref.steps == 3
-    assert rel_err(ref.diag, exact) <= 1e-8
-
-
-def test_krylov_full_truncates_at_early_breakdown():
-    # the triangle Krylov space is exhausted after two steps (minimal
-    # polynomial degree 2); the truncation is reported
-    g = triangle()
-    ref = krylov_full_matfun(g, 3, exp_minus_one(1.0), seed=1)
-    assert ref.breakdown
-    assert ref.steps == 2
-
-
-def test_krylov_full_diag_converges_with_k():
-    f = exp_minus_one(1.0)
-    better = 0
-    for seed in range(10):
-        g = _random_symmetric_graph(100, seed=seed + 50)
-        exact = np.diagonal(dense_matfun(g.dense(), f))
-        e80 = np.max(np.abs(krylov_full_matfun(g, 80, f, seed=seed).diag - exact))
-        e100 = np.max(np.abs(krylov_full_matfun(g, 100, f, seed=seed).diag - exact))
-        if e100 <= e80:
-            better += 1
-    assert better >= 8
-
-
-def test_krylov_full_k_bounds():
-    g = triangle()
-    with pytest.raises(ValueError):
-        krylov_full_matfun(g, 0, exp_minus_one(1.0))
-    with pytest.raises(ValueError):
-        krylov_full_matfun(g, 4, exp_minus_one(1.0))
+def test_expm_rowsum_nilpotent_edge():
+    # exp(gamma*A) = I + gamma*A for the single directed edge 0 -> 1
+    g = directed_edge()
+    got = expm_rowsum(g, 0.7)
+    assert np.allclose(got, [0.7, 0.0], rtol=1e-14, atol=1e-15)
+    exact = dense_matfun(g.dense(), exp_minus_one(0.7)).sum(axis=1)
+    assert rel_err(got, exact) <= 1e-12
 
 
 def test_dense_left_perron_triangle():
