@@ -228,7 +228,7 @@ def _measure_scores(
 ) -> CentralityVector:
     params = {"ell": ell, "seed": seed, "strategy": cfg.strategy}
     if cfg.measure == "perron":
-        pcfg = PerronConfig(epsilon=cfg.epsilon, seed=seed)
+        pcfg = PerronConfig(epsilon=cfg.epsilon)
         if g.directed:
             J = sample_columns(g, ell, seed, cfg.strategy)
             I = sample_rows(g, ell, seed + 1, cfg.strategy)
@@ -420,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest dense order: sampled core, and graph for the subgraph/Katz reference",
     )
     parser.add_argument("--out", default="report", help="output path base (.json/.csv appended)")
-    parser.add_argument("--json", dest="write_json", action="store_true", default=True)
     parser.add_argument("--csv", dest="write_csv", action="store_true", default=False)
     return parser
 
@@ -447,7 +446,6 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         k=args.k,
         dense_cap=args.dense_cap,
         out=args.out,
-        write_json=args.write_json,
         write_csv=args.write_csv,
     )
 

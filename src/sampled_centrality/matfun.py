@@ -21,9 +21,8 @@ defining the leading block.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
-from typing import Callable, TextIO
+from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
@@ -196,25 +195,6 @@ class MatfunResult:
             else float(self.condition_estimate),
             "fallback_reason": self.fallback_reason,
         }
-
-    def to_json(self, labels: np.ndarray | None = None) -> str:
-        ids = np.arange(self.diag.size) if labels is None else labels
-        return json.dumps(
-            {
-                "metadata": self.metadata(),
-                "scores": [
-                    {"node": int(ids[i]), "diag": float(self.diag[i]), "rowsum": float(self.rowsum[i])}
-                    for i in range(self.diag.size)
-                ],
-            },
-            sort_keys=True,
-        )
-
-    def write_csv(self, stream: TextIO, labels: np.ndarray | None = None) -> None:
-        ids = np.arange(self.diag.size) if labels is None else labels
-        stream.write("node,diag,rowsum\n")
-        for i in range(self.diag.size):
-            stream.write(f"{int(ids[i])},{self.diag[i]!r},{self.rowsum[i]!r}\n")
 
 
 def _check_katz_bound(f: ScalarFunction, rho: float) -> None:

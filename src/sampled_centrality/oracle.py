@@ -61,29 +61,14 @@ def expm_rowsum(g: SparseGraph, gamma: float) -> np.ndarray:
     return expm_multiply(gamma * g.csc, ones) - ones
 
 
-def dense_left_perron(
-    g: SparseGraph,
-    tol: float = 1e-10,
-    max_iter: int = 100_000,
-    seed: int = 0,
-    start: str = "uniform",
-) -> PerronResult:
+def dense_left_perron(g: SparseGraph, tol: float = 1e-10) -> PerronResult:
     """Left Perron vector of A by power iteration on A^T, uniform start.
 
     Bipartite-type spectra (dominant +/- pair) make plain power iteration
-    cycle with period 2; that cycle is detected and the normalized average
-    of the two iterates is returned with ``converged=False``.
+    cycle with period 2; that cycle is detected and the +lambda eigenvector
+    on the span of the two iterates is returned with ``converged=False``.
     """
     if g.n < 1:
         raise ValueError("graph is empty")
-    if start not in ("uniform", "random"):
-        raise ValueError("start must be 'uniform' or 'random'")
     at = g.csc.T.tocsr()
-    cfg = PerronConfig(epsilon=0.0, tol=tol, max_iter=max_iter, seed=seed)
-    start_vec = None
-    if start == "random":
-        rng = np.random.default_rng(seed)
-        start_vec = rng.random(g.n) + 1e-12
-    return power_iteration(
-        lambda v: at @ v, g.n, cfg, detect_oscillation=True, start=start_vec
-    )
+    return power_iteration(lambda v: at @ v, g.n, PerronConfig(tol=tol))

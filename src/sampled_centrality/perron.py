@@ -9,9 +9,8 @@ applied implicitly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from typing import Callable, TextIO
+from typing import Callable
 
 import numpy as np
 
@@ -19,15 +18,23 @@ from .graph import SparseGraph
 from .sampling import SampleSet
 
 
+MAX_ITER = 100_000
+
+
 class RankDeficientProductError(RuntimeError):
-    """The implicit product annihilates every start vector tried."""
+    """The implicit product maps the uniform start to zero in some power."""
 
 
 @dataclass(frozen=True)
 class PerronConfig:
+    """Perturbation and stopping tolerance of the power iteration.
+
+    ``seed`` is read by nothing: the iteration always starts from the uniform
+    vector.  It is kept only because ``bench/workloads.py`` still passes it.
+    """
+
     epsilon: float = 0.0
     tol: float = 1e-10
-    max_iter: int = 100_000
     seed: int = 0
 
     def __post_init__(self):
@@ -35,8 +42,6 @@ class PerronConfig:
             raise ValueError("epsilon must be nonnegative")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -56,25 +61,6 @@ class PerronResult:
             "converged": bool(self.converged),
             "note": self.note,
         }
-
-    def to_json(self, labels: np.ndarray | None = None) -> str:
-        ids = np.arange(self.vector.size) if labels is None else labels
-        return json.dumps(
-            {
-                "metadata": self.metadata(),
-                "scores": [
-                    {"node": int(ids[i]), "score": float(self.vector[i])}
-                    for i in range(self.vector.size)
-                ],
-            },
-            sort_keys=True,
-        )
-
-    def write_csv(self, stream: TextIO, labels: np.ndarray | None = None) -> None:
-        ids = np.arange(self.vector.size) if labels is None else labels
-        stream.write("node,score\n")
-        for i in range(self.vector.size):
-            stream.write(f"{int(ids[i])},{self.vector[i]!r}\n")
 
 
 def product_transpose_apply(
@@ -115,46 +101,34 @@ def symmetric_product_apply(
 
 
 def power_iteration(
-    apply: Callable[[np.ndarray], np.ndarray],
-    n: int,
-    cfg: PerronConfig,
-    detect_oscillation: bool = False,
-    start: np.ndarray | None = None,
+    apply: Callable[[np.ndarray], np.ndarray], n: int, cfg: PerronConfig
 ) -> PerronResult:
-    """Normalized power iteration with restart-on-collapse.
+    """Normalized power iteration from the uniform start.
 
-    Convergence is a 2-norm difference of successive sign-normalized
-    iterates below ``cfg.tol``.  With ``detect_oscillation`` a period-2
-    cycle (bipartite-type spectrum: each iterate within ``cfg.tol`` of the
-    one two steps back, while successive iterates stay more than
-    sqrt(``cfg.tol``) apart) returns the normalized average of the last two
-    iterates with ``converged=False``.
+    Every operator iterated here is entrywise nonnegative, so the iterates
+    stay nonnegative and a zero iterate would recur from any positive start:
+    it raises ``RankDeficientProductError``.  Convergence is a 2-norm
+    difference of successive iterates below ``cfg.tol``.  A period-2 cycle
+    (each iterate within ``cfg.tol`` of the one two steps back, while
+    successive iterates stay more than sqrt(``cfg.tol``) apart) returns the
+    +lambda eigenvector on the span of the last two iterates with
+    ``converged=False``.
     """
-    rng = np.random.default_rng(cfg.seed)
-    v = np.full(n, 1.0 / np.sqrt(n)) if start is None else start / np.linalg.norm(start)
-    prev = None
-    restarts = 0
+    v = np.full(n, 1.0 / np.sqrt(n))
+    prev, prev_norm = None, 0.0
     note = None
     converged = False
     iterations = 0
 
-    while iterations < cfg.max_iter:
+    while iterations < MAX_ITER:
         iterations += 1
         w = apply(v)
         norm = float(np.linalg.norm(w))
         if norm == 0.0:
-            if restarts >= 3:
-                raise RankDeficientProductError(
-                    "rank-deficient product: iterate collapsed to zero repeatedly"
-                )
-            restarts += 1
-            v = rng.random(n) + 1e-12
-            v /= np.linalg.norm(v)
-            prev = None
-            continue
+            raise RankDeficientProductError(
+                f"rank-deficient product: iterate {iterations} collapsed to zero"
+            )
         v_new = w / norm
-        if v_new[int(np.argmax(np.abs(v_new)))] < 0:
-            v_new = -v_new
         step = float(np.linalg.norm(v_new - v))
         if step <= cfg.tol:
             converged = True
@@ -168,17 +142,20 @@ def power_iteration(
         # a decaying negative subdominant eigenvalue also brings v_new close
         # to prev; only a one-step difference far above tol is a cycle
         if (
-            detect_oscillation
-            and prev is not None
+            prev is not None
             and step > np.sqrt(cfg.tol)
             and float(np.linalg.norm(v_new - prev)) <= cfg.tol
         ):
-            avg = v + v_new
-            v = avg / np.linalg.norm(avg)
-            note = "period-2 oscillation detected; returning the averaged iterate"
+            # P maps prev to prev_norm * v and v to norm * v_new = norm * prev,
+            # so the eigenvalue is sqrt(prev_norm * norm) with this eigenvector
+            pair = np.sqrt(prev_norm) * v + np.sqrt(norm) * v_new
+            v = pair / np.linalg.norm(pair)
+            note = "period-2 oscillation detected; returning the +lambda eigenvector of the cycle"
             break
-        prev = v
+        prev, prev_norm = v, norm
         v = v_new
+    else:
+        note = f"no convergence within {MAX_ITER} iterations"
 
     extra = apply(v)
     eigenvalue = float(v @ extra)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import TextIO
 
@@ -105,9 +104,6 @@ class RankingReport:
                 for label, r in self.candidates
             ],
         }
-
-    def to_json(self, labels: np.ndarray | None = None) -> str:
-        return json.dumps(self.to_record(labels), sort_keys=True)
 
     def write_csv(self, stream: TextIO, labels: np.ndarray | None = None) -> None:
         """Figure-style table: one column per configuration, one row per rank."""

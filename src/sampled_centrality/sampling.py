@@ -9,7 +9,6 @@ should use distinct seeds (the CLI uses ``seed`` and ``seed + 1``).
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,34 +47,6 @@ class SampleSet:
 
     def __len__(self) -> int:
         return int(self.indices.size)
-
-    def to_record(self) -> dict:
-        return {
-            "kind": self.kind,
-            "strategy": self.strategy,
-            "seed": int(self.seed),
-            "n": int(self.n),
-            "indices": [int(i) for i in self.indices],
-            "fallback_draws": int(self.fallback_draws),
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_record(), sort_keys=True)
-
-    @classmethod
-    def from_record(cls, record: dict) -> "SampleSet":
-        return cls(
-            indices=np.asarray(record["indices"], dtype=np.int64),
-            kind=record["kind"],
-            strategy=record["strategy"],
-            seed=int(record["seed"]),
-            n=int(record["n"]),
-            fallback_draws=int(record.get("fallback_draws", 0)),
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SampleSet":
-        return cls.from_record(json.loads(text))
 
 
 @dataclass

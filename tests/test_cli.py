@@ -229,6 +229,16 @@ def test_env_seed_default(tmp_path, monkeypatch):
     assert cfg.seeds == [99]
 
 
+def test_json_flag_is_gone():
+    # JSON output is always on from the command line; the old no-op flag
+    # is now a usage error
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["--json"])
+    assert exc.value.code == 2
+    cfg = config_from_args(build_parser().parse_args(["--generate", "cycle:n=5"]))
+    assert cfg.write_json
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(measure="degree")

@@ -534,14 +534,7 @@ def test_matfun_result_serialization():
 
     g = undirected_edge()
     res = evaluate_masked_function(g, full_column_sample(g), exp_minus_one(1.0), seed=0)
-    record = json.loads(res.to_json())
-    assert record["metadata"]["method"] == "arrow_core"
-    assert record["metadata"]["ell"] == 2
-    assert len(record["scores"]) == 2
-    import io
-
-    buf = io.StringIO()
-    res.write_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "node,diag,rowsum"
-    assert len(lines) == 3
+    record = json.loads(json.dumps(res.metadata()))
+    assert record["method"] == "arrow_core"
+    assert record["ell"] == 2
+    assert res.diag.shape == res.rowsum.shape == (2,)

@@ -8,6 +8,7 @@ import scipy.linalg as sla
 
 from sampled_centrality import (
     EvaluationError,
+    SparseGraph,
     dense_left_perron,
     dense_matfun,
     exp_minus_one,
@@ -124,15 +125,25 @@ def test_dense_left_perron_path_bipartite_average():
 
 
 def test_dense_left_perron_two_cycle_random_start_oscillates():
-    # from a generic start the iterates alternate (dominant +/- 1 pair); the
-    # uniform start would be an exact fixed point instead
-    res = dense_left_perron(directed_two_cycle(), start="random", seed=11)
-    assert not res.converged
-    assert "oscillation" in res.note
-    assert np.allclose(res.vector, np.ones(2) / np.sqrt(2), atol=1e-8)
+    # the dominant +/- 1 pair would make a generic start alternate; the
+    # uniform start, the only start there is, is an exact fixed point
     uniform = dense_left_perron(directed_two_cycle())
     assert uniform.converged
     assert uniform.eigenvalue_estimate == pytest.approx(1.0)
+
+
+def test_dense_left_perron_non_normal_cycle_exact_eigenvector():
+    # A^T maps span{e0+e1, e2+e3} into itself with gains 1 and 2, so the
+    # uniform start alternates; the +sqrt(2) eigenvector weighs the two
+    # directions by the square roots of the gains, not equally
+    edges = np.array([(0, 3), (1, 2), (2, 0), (2, 1), (3, 0), (3, 1)])
+    g = SparseGraph.from_edges(4, edges, directed=True)
+    res = dense_left_perron(g)
+    expected = np.array([1.0, 1.0, 1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)]) / np.sqrt(3.0)
+    assert np.max(np.abs(res.vector - expected)) <= 1e-12
+    assert res.eigenvalue_estimate == pytest.approx(np.sqrt(2.0), abs=1e-12)
+    assert not res.converged
+    assert "oscillation" in res.note
 
 
 def test_dense_left_perron_decaying_negative_eigenvalue_is_not_a_cycle():

@@ -12,8 +12,11 @@ from sampled_centrality import (
     SparseGraph,
     dense_left_perron,
     left_perron,
+    sample_columns,
+    sample_rows,
     symmetric_perron,
 )
+from sampled_centrality.cli import generate
 from sampled_centrality.perron import product_transpose_apply, symmetric_product_apply
 from conftest import (
     directed_two_cycle,
@@ -66,6 +69,40 @@ def test_left_perron_two_cycle_without_epsilon_stagnates():
     assert res.iterations == 1
     assert res.note is not None
     assert np.allclose(res.vector, np.ones(2) / np.sqrt(2))
+
+
+def test_left_perron_period_two_exit_is_exact_eigenvector():
+    # from the uniform start, M^T = (A^2)^T alternates between two directions
+    # with unequal gains (0.853 and 1.173, product 1): the exit must weigh
+    # them by the square roots of the gains to hit the lambda = 1 eigenvector
+    edges = np.array([(0, 4), (1, 3), (3, 0), (3, 2), (4, 5), (5, 3)])
+    g = SparseGraph.from_edges(6, edges, directed=True)
+    J = full_column_sample(g)
+    I = full_row_sample(g)
+    res = left_perron(g, J, I, PerronConfig(epsilon=0.0))
+    assert res.iterations <= 10
+    assert not res.converged
+    assert "oscillation" in res.note
+    assert res.eigenvalue_estimate == pytest.approx(1.0, abs=1e-12)
+    apply = product_transpose_apply(g, J, I)
+    residual = apply(res.vector) - res.eigenvalue_estimate * res.vector
+    assert np.linalg.norm(residual) <= 1e-12
+    assert np.all(res.vector >= 0.0)
+
+
+def test_left_perron_guided_er_cycle_exits_early():
+    # a guided 300-node product of a sparse ER digraph whose uniform-start
+    # iterates alternate forever; the exit stops within a few iterations
+    g = generate("er:n=5000,p=0.002,seed=1")
+    J = sample_columns(g, 300, 3, "guided")
+    I = sample_rows(g, 300, 4, "guided")
+    res = left_perron(g, J, I, PerronConfig(epsilon=0.0))
+    assert res.iterations <= 20
+    assert not res.converged
+    assert "oscillation" in res.note
+    apply = product_transpose_apply(g, J, I)
+    lam = res.eigenvalue_estimate
+    assert np.linalg.norm(apply(res.vector) - lam * res.vector) <= 1e-12 * lam
 
 
 def test_symmetric_perron_triangle():
@@ -182,17 +219,14 @@ def test_implicit_product_matches_dense_product():
 
 
 def test_perron_result_serialization():
-    import io
     import json
 
     g = triangle()
     res = symmetric_perron(g, full_column_sample(g))
-    record = json.loads(res.to_json())
-    assert record["metadata"]["converged"] is True
-    assert len(record["scores"]) == 3
-    buf = io.StringIO()
-    res.write_csv(buf)
-    assert buf.getvalue().splitlines()[0] == "node,score"
+    record = json.loads(json.dumps(res.metadata()))
+    assert record["converged"] is True
+    assert record["iterations"] == res.iterations
+    assert res.vector.shape == (3,)
 
 
 def test_config_validation():
@@ -200,5 +234,3 @@ def test_config_validation():
         PerronConfig(epsilon=-1.0)
     with pytest.raises(ValueError):
         PerronConfig(tol=0.0)
-    with pytest.raises(ValueError):
-        PerronConfig(max_iter=0)

@@ -97,7 +97,7 @@ def test_report_serialization():
     ref = rank_nodes(np.array([3.0, 2.0, 1.0]), k=2)
     cand = rank_nodes(np.array([1.0, 2.0, 3.0]), k=2)
     report = RankingReport(ref, [("l=1", cand)], k=2)
-    record = json.loads(report.to_json())
+    record = json.loads(json.dumps(report.to_record()))
     assert record["k"] == 2
     assert record["reference"]["top"] == [0, 1]
     assert record["candidates"][0]["top"] == [2, 1]

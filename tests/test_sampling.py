@@ -146,14 +146,6 @@ def test_symmetric_rows_equal_columns_law():
         assert rows.indices.tolist() == cols.indices.tolist()
 
 
-def test_sampleset_json_round_trip():
-    g = _random_graph(seed=12)
-    s = sample_columns(g, 5, seed=9)
-    back = SampleSet.from_json(s.to_json())
-    assert back.indices.tolist() == s.indices.tolist()
-    assert (back.kind, back.strategy, back.seed, back.n) == (s.kind, s.strategy, s.seed, s.n)
-
-
 def test_sampleset_validation():
     with pytest.raises(ValueError, match="distinct"):
         SampleSet(np.array([1, 1]), "column", "guided", 0, 5)
