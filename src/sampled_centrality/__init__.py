@@ -14,19 +14,14 @@ from .graph import (
 )
 from .matfun import (
     EvaluationError,
-    KrylovDecomposition,
     MatfunResult,
     ScalarFunction,
-    SpectralData,
-    arnoldi,
     arrow_core_evaluation,
     direct_core_evaluation,
-    estimate_spectral_radius,
     evaluate_masked_function,
     exp_minus_one,
     krylov_spectral_evaluation,
     resolvent_minus_one,
-    spectral_factorize,
     transpose_measures,
 )
 from .oracle import dense_left_perron, dense_matfun, expm_rowsum
@@ -45,7 +40,7 @@ from .ranking import (
     rank_nodes,
     topk_overlap,
 )
-from .sampling import SampleSet, WeightVector, draw_categorical, sample_columns, sample_rows
+from .sampling import SampleSet, draw_categorical, sample_columns, sample_rows
 
 __all__ = [
     "__version__",
@@ -54,7 +49,6 @@ __all__ = [
     "ColumnMaskedOperator",
     "EvaluationError",
     "GraphParseError",
-    "KrylovDecomposition",
     "MatfunResult",
     "PerronConfig",
     "PerronResult",
@@ -64,15 +58,11 @@ __all__ = [
     "SampleSet",
     "ScalarFunction",
     "SparseGraph",
-    "SpectralData",
-    "WeightVector",
-    "arnoldi",
     "arrow_core_evaluation",
     "dense_left_perron",
     "dense_matfun",
     "direct_core_evaluation",
     "draw_categorical",
-    "estimate_spectral_radius",
     "evaluate_masked_function",
     "exact_matches",
     "exp_minus_one",
@@ -85,7 +75,6 @@ __all__ = [
     "resolvent_minus_one",
     "sample_columns",
     "sample_rows",
-    "spectral_factorize",
     "symmetric_perron",
     "topk_overlap",
     "transpose",

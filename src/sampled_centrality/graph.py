@@ -3,14 +3,17 @@
 The convention throughout: ``a[i, j] = 1`` iff there is an edge from node ``i``
 to node ``j``, so column ``j`` holds the in-neighbours of ``j`` and row ``i``
 holds the out-neighbours of ``i``.  Graphs are simple and unweighted; all
-stored entries equal 1.  Instances are immutable after construction and safe
-to share between concurrent computations.
+stored entries equal 1.  A ``SparseGraph`` holds A once, as one canonical
+scipy CSR matrix and its CSC transpose-layout copy; every route (samplers,
+core evaluations, Perron, references) reads those two.  Their arrays are
+read-only, so instances are immutable and safe to share between concurrent
+computations.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -29,28 +32,26 @@ class GraphParseError(ValueError):
 
 @dataclass(frozen=True)
 class SparseGraph:
-    """Immutable 0/1 adjacency matrix in paired CSC/CSR form.
+    """Immutable 0/1 adjacency matrix as a canonical scipy CSR/CSC pair.
 
-    ``col_ptr``/``col_rows`` list, for each column j, the sorted row indices i
-    with a[i, j] = 1; ``row_ptr``/``row_cols`` hold the transposed layout.
-    Both describe the same entry set.  ``labels`` maps internal 0-based ids to
-    the raw ids of the input data (identity when None).
+    ``csr`` and ``csc`` are the same matrix in row and column layout, with
+    sorted indices, no duplicates and every stored value 1.  ``labels`` maps
+    internal 0-based ids to the raw ids of the input data (identity when
+    None).
     """
 
-    n: int
     directed: bool
-    col_ptr: np.ndarray
-    col_rows: np.ndarray
-    row_ptr: np.ndarray
-    row_cols: np.ndarray
+    csr: sp.csr_matrix
+    csc: sp.csc_matrix
     labels: np.ndarray | None = None
     duplicates_collapsed: int = 0
 
     def __post_init__(self):
-        for name in ("col_ptr", "col_rows", "row_ptr", "row_cols", "labels"):
-            arr = getattr(self, name)
-            if arr is not None:
+        for m in (self.csr, self.csc):
+            for arr in (m.data, m.indices, m.indptr):
                 arr.flags.writeable = False
+        if self.labels is not None:
+            self.labels.flags.writeable = False
 
     # -- construction -----------------------------------------------------
 
@@ -72,37 +73,29 @@ class SparseGraph:
             raise ValueError("graph needs at least one node")
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise ValueError("edge endpoint out of range")
-        if not directed and edges.size:
-            edges = np.vstack([edges, edges[:, ::-1]])
-        keys = edges[:, 0] * np.int64(n) + edges[:, 1]
-        uniq = np.unique(keys)
+        src, dst = edges[:, 0], edges[:, 1]
+        if not directed:
+            src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+        a = sp.csr_matrix((np.ones(src.size), (src, dst)), shape=(n, n))
+        a.sum_duplicates()
+        a.data[:] = 1.0
         if directed:
-            dup = int(keys.size - uniq.size)
+            dup = len(edges) - a.nnz
         else:
             # input edges were doubled; each off-diagonal entry pair and each
-            # doubled diagonal key stands for one stored input edge
-            n_diag = int(np.count_nonzero(uniq // n == uniq % n))
-            dup = (int(keys.size) - int(uniq.size) - n_diag) // 2
-        src = uniq // n
-        dst = uniq % n
+            # diagonal entry stands for one stored input edge
+            dup = len(edges) - (a.nnz + int(np.count_nonzero(a.diagonal()))) // 2
+        return cls._of(a, directed, labels, dup)
 
-        # uniq is sorted by (src, dst) already: that is the row-major layout
-        row_cols = dst
-        row_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(src, minlength=n), out=row_ptr[1:])
-
-        col_order = np.lexsort((src, dst))
-        col_rows = src[col_order]
-        col_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(dst, minlength=n), out=col_ptr[1:])
-
+    @classmethod
+    def _of(
+        cls, a: sp.csr_matrix, directed: bool, labels: np.ndarray | None, dup: int
+    ) -> "SparseGraph":
+        """Wrap a canonical 0/1 CSR matrix; the CSC layout is its conversion."""
         return cls(
-            n=n,
             directed=directed,
-            col_ptr=col_ptr,
-            col_rows=col_rows,
-            row_ptr=row_ptr,
-            row_cols=row_cols,
+            csr=a,
+            csc=a.tocsc(),
             labels=None if labels is None else np.asarray(labels, dtype=np.int64),
             duplicates_collapsed=dup,
         )
@@ -110,25 +103,42 @@ class SparseGraph:
     # -- accessors ---------------------------------------------------------
 
     @property
+    def n(self) -> int:
+        return self.csr.shape[0]
+
+    @property
+    def row_ptr(self) -> np.ndarray:
+        return self.csr.indptr
+
+    @property
+    def row_cols(self) -> np.ndarray:
+        return self.csr.indices
+
+    @property
+    def col_ptr(self) -> np.ndarray:
+        return self.csc.indptr
+
+    @property
+    def col_rows(self) -> np.ndarray:
+        return self.csc.indices
+
+    @property
     def edge_count(self) -> int:
         """Number of stored nonzeros (undirected edges count twice)."""
-        return int(self.col_rows.size)
+        return int(self.csr.nnz)
 
     def column(self, j: int) -> np.ndarray:
         """Sorted row indices i with a[i, j] = 1."""
-        return self.col_rows[self.col_ptr[j] : self.col_ptr[j + 1]]
-
-    def row(self, i: int) -> np.ndarray:
-        """Sorted column indices j with a[i, j] = 1."""
-        return self.row_cols[self.row_ptr[i] : self.row_ptr[i + 1]]
+        ptr = self.csc.indptr
+        return self.csc.indices[ptr[j] : ptr[j + 1]]
 
     @property
     def col_degrees(self) -> np.ndarray:
-        return np.diff(self.col_ptr)
+        return np.diff(self.csc.indptr)
 
     @property
     def row_degrees(self) -> np.ndarray:
-        return np.diff(self.row_ptr)
+        return np.diff(self.csr.indptr)
 
     def nonzero_columns(self) -> np.ndarray:
         return np.flatnonzero(self.col_degrees > 0)
@@ -139,25 +149,12 @@ class SparseGraph:
     def label_of(self, i: int) -> int:
         return int(self.labels[i]) if self.labels is not None else int(i)
 
-    @cached_property
-    def csc(self) -> sp.csc_matrix:
-        data = np.ones(self.col_rows.size)
-        return sp.csc_matrix((data, self.col_rows, self.col_ptr), shape=(self.n, self.n))
-
-    @cached_property
-    def csr(self) -> sp.csr_matrix:
-        data = np.ones(self.row_cols.size)
-        return sp.csr_matrix((data, self.row_cols, self.row_ptr), shape=(self.n, self.n))
-
     def dense(self) -> np.ndarray:
-        out = np.zeros((self.n, self.n))
-        rows = np.repeat(np.arange(self.n), self.row_degrees)
-        out[rows, self.row_cols] = 1.0
-        return out
+        return self.csr.toarray()
 
     def entry_set(self) -> set[tuple[int, int]]:
-        rows = np.repeat(np.arange(self.n), self.row_degrees)
-        return set(zip(rows.tolist(), self.row_cols.tolist()))
+        coo = self.csr.tocoo()
+        return set(zip(coo.row.tolist(), coo.col.tolist()))
 
 
 def parse_edge_list(
@@ -281,39 +278,18 @@ def _parse_matrix_market(source, directed: bool) -> SparseGraph:
 
 def remove_self_loops(g: SparseGraph) -> tuple[SparseGraph, int]:
     """Drop all (i, i) entries; returns the new graph and the removed count."""
-    rows = np.repeat(np.arange(g.n), g.row_degrees)
-    keep = rows != g.row_cols
-    removed = int(np.count_nonzero(~keep))
+    loops = g.csr.diagonal()
+    removed = int(np.count_nonzero(loops))
     if removed == 0:
         return g, 0
-    edges = np.column_stack([rows[keep], g.row_cols[keep]])
-    # entry set already symmetric for undirected graphs; rebuild as directed
-    # storage and restore the flag to avoid double-counting duplicates
-    out = SparseGraph.from_edges(g.n, edges, directed=True, labels=g.labels)
-    return SparseGraph(
-        n=out.n,
-        directed=g.directed,
-        col_ptr=out.col_ptr,
-        col_rows=out.col_rows,
-        row_ptr=out.row_ptr,
-        row_cols=out.row_cols,
-        labels=g.labels,
-        duplicates_collapsed=g.duplicates_collapsed,
-    ), removed
+    # the difference drops the cancelled entries and keeps the layout canonical
+    a = g.csr - sp.diags(loops, format="csr")
+    return SparseGraph._of(a, g.directed, g.labels, g.duplicates_collapsed), removed
 
 
 def transpose(g: SparseGraph) -> SparseGraph:
-    """Swap the column and row stores: the graph of A^T."""
-    return SparseGraph(
-        n=g.n,
-        directed=g.directed,
-        col_ptr=g.row_ptr,
-        col_rows=g.row_cols,
-        row_ptr=g.col_ptr,
-        row_cols=g.col_rows,
-        labels=g.labels,
-        duplicates_collapsed=g.duplicates_collapsed,
-    )
+    """The graph of A^T: the CSR and CSC layouts swap, as views with no copy."""
+    return dataclasses.replace(g, csr=g.csc.T, csc=g.csr.T)
 
 
 class ColumnMaskedOperator:
@@ -350,11 +326,10 @@ class ArrowMaskedOperator:
         self.n = g.n
         marker = np.zeros(g.n, dtype=bool)
         marker[idx] = True
-        rows = np.repeat(np.arange(g.n), g.row_degrees)
-        keep = marker[rows] | marker[g.row_cols]
+        coo = g.csr.tocoo()
+        keep = marker[coo.row] | marker[coo.col]
         self._sub = sp.csr_matrix(
-            (np.ones(int(keep.sum())), (rows[keep], g.row_cols[keep])),
-            shape=(g.n, g.n),
+            (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=(g.n, g.n)
         )
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -366,8 +341,8 @@ class ArrowMaskedOperator:
 
 def write_edge_list(g: SparseGraph, stream: TextIO) -> None:
     """Serialize back to edge-list text (each undirected edge written once)."""
-    rows = np.repeat(np.arange(g.n), g.row_degrees)
-    cols = g.row_cols
+    coo = g.csr.tocoo()
+    rows, cols = coo.row, coo.col
     if not g.directed:
         keep = rows <= cols
         rows, cols = rows[keep], cols[keep]

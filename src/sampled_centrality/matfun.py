@@ -167,12 +167,16 @@ class SpectralData:
 
 @dataclass(frozen=True)
 class MatfunResult:
-    """Per-node diagonal entries and row sums of f(A_masked)."""
+    """Per-node diagonal entries and row sums of f(A_masked).
+
+    ``spectral_radius_estimate`` is None for the exponential on the column
+    mask, where no admissibility gate needs it.
+    """
 
     diag: np.ndarray
     rowsum: np.ndarray
     method: str
-    spectral_radius_estimate: float
+    spectral_radius_estimate: float | None
     ell: int
     gamma: float
     function: str
@@ -189,7 +193,9 @@ class MatfunResult:
             "function": self.function,
             "seed": None if self.seed is None else int(self.seed),
             "steps": None if self.steps is None else int(self.steps),
-            "spectral_radius_estimate": float(self.spectral_radius_estimate),
+            "spectral_radius_estimate": None
+            if self.spectral_radius_estimate is None
+            else float(self.spectral_radius_estimate),
             "condition_estimate": None
             if self.condition_estimate is None or not np.isfinite(self.condition_estimate)
             else float(self.condition_estimate),
@@ -262,9 +268,12 @@ def direct_core_evaluation(
     rowsum[J] = f11.sum(axis=1)
     rowsum[rest] = a21 @ g1
 
-    # A_masked is block lower triangular, so its spectrum is that of A11
-    rho = float(np.max(np.abs(np.linalg.eigvals(a11)))) if ell else 0.0
-    _check_katz_bound(f, rho)
+    # A_masked is block lower triangular, so its spectrum is that of A11;
+    # only the resolvent's admissibility gate needs it
+    rho = None
+    if f.kind == RESOLVENT_MINUS_ONE:
+        rho = float(np.max(np.abs(np.linalg.eigvals(a11)))) if ell else 0.0
+        _check_katz_bound(f, rho)
     return MatfunResult(
         diag=diag,
         rowsum=rowsum,

@@ -70,5 +70,5 @@ def dense_left_perron(g: SparseGraph, tol: float = 1e-10) -> PerronResult:
     """
     if g.n < 1:
         raise ValueError("graph is empty")
-    at = g.csc.T.tocsr()
+    at = g.csc.T
     return power_iteration(lambda v: at @ v, g.n, PerronConfig(tol=tol))

@@ -5,10 +5,17 @@ each transposed application costs two restricted sparse matrix-vector
 products.  The optional rank-one perturbation epsilon * ones * ones^T keeps
 the iteration away from non-unique dominant eigenvectors and is likewise
 applied implicitly.
+
+``power_iteration`` is the one iteration behind every Perron route.  It
+starts from the uniform vector and stops on convergence or on a cycle of
+period h <= ``MAX_PERIOD``, the case of an imprimitive operator whose
+dominant eigenvalues are lambda times the h-th roots of unity; there it
+returns the exact +lambda eigenvector of the span of the cycling iterates.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -19,6 +26,8 @@ from .sampling import SampleSet
 
 
 MAX_ITER = 100_000
+# longest cycle of iterates recognised as a periodic (imprimitive) spectrum
+MAX_PERIOD = 8
 
 
 class RankDeficientProductError(RuntimeError):
@@ -108,14 +117,17 @@ def power_iteration(
     Every operator iterated here is entrywise nonnegative, so the iterates
     stay nonnegative and a zero iterate would recur from any positive start:
     it raises ``RankDeficientProductError``.  Convergence is a 2-norm
-    difference of successive iterates below ``cfg.tol``.  A period-2 cycle
-    (each iterate within ``cfg.tol`` of the one two steps back, while
-    successive iterates stay more than sqrt(``cfg.tol``) apart) returns the
-    +lambda eigenvector on the span of the last two iterates with
-    ``converged=False``.
+    difference of successive iterates below ``cfg.tol``.  A period-h cycle,
+    2 <= h <= ``MAX_PERIOD`` (an iterate within ``cfg.tol`` of the one h
+    steps back, while successive iterates stay more than sqrt(``cfg.tol``)
+    apart), returns the +lambda eigenvector on the span of the last h
+    iterates with ``converged=False``.
     """
     v = np.full(n, 1.0 / np.sqrt(n))
-    prev, prev_norm = None, 0.0
+    # the last MAX_PERIOD iterates v_j, newest last, each with the norm c_j
+    # of P v_{j-1} that produced it (none for the start) and its entry sum
+    history: deque = deque([(v, None, float(v.sum()))], maxlen=MAX_PERIOD)
+    sum_gap = np.sqrt(n) * cfg.tol
     note = None
     converged = False
     iterations = 0
@@ -139,20 +151,29 @@ def power_iteration(
                 )
             v = v_new
             break
-        # a decaying negative subdominant eigenvalue also brings v_new close
-        # to prev; only a one-step difference far above tol is a cycle
-        if (
-            prev is not None
-            and step > np.sqrt(cfg.tol)
-            and float(np.linalg.norm(v_new - prev)) <= cfg.tol
-        ):
-            # P maps prev to prev_norm * v and v to norm * v_new = norm * prev,
-            # so the eigenvalue is sqrt(prev_norm * norm) with this eigenvector
-            pair = np.sqrt(prev_norm) * v + np.sqrt(norm) * v_new
-            v = pair / np.linalg.norm(pair)
-            note = "period-2 oscillation detected; returning the +lambda eigenvector of the cycle"
+        # a decaying subdominant eigenvalue also brings v_new close to an
+        # earlier iterate; only a one-step difference far above tol is a cycle.
+        # |sum(a - b)| <= sqrt(n) |a - b| screens the candidates cheaply.
+        total = float(v_new.sum())
+        period = None
+        if step > np.sqrt(cfg.tol):
+            period = next(
+                (
+                    h
+                    for h in range(2, len(history) + 1)
+                    if abs(total - history[-h][2]) <= sum_gap
+                    and float(np.linalg.norm(v_new - history[-h][0])) <= cfg.tol
+                ),
+                None,
+            )
+        history.append((v_new, norm, total))
+        if period:
+            v = _cycle_eigenvector(list(history)[-period:])
+            note = (
+                f"period-{period} oscillation detected; "
+                "returning the +lambda eigenvector of the cycle"
+            )
             break
-        prev, prev_norm = v, norm
         v = v_new
     else:
         note = f"no convergence within {MAX_ITER} iterations"
@@ -166,6 +187,20 @@ def power_iteration(
         converged=converged,
         note=note,
     )
+
+
+def _cycle_eigenvector(cycle: list[tuple[np.ndarray, float, float]]) -> np.ndarray:
+    """+lambda eigenvector of P on the span of a cycle of iterates.
+
+    ``cycle`` holds v_1 .. v_h with P v_j = c_{j+1} v_{j+1} and P v_h = c_1 v_1,
+    so lambda = (c_1 ... c_h)^(1/h) and x = sum_j w_j v_j with w_1 = 1 and
+    w_{j+1} = w_j c_{j+1} / lambda satisfies P x = lambda x.
+    """
+    norms = np.array([c for _, c, _ in cycle])
+    lam = float(np.prod(norms)) ** (1.0 / len(cycle))
+    weights = np.cumprod(np.concatenate([[1.0], norms[1:] / lam]))
+    x = sum(wj * vj for wj, (vj, _, _) in zip(weights, cycle))
+    return x / np.linalg.norm(x)
 
 
 def left_perron(

@@ -49,24 +49,6 @@ class SampleSet:
         return int(self.indices.size)
 
 
-@dataclass
-class WeightVector:
-    """Accumulated sum of the selected columns; drives the guided draw."""
-
-    weights: np.ndarray
-
-    @classmethod
-    def zeros(cls, n: int) -> "WeightVector":
-        return cls(np.zeros(n))
-
-    def add_column(self, g: SparseGraph, j: int) -> None:
-        self.weights[g.column(j)] += 1.0
-
-    @property
-    def total(self) -> float:
-        return float(self.weights.sum())
-
-
 def draw_categorical(weights: np.ndarray, rng: np.random.Generator) -> int:
     """One index drawn with probability weights[i] / sum(weights).
 
@@ -111,27 +93,28 @@ def sample_columns(
     eligible = np.zeros(g.n, dtype=bool)
     eligible[nz] = True
     chosen: list[int] = []
-    weights = WeightVector.zeros(g.n)
+    # accumulated sum of the selected columns; drives the guided draw
+    weights = np.zeros(g.n)
     fallback = 0
 
     first = int(nz[rng.integers(nz.size)])
     chosen.append(first)
     eligible[first] = False
-    weights.add_column(g, first)
+    weights[g.column(first)] += 1.0
 
     while len(chosen) < ell:
-        if weights.weights[eligible].sum() == 0.0:
+        if weights[eligible].sum() == 0.0:
             pool = np.flatnonzero(eligible)
             j = int(pool[rng.integers(pool.size)])
             fallback += 1
         else:
             while True:
-                j = draw_categorical(weights.weights, rng)
+                j = draw_categorical(weights, rng)
                 if eligible[j]:
                     break
         chosen.append(j)
         eligible[j] = False
-        weights.add_column(g, j)
+        weights[g.column(j)] += 1.0
 
     return SampleSet(
         np.asarray(chosen, dtype=np.int64), "column", strategy, seed, g.n, fallback

@@ -17,7 +17,6 @@ from sampled_centrality import (
     PerronConfig,
     SampleSet,
     SparseGraph,
-    arnoldi,
     dense_left_perron,
     dense_matfun,
     direct_core_evaluation,
@@ -34,7 +33,7 @@ from sampled_centrality import (
 )
 from sampled_centrality.cli import ExperimentConfig, generate, run
 from sampled_centrality.graph import ColumnMaskedOperator
-from sampled_centrality.matfun import _masked_function_columns
+from sampled_centrality.matfun import _masked_function_columns, arnoldi
 from conftest import (
     directed_edge,
     directed_path,

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 import io
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -204,6 +206,59 @@ def test_graph_arrays_immutable():
     g = directed_edge()
     with pytest.raises(ValueError):
         g.col_rows[0] = 5
+    loops = SparseGraph.from_edges(3, np.array([[0, 0], [0, 1], [2, 1]]), directed=False)
+    for h in (g, transpose(g), loops, remove_self_loops(loops)[0]):
+        for arr in (h.csr.data, h.csr.indices, h.csr.indptr, h.csc.data, h.csc.indices, h.csc.indptr):
+            with pytest.raises(ValueError):
+                arr[0] = 5
+
+
+def test_transpose_shares_memory():
+    rng = np.random.default_rng(4)
+    g = SparseGraph.from_edges(20, rng.integers(0, 20, size=(60, 2)), directed=True)
+    t = transpose(g)
+    for a, b in ((t.csr, g.csc), (t.csc, g.csr)):
+        assert np.shares_memory(a.indices, b.indices)
+        assert np.shares_memory(a.indptr, b.indptr)
+        assert np.shares_memory(a.data, b.data)
+    assert t.entry_set() == {(j, i) for i, j in g.entry_set()}
+
+
+def test_from_edges_matches_set_reference():
+    rng = np.random.default_rng(9)
+    for trial in range(30):
+        n = int(rng.integers(1, 25))
+        edges = rng.integers(0, n, size=(int(rng.integers(0, 90)), 2))
+        for directed in (True, False):
+            g = SparseGraph.from_edges(n, edges, directed=directed)
+            pairs = {(int(i), int(j)) for i, j in edges}
+            if directed:
+                entries, distinct = pairs, len(pairs)
+            else:
+                entries = pairs | {(j, i) for i, j in pairs}
+                distinct = len({frozenset(p) for p in pairs})
+            assert g.n == n
+            assert g.entry_set() == entries
+            assert g.edge_count == len(entries)
+            assert g.duplicates_collapsed == len(edges) - distinct
+            for j in range(n):
+                assert g.column(j).tolist() == sorted(i for i, jj in entries if jj == j)
+            assert np.all(g.csr.data == 1.0) and np.all(g.csc.data == 1.0)
+
+
+def test_benchmark_parse_check_reads_the_store():
+    # the benchmark's ingest check reads the graph's row layout directly
+    path = Path(__file__).resolve().parents[1] / "bench" / "checks.py"
+    spec = importlib.util.spec_from_file_location("bench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    edges = np.array([[0, 1], [1, 2], [2, 0], [3, 1], [0, 1]])
+    for directed in (True, False):
+        text = "".join(f"{i} {j}\n" for i, j in edges)
+        g = parse_edge_list(io.StringIO(text), directed=directed)
+        assert checks.check_parsed(g, 4, edges, directed) == []
+        short = SparseGraph.from_edges(4, edges[1:-1], directed=directed)
+        assert checks.check_parsed(short, 4, edges, directed) != []
 
 
 @requires_datasets

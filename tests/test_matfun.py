@@ -10,23 +10,28 @@ from sampled_centrality import (
     EvaluationError,
     SampleSet,
     SparseGraph,
-    arnoldi,
     arrow_core_evaluation,
     dense_matfun,
     direct_core_evaluation,
-    estimate_spectral_radius,
     evaluate_masked_function,
     exp_minus_one,
     krylov_spectral_evaluation,
     resolvent_minus_one,
     sample_columns,
-    spectral_factorize,
     transpose_measures,
 )
 from sampled_centrality.graph import ArrowMaskedOperator, ColumnMaskedOperator
-from sampled_centrality.matfun import ScalarFunction, _masked_function_columns
+from sampled_centrality.matfun import (
+    KrylovDecomposition,
+    ScalarFunction,
+    _masked_function_columns,
+    arnoldi,
+    estimate_spectral_radius,
+    spectral_factorize,
+)
 from conftest import (
     directed_edge,
+    directed_two_cycle,
     full_column_sample,
     full_row_sample,
     rel_err,
@@ -266,8 +271,6 @@ def test_spectral_factorize_tie_order():
 
 
 def test_spectral_factorize_defective_flags_condition():
-    from sampled_centrality.matfun import KrylovDecomposition
-
     d = KrylovDecomposition(
         basis=np.eye(2),
         small_matrix=np.array([[0.0, 0.0], [1.0, 0.0]]),
@@ -280,8 +283,6 @@ def test_spectral_factorize_defective_flags_condition():
 
 
 def test_spectral_factorize_requires_breakdown():
-    from sampled_centrality.matfun import KrylovDecomposition
-
     d = KrylovDecomposition(
         basis=np.eye(2),
         small_matrix=np.eye(2),
@@ -339,6 +340,21 @@ def test_evaluate_rejects_inadmissible_katz_gamma():
         evaluate_masked_function(star(4), _column_mask(5, [0]), resolvent_minus_one(0.49))
     res = evaluate_masked_function(star(4), _column_mask(5, [0]), resolvent_minus_one(0.47))
     assert res.spectral_radius_estimate == pytest.approx(2.0, abs=1e-12)
+
+
+def test_direct_core_spectral_radius_only_for_katz():
+    # exp on the column mask has no admissibility gate, so no spectral radius
+    g = _er_digraph(40, 0.15, seed=6)
+    mask = sample_columns(g, 12, seed=1)
+    res = evaluate_masked_function(g, mask, exp_minus_one(1.0))
+    assert res.spectral_radius_estimate is None
+    assert res.metadata()["spectral_radius_estimate"] is None
+    # the directed Katz gate still reads it: the two-cycle has rho = 1
+    two_cycle = directed_two_cycle()
+    with pytest.raises(EvaluationError, match="inadmissible"):
+        evaluate_masked_function(two_cycle, full_column_sample(two_cycle), resolvent_minus_one(0.99))
+    res = evaluate_masked_function(two_cycle, full_column_sample(two_cycle), resolvent_minus_one(0.5))
+    assert res.spectral_radius_estimate == pytest.approx(1.0, abs=1e-12)
 
 
 def test_evaluate_diag_zero_outside_mask():

@@ -146,6 +146,21 @@ def test_dense_left_perron_non_normal_cycle_exact_eigenvector():
     assert "oscillation" in res.note
 
 
+def test_dense_left_perron_period_three_exact_eigenvector():
+    # every cycle has length 3 (0 -> {1, 2} -> 3 -> 0), so the uniform start
+    # cycles through three directions; rho = 2^(1/3)
+    edges = np.array([(0, 1), (0, 2), (1, 3), (2, 3), (3, 0)])
+    g = SparseGraph.from_edges(4, edges, directed=True)
+    res = dense_left_perron(g)
+    assert res.iterations <= 10
+    assert not res.converged
+    assert "period-3 oscillation" in res.note
+    lam = res.eigenvalue_estimate
+    assert abs(lam - 2.0 ** (1.0 / 3.0)) <= 1e-12
+    assert np.linalg.norm(g.dense().T @ res.vector - lam * res.vector) <= 1e-12
+    assert np.all(res.vector >= 0.0)
+
+
 def test_dense_left_perron_decaying_negative_eigenvalue_is_not_a_cycle():
     # not bipartite (lambda_min -15.4, lambda_max 24.6): the decaying negative
     # subdominant mode brings each iterate close to the one two steps back

@@ -17,7 +17,11 @@ from sampled_centrality import (
     symmetric_perron,
 )
 from sampled_centrality.cli import generate
-from sampled_centrality.perron import product_transpose_apply, symmetric_product_apply
+from sampled_centrality.perron import (
+    power_iteration,
+    product_transpose_apply,
+    symmetric_product_apply,
+)
 from conftest import (
     directed_two_cycle,
     full_column_sample,
@@ -103,6 +107,27 @@ def test_left_perron_guided_er_cycle_exits_early():
     apply = product_transpose_apply(g, J, I)
     lam = res.eigenvalue_estimate
     assert np.linalg.norm(apply(res.vector) - lam * res.vector) <= 1e-12 * lam
+
+
+def test_power_iteration_longer_cycles_exit_exactly():
+    # complete bipartite links between successive layers of a ring of h
+    # layers of unequal sizes: every cycle length is a multiple of h, and the
+    # uniform start cycles through h directions with unequal gains
+    for sizes in ((1, 2, 3, 1), (2, 1, 3, 1, 2), (1, 2, 1, 3, 1, 2, 1, 2)):
+        h = len(sizes)
+        first = np.cumsum((0,) + sizes)
+        layers = [np.arange(first[k], first[k + 1]) for k in range(h)]
+        edges = [(i, j) for k in range(h) for i in layers[k] for j in layers[(k + 1) % h]]
+        g = SparseGraph.from_edges(int(first[-1]), np.array(edges), directed=True)
+        at = g.csr.T.toarray()
+        res = power_iteration(lambda v: at @ v, g.n, PerronConfig())
+        assert res.iterations <= 2 * h
+        assert not res.converged
+        assert f"period-{h} oscillation" in res.note
+        rho = float(np.max(np.abs(np.linalg.eigvals(at))))
+        lam = res.eigenvalue_estimate
+        assert abs(lam - rho) <= 1e-12 * rho
+        assert np.linalg.norm(at @ res.vector - lam * res.vector) <= 1e-12 * lam
 
 
 def test_symmetric_perron_triangle():

@@ -8,7 +8,6 @@ import pytest
 from sampled_centrality import (
     SampleSet,
     SparseGraph,
-    WeightVector,
     draw_categorical,
     sample_columns,
     sample_rows,
@@ -91,20 +90,6 @@ def test_categorical_rejects_bad_weights():
         draw_categorical(np.zeros(3), rng)
     with pytest.raises(ValueError, match="nonnegative"):
         draw_categorical(np.array([1.0, -1.0]), rng)
-
-
-def test_guided_chain_weight_recomputation():
-    g = _random_graph(seed=21)
-    s = sample_columns(g, 12, seed=4)
-    w = WeightVector.zeros(g.n)
-    for j in s.indices:
-        w.add_column(g, int(j))
-    expected = np.zeros(g.n)
-    for j in s.indices:
-        expected[g.column(int(j))] += 1.0
-    assert np.array_equal(w.weights, expected)
-    # after every prefix the weight mass equals the total edges into the set
-    assert w.total == sum(g.column(int(j)).size for j in s.indices)
 
 
 def test_zero_weight_fallback_flagged():
