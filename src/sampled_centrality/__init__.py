@@ -24,7 +24,7 @@ from .matfun import (
     resolvent_minus_one,
     transpose_measures,
 )
-from .oracle import dense_left_perron, dense_matfun, expm_rowsum
+from .oracle import dense_left_perron, dense_matfun, expm_rowsum, katz_rowsum
 from .perron import (
     PerronConfig,
     PerronResult,
@@ -67,6 +67,7 @@ __all__ = [
     "exact_matches",
     "exp_minus_one",
     "expm_rowsum",
+    "katz_rowsum",
     "krylov_spectral_evaluation",
     "left_perron",
     "parse_edge_list",

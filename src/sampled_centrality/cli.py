@@ -2,10 +2,11 @@
 rank, and compare against a reference ranking, with seeded reproducibility.
 
 Synthetic generators live here as dataset-free fixtures.  Each measure has
-one exact reference at every size: Perron uses the sparse power iteration,
-communicability the sparse ``expm_multiply`` row sums, and subgraph and Katz
-the dense oracle, which the run refuses above the dense cap rather than
-rank against an approximation.
+one exact reference: Perron uses the sparse power iteration, communicability
+the sparse ``expm_multiply`` row sums and Katz one certified sparse solve,
+all at every size; subgraph uses the dense oracle, which the run refuses
+above the dense cap rather than rank against an approximation.  The method
+behind the reference and its certificate go into ``report["reference"]``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .matfun import (
     ScalarFunction,
     evaluate_masked_function,
 )
-from .oracle import DENSE_CAP, dense_left_perron, dense_matfun, expm_rowsum
+from .oracle import DENSE_CAP, dense_left_perron, dense_matfun, expm_rowsum, katz_rowsum
 from .perron import PerronConfig, left_perron, symmetric_perron
 from .ranking import (
     CentralityVector,
@@ -44,7 +45,7 @@ from .sampling import sample_columns, sample_rows
 MEASURES = ("subgraph", "communicability", "katz", "perron")
 SEED_ENV = "SAMPLED_CENTRALITY_SEED"
 # estimate metadata copied into each report["results"] row
-PERRON_ROW_KEYS = ("iterations", "converged", "note")
+PERRON_ROW_KEYS = ("iterations", "converged", "note", "residual")
 MATFUN_ROW_KEYS = ("method", "fallback_reason", "condition_estimate", "spectral_radius_estimate")
 
 
@@ -52,6 +53,7 @@ MATFUN_ROW_KEYS = ("method", "fallback_reason", "condition_estimate", "spectral_
 class ExperimentConfig:
     input: str | None = None
     format: str | None = None
+    undirected: bool = False
     generate: str | None = None
     measure: str = "subgraph"
     ell_list: list[int] = field(default_factory=lambda: [20])
@@ -213,9 +215,8 @@ def _load_graph(cfg: ExperimentConfig) -> SparseGraph:
     fmt = cfg.format
     if fmt is None:
         fmt = "matrix-market" if path.suffix.lower() == ".mtx" else "edge-list"
-    directed = True
     with path.open() as handle:
-        return parse_edge_list(handle, format=fmt, directed=directed)
+        return parse_edge_list(handle, format=fmt, directed=not cfg.undirected)
 
 
 def _scalar_function(cfg: ExperimentConfig) -> ScalarFunction:
@@ -248,19 +249,23 @@ def _measure_scores(
 def _reference_scores(g: SparseGraph, cfg: ExperimentConfig) -> CentralityVector:
     if cfg.measure == "perron":
         ref = dense_left_perron(g)
-        return CentralityVector(ref.vector, cfg.measure, {"method": "oracle"} | ref.metadata())
+        return CentralityVector(
+            ref.vector, cfg.measure, {"method": "power_iteration"} | ref.metadata()
+        )
     if cfg.measure == "communicability":
         return CentralityVector(
             expm_rowsum(g, cfg.gamma), cfg.measure, {"method": "expm_multiply"}
         )
+    if cfg.measure == "katz":
+        ref = katz_rowsum(g, cfg.gamma)
+        return CentralityVector(ref.scores, cfg.measure, ref.metadata())
     if g.n > cfg.dense_cap:
         raise EvaluationError(
             f"no exact {cfg.measure} reference for n={g.n} above the dense cap "
             f"{cfg.dense_cap} (--dense-cap)"
         )
     fa = dense_matfun(g.dense(), _scalar_function(cfg), dense_cap=cfg.dense_cap)
-    scores = np.diagonal(fa) if cfg.measure == "subgraph" else fa @ np.ones(g.n)
-    return CentralityVector(np.ascontiguousarray(scores), cfg.measure, {"method": "oracle"})
+    return CentralityVector(np.diagonal(fa).copy(), cfg.measure, {"method": "oracle"})
 
 
 def _expand_seeds(seeds: list[int], trials: int) -> list[int]:
@@ -274,6 +279,7 @@ def _config_echo(cfg: ExperimentConfig) -> dict:
     return {
         "input": cfg.input,
         "format": cfg.format,
+        "undirected": cfg.undirected,
         "generate": cfg.generate,
         "measure": cfg.measure,
         "ell_list": [int(v) for v in cfg.ell_list],
@@ -305,6 +311,7 @@ def run(cfg: ExperimentConfig) -> int:
         g = _load_graph(cfg)
         labels = g.labels
         reference = _reference_scores(g, cfg)
+        report["reference"] = reference.params
         ref_ranking = rank_nodes(reference, cfg.k)
         candidates: list[tuple[str, Ranking]] = []
         seeds = _expand_seeds(cfg.seeds, cfg.trials)
@@ -405,6 +412,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--format", choices=["edge-list", "matrix-market"], help="input format (default: by suffix)"
     )
+    parser.add_argument(
+        "--undirected", action="store_true", default=False,
+        help="read an edge list as undirected (symmetric .mtx files always are)",
+    )
     parser.add_argument("--generate", help="synthetic graph spec, e.g. er:n=60,p=0.1,seed=1")
     parser.add_argument("--measure", choices=MEASURES, default="subgraph")
     parser.add_argument("--gamma", type=float, default=1.0, help="function scaling parameter")
@@ -417,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--k", type=int, default=20, help="report depth")
     parser.add_argument(
         "--dense-cap", type=int, default=DENSE_CAP,
-        help="largest dense order: sampled core, and graph for the subgraph/Katz reference",
+        help="largest dense order: sampled core, and graph for the subgraph reference",
     )
     parser.add_argument("--out", default="report", help="output path base (.json/.csv appended)")
     parser.add_argument("--csv", dest="write_csv", action="store_true", default=False)
@@ -435,6 +446,7 @@ def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     return ExperimentConfig(
         input=args.input,
         format=args.format,
+        undirected=args.undirected,
         generate=args.generate,
         measure=args.measure,
         ell_list=_parse_ell(args.ell),

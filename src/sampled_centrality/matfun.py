@@ -122,10 +122,18 @@ class ScalarFunction:
         return x - np.eye(m), self.gamma * x.sum(axis=1)
 
     def _resolvent(self, a: np.ndarray) -> np.ndarray:
-        shifted = np.eye(a.shape[0]) - self.gamma * a
-        if shifted.size and not np.linalg.cond(shifted) <= 1e14:
+        """(I - gamma*A)^-1 from one LU factorization, refused when LAPACK's
+        1-norm condition estimate from those factors exceeds 1e14."""
+        m = a.shape[0]
+        if not m:
+            return np.zeros((0, 0))
+        shifted = np.eye(m) - self.gamma * a
+        anorm = np.linalg.norm(shifted, 1)
+        lu, piv, _ = sla.lapack.dgetrf(shifted, overwrite_a=True)
+        rcond, _ = sla.lapack.dgecon(lu, anorm, norm="1")
+        if not rcond >= 1e-14:
             raise EvaluationError("resolvent pole: I - gamma*A is singular to working precision")
-        return sla.solve(shifted, np.eye(a.shape[0]))
+        return sla.lu_solve((lu, piv), np.eye(m), check_finite=False)
 
 
 def exp_minus_one(gamma: float = 1.0) -> ScalarFunction:

@@ -11,6 +11,9 @@ starts from the uniform vector and stops on convergence or on a cycle of
 period h <= ``MAX_PERIOD``, the case of an imprimitive operator whose
 dominant eigenvalues are lambda times the h-th roots of unity; there it
 returns the exact +lambda eigenvector of the span of the cycling iterates.
+Every result carries its relative eigen-residual |P v - lambda v| / lambda,
+which exposes a vector that is no eigenvector (a longer cycle, or an
+iteration that ran out of steps) whatever the stopping rule said.
 """
 
 from __future__ import annotations
@@ -55,12 +58,17 @@ class PerronConfig:
 
 @dataclass(frozen=True)
 class PerronResult:
-    """Unit-norm nonnegative score vector with convergence diagnostics."""
+    """Unit-norm nonnegative score vector with convergence diagnostics.
+
+    ``residual`` is |P v - lambda v| / lambda for the returned vector v and
+    lambda = v^T P v (infinite when lambda is not positive).
+    """
 
     vector: np.ndarray
     eigenvalue_estimate: float
     iterations: int
     converged: bool
+    residual: float
     note: str | None = None
 
     def metadata(self) -> dict:
@@ -68,6 +76,7 @@ class PerronResult:
             "eigenvalue_estimate": float(self.eigenvalue_estimate),
             "iterations": int(self.iterations),
             "converged": bool(self.converged),
+            "residual": float(self.residual) if np.isfinite(self.residual) else None,
             "note": self.note,
         }
 
@@ -178,13 +187,15 @@ def power_iteration(
     else:
         note = f"no convergence within {MAX_ITER} iterations"
 
-    extra = apply(v)
-    eigenvalue = float(v @ extra)
+    image = apply(v)
+    eigenvalue = float(v @ image)
+    gap = float(np.linalg.norm(image - eigenvalue * v))
     return PerronResult(
         vector=v,
         eigenvalue_estimate=eigenvalue,
         iterations=iterations,
         converged=converged,
+        residual=gap / eigenvalue if eigenvalue > 0 else np.inf,
         note=note,
     )
 

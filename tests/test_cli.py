@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sampled_centrality import dense_matfun, exp_minus_one
+from sampled_centrality import (
+    SparseGraph,
+    dense_matfun,
+    exp_minus_one,
+    parse_edge_list,
+    resolvent_minus_one,
+    sample_columns,
+    write_edge_list,
+)
 from sampled_centrality.cli import (
     ExperimentConfig,
     build_parser,
@@ -126,18 +136,11 @@ def test_run_star_perron_top_node_is_center(tmp_path):
     assert report["results"][0]["top"][0] == 0
 
 
-def test_run_deterministic_reports(tmp_path):
+def _report_twice(tmp_path, **config):
+    """The JSON report without its timing section, and the CSV, of two runs."""
+
     def one(path):
-        cfg = ExperimentConfig(
-            generate="pa:n=120,m=3,seed=4",
-            measure="communicability",
-            ell_list=[10, 20],
-            strategy="guided",
-            seeds=[5],
-            trials=2,
-            out=str(path),
-            write_csv=True,
-        )
+        cfg = ExperimentConfig(**config, out=str(path), write_csv=True)
         assert run(cfg) == 0
         report = json.loads(path.with_suffix(".json").read_text())
         del report["timing"]
@@ -146,9 +149,36 @@ def test_run_deterministic_reports(tmp_path):
             path.with_suffix(".csv").read_bytes(),
         )
 
-    first = one(tmp_path / "a")
-    second = one(tmp_path / "b")
+    return one(tmp_path / "a"), one(tmp_path / "b")
+
+
+def test_run_deterministic_reports(tmp_path):
+    first, second = _report_twice(
+        tmp_path,
+        generate="pa:n=120,m=3,seed=4",
+        measure="communicability",
+        ell_list=[10, 20],
+        strategy="guided",
+        seeds=[5],
+        trials=2,
+    )
     assert first == second
+
+
+def test_run_deterministic_katz_reports(tmp_path):
+    # the certified solve's step count and bounds are part of the report
+    first, second = _report_twice(
+        tmp_path,
+        generate="er:n=150,p=0.05,seed=4",
+        measure="katz",
+        gamma=0.05,
+        ell_list=[10, 20],
+        strategy="guided",
+        seeds=[5],
+        trials=2,
+    )
+    assert first == second
+    assert json.loads(first[0])["reference"]["method"] == "certified_gmres"
 
 
 def test_run_katz_measure(tmp_path):
@@ -284,18 +314,17 @@ def test_run_rows_carry_estimate_metadata(tmp_path):
 
 
 def test_reference_above_dense_cap(tmp_path):
-    # a sparse digraph above the cap: subgraph and Katz have no exact
-    # reference there and must fail; communicability stays exact
+    # a sparse digraph above the cap: subgraph has no exact reference there
+    # and must fail; communicability and Katz stay exact
     spec = "er:n=300,p=0.01,seed=2"
     argv = ["--generate", spec, "--dense-cap", "40", "--ell", "20"]
-    for measure, extra in (("subgraph", []), ("katz", ["--gamma", "0.05"])):
-        out = tmp_path / measure
-        assert main(argv + ["--measure", measure, *extra, "--out", str(out)]) == 1
-        report = json.loads(out.with_suffix(".json").read_text())
-        assert "dense cap 40" in report["failed"]
-        assert "n=300" in report["failed"]
-        assert measure in report["failed"]
-        assert "report" not in report
+    out = tmp_path / "subgraph"
+    assert main(argv + ["--measure", "subgraph", "--out", str(out)]) == 1
+    report = json.loads(out.with_suffix(".json").read_text())
+    assert "dense cap 40" in report["failed"]
+    assert "n=300" in report["failed"]
+    assert "subgraph" in report["failed"]
+    assert "report" not in report
 
     out = tmp_path / "communicability"
     assert main(argv + ["--measure", "communicability", "--out", str(out)]) == 0
@@ -306,3 +335,126 @@ def test_reference_above_dense_cap(tmp_path):
     scores = np.array(report["report"]["reference"]["scores"])
     assert scores.size == 300
     assert rel_err(scores, exact) <= 1e-12
+
+    # the certified sparse solve has no cap; the dense oracle runs uncapped
+    out = tmp_path / "katz"
+    assert main(argv + ["--measure", "katz", "--gamma", "0.05", "--out", str(out)]) == 0
+    report = json.loads(out.with_suffix(".json").read_text())
+    assert "failed" not in report
+    assert report["reference"]["method"] == "certified_gmres"
+    dense = dense_matfun(g.dense(), resolvent_minus_one(0.05), dense_cap=g.n)
+    exact = np.sort(dense.sum(axis=1))[::-1]
+    scores = np.array(report["report"]["reference"]["scores"])
+    assert scores.size == 300
+    assert rel_err(scores, exact) <= 1e-12
+
+
+def test_report_records_reference_provenance(tmp_path):
+    def reference(measure, *extra):
+        out = tmp_path / measure
+        argv = ["--generate", "er:n=80,p=0.08,seed=3", "--measure", measure, *extra]
+        assert main(argv + ["--ell", "10", "--k", "5", "--out", str(out)]) == 0
+        return json.loads(out.with_suffix(".json").read_text())
+
+    assert reference("subgraph")["reference"] == {"method": "oracle"}
+    assert reference("communicability")["reference"] == {"method": "expm_multiply"}
+
+    report = reference("perron", "--epsilon", "1e-3")
+    ref = report["reference"]
+    assert ref["method"] == "power_iteration"
+    assert set(ref) == {"method", "eigenvalue_estimate", "iterations", "converged", "note", "residual"}
+    assert ref["residual"] <= 1e-8
+    assert all(row["residual"] <= 1e-8 for row in report["results"])
+
+    ref = reference("katz", "--gamma", "0.05")["reference"]
+    assert ref["method"] == "certified_gmres"
+    assert 0 < ref["gamma_rho_bound"] < 1
+    assert ref["residual_inf"] <= 1e-12
+    assert ref["relative_error_bound"] <= 1e-12
+    assert ref["iterations"] >= 1
+
+
+def test_katz_reference_never_densifies(tmp_path, monkeypatch):
+    def refuse(self):
+        raise AssertionError("dense copy of the adjacency matrix")
+
+    monkeypatch.setattr(SparseGraph, "dense", refuse)
+    out = tmp_path / "katz"
+    argv = ["--generate", "er:n=300,p=0.01,seed=2", "--measure", "katz", "--gamma", "0.05"]
+    assert main(argv + ["--ell", "20", "--out", str(out)]) == 0
+    assert "failed" not in json.loads(out.with_suffix(".json").read_text())
+
+
+def test_katz_reference_refuses_an_uncertified_solution(tmp_path):
+    # the cycle is undirected and 2-regular, so (I - 2A) x = 1 has the
+    # exact solution x = -1/3: gamma*rho = 4 and the Katz series diverges
+    out = tmp_path / "divergent"
+    argv = ["--generate", "cycle:n=5", "--measure", "katz", "--gamma", "2"]
+    assert main(argv + ["--ell", "3", "--k", "5", "--out", str(out)]) == 1
+    report = json.loads(out.with_suffix(".json").read_text())
+    assert "x > 0 fails" in report["failed"]
+    assert "reference" not in report
+    assert "report" not in report
+
+
+def test_undirected_edge_list_takes_the_arrow_route(tmp_path):
+    path = tmp_path / "pa.txt"
+    with path.open("w") as handle:
+        write_edge_list(generate("pa:n=200,m=3,seed=1"), handle)
+    argv = ["--input", str(path), "--measure", "katz", "--gamma", "0.02", "--ell", "10,20"]
+
+    out = tmp_path / "undirected"
+    assert main(argv + ["--undirected", "--out", str(out)]) == 0
+    report = json.loads(out.with_suffix(".json").read_text())
+    assert report["config_echo"]["undirected"] is True
+    assert [row["method"] for row in report["results"]] == ["arrow_core", "arrow_core"]
+    with path.open() as handle:
+        g = parse_edge_list(handle, directed=False)
+    exact = np.sort(dense_matfun(g.dense(), resolvent_minus_one(0.02)).sum(axis=1))[::-1]
+    assert rel_err(np.array(report["report"]["reference"]["scores"]), exact) <= 1e-12
+
+    # without the flag an edge list stays directed, as before
+    out = tmp_path / "directed"
+    assert main(argv + ["--out", str(out)]) == 0
+    rows = json.loads(out.with_suffix(".json").read_text())["results"]
+    assert [row["method"] for row in rows] == ["direct_core", "direct_core"]
+
+
+def _bench_module(name):
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_cli_katz_check_passes(tmp_path):
+    # the cli-validation Katz invocation at the benchmark's toy size, judged
+    # by the benchmark's own report check against its sparse-LU references
+    checks, inputs = _bench_module("checks"), _bench_module("inputs")
+    edges = inputs.directed_er(200, 6, 1)
+    n = int(edges.max()) + 1
+    path = tmp_path / "cli_input.txt"
+    inputs.write_edge_list(path, edges)
+    ells, seed, trials, k = (10, 20), 1001, 2, 20
+    out = tmp_path / "cli_katz"
+    argv = [
+        "--input", str(path), "--measure", "katz", "--gamma", "0.05",
+        "--ell", ",".join(str(e) for e in ells), "--trials", str(trials),
+        "--k", str(k), "--csv", "--seed", str(seed), "--out", str(out),
+    ]  # fmt: skip
+    assert main(argv) == 0
+
+    a = inputs.adjacency(n, edges, directed=True)
+    with path.open() as handle:
+        g = parse_edge_list(handle, directed=True)
+    runs = {}
+    for ell in ells:
+        for s in range(seed, seed + trials):
+            J = sample_columns(g, ell, s)
+            masked = checks.MatfunReference(checks.column_mask(a, J.indices), "katz", 0.05)
+            runs[(ell, s)] = masked.rowsum
+    ref = checks.MatfunReference(a, "katz", 0.05).rowsum
+    report = json.loads(out.with_suffix(".json").read_text())
+    csv_text = out.with_suffix(".csv").read_text()
+    assert checks.check_cli_report(report, csv_text, k, ref, runs, seed, checks.REL_TOL, 1.0) == []

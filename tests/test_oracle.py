@@ -13,8 +13,10 @@ from sampled_centrality import (
     dense_matfun,
     exp_minus_one,
     expm_rowsum,
+    katz_rowsum,
     resolvent_minus_one,
 )
+from sampled_centrality import oracle
 from sampled_centrality.cli import generate
 from conftest import (
     directed_edge,
@@ -101,11 +103,49 @@ def test_expm_rowsum_nilpotent_edge():
     assert rel_err(got, exact) <= 1e-12
 
 
+@pytest.mark.parametrize(
+    "spec, gamma",
+    [("er:n=300,p=0.02,seed=5", 0.1), ("pa:n=300,m=4,seed=3", 0.05), ("path:n=6", 0.5)],
+)
+def test_katz_rowsum_matches_dense(spec, gamma):
+    g = generate(spec)
+    ref = katz_rowsum(g, gamma)
+    exact = dense_matfun(g.dense(), resolvent_minus_one(gamma)).sum(axis=1)
+    assert rel_err(ref.scores, exact) <= 1e-12
+    assert ref.residual_inf <= oracle.KATZ_RESIDUAL_TOL
+    # |x - x*| <= bound * x entrywise, with x = 1 + scores
+    assert np.all(np.abs(ref.scores - exact) <= ref.relative_error_bound * (1.0 + ref.scores))
+
+
+def test_katz_rowsum_certifies_gamma_rho():
+    # Collatz-Wielandt: the certified bound is at least gamma*rho and below 1
+    period3 = SparseGraph.from_edges(4, np.array([(0, 1), (0, 2), (1, 3), (2, 3), (3, 0)]), True)
+    non_normal = SparseGraph.from_edges(
+        4, np.array([(0, 3), (1, 2), (2, 0), (2, 1), (3, 0), (3, 1)]), True
+    )
+    for g in (period3, non_normal, generate("er:n=60,p=0.1,seed=1")):
+        rho = float(np.max(np.abs(np.linalg.eigvals(g.dense()))))
+        for gamma in (0.5 / rho, 0.9 / rho, 0.99 / rho):
+            bound = katz_rowsum(g, gamma).gamma_rho_bound
+            assert gamma * rho * (1 - 1e-12) <= bound < 1
+
+
+def test_katz_rowsum_refuses_an_unfinished_solve(monkeypatch):
+    # a solve stopped after one short restart cycle leaves a large residual
+    g = generate("er:n=60,p=0.1,seed=1")
+    rho = float(np.max(np.abs(np.linalg.eigvals(g.dense()))))
+    monkeypatch.setattr(oracle, "_KATZ_MAX_STEPS", 4)
+    monkeypatch.setattr(oracle, "_KATZ_RESTART", 4)
+    with pytest.raises(EvaluationError, match=r"\|r\|_inf = .* after 4 GMRES steps, above"):
+        katz_rowsum(g, 0.9 / rho)
+
+
 def test_dense_left_perron_triangle():
     res = dense_left_perron(triangle())
     assert np.allclose(res.vector, np.ones(3) / np.sqrt(3), atol=1e-10)
     assert res.eigenvalue_estimate == pytest.approx(2.0, abs=1e-10)
     assert res.converged
+    assert res.residual <= 1e-8
 
 
 def test_dense_left_perron_star_bipartite_average():
@@ -115,6 +155,7 @@ def test_dense_left_perron_star_bipartite_average():
     assert res.eigenvalue_estimate == pytest.approx(np.sqrt(3.0), abs=1e-8)
     assert not res.converged
     assert "oscillation" in res.note
+    assert res.residual <= 1e-8
 
 
 def test_dense_left_perron_path_bipartite_average():
@@ -122,6 +163,7 @@ def test_dense_left_perron_path_bipartite_average():
     expected = np.array([1.0, np.sqrt(2.0), 1.0]) / 2.0
     assert np.allclose(res.vector, expected, atol=1e-8)
     assert res.eigenvalue_estimate == pytest.approx(np.sqrt(2.0), abs=1e-8)
+    assert res.residual <= 1e-8
 
 
 def test_dense_left_perron_two_cycle_random_start_oscillates():
@@ -130,6 +172,7 @@ def test_dense_left_perron_two_cycle_random_start_oscillates():
     uniform = dense_left_perron(directed_two_cycle())
     assert uniform.converged
     assert uniform.eigenvalue_estimate == pytest.approx(1.0)
+    assert uniform.residual <= 1e-8
 
 
 def test_dense_left_perron_non_normal_cycle_exact_eigenvector():
@@ -144,6 +187,7 @@ def test_dense_left_perron_non_normal_cycle_exact_eigenvector():
     assert res.eigenvalue_estimate == pytest.approx(np.sqrt(2.0), abs=1e-12)
     assert not res.converged
     assert "oscillation" in res.note
+    assert res.residual <= 1e-8
 
 
 def test_dense_left_perron_period_three_exact_eigenvector():
@@ -159,6 +203,7 @@ def test_dense_left_perron_period_three_exact_eigenvector():
     assert abs(lam - 2.0 ** (1.0 / 3.0)) <= 1e-12
     assert np.linalg.norm(g.dense().T @ res.vector - lam * res.vector) <= 1e-12
     assert np.all(res.vector >= 0.0)
+    assert res.residual <= 1e-8
 
 
 def test_dense_left_perron_decaying_negative_eigenvalue_is_not_a_cycle():
@@ -173,6 +218,7 @@ def test_dense_left_perron_decaying_negative_eigenvalue_is_not_a_cycle():
     res = dense_left_perron(g)
     assert res.converged
     assert res.note is None
+    assert res.residual <= 1e-8
     _, vecs = spla.eigsh(g.csr.astype(np.float64), k=1, which="LA", tol=1e-14)
     expected = np.abs(vecs[:, 0])
     assert np.max(np.abs(res.vector - expected)) <= 1e-9

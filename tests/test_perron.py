@@ -53,6 +53,7 @@ def test_left_perron_triangle_full_sampling():
     assert np.allclose(res.vector, np.ones(3) / np.sqrt(3), atol=1e-10)
     assert res.eigenvalue_estimate == pytest.approx(4.0, abs=1e-8)
     assert res.converged
+    assert res.residual <= 1e-8
 
 
 def test_left_perron_two_cycle_with_epsilon():
@@ -62,6 +63,7 @@ def test_left_perron_two_cycle_with_epsilon():
     assert np.allclose(res.vector, np.ones(2) / np.sqrt(2), atol=1e-10)
     assert res.eigenvalue_estimate == pytest.approx(1.0 + 2e-6, abs=1e-9)
     assert res.converged
+    assert res.residual <= 1e-8
 
 
 def test_left_perron_two_cycle_without_epsilon_stagnates():
@@ -73,6 +75,7 @@ def test_left_perron_two_cycle_without_epsilon_stagnates():
     assert res.iterations == 1
     assert res.note is not None
     assert np.allclose(res.vector, np.ones(2) / np.sqrt(2))
+    assert res.residual <= 1e-8
 
 
 def test_left_perron_period_two_exit_is_exact_eigenvector():
@@ -92,6 +95,7 @@ def test_left_perron_period_two_exit_is_exact_eigenvector():
     residual = apply(res.vector) - res.eigenvalue_estimate * res.vector
     assert np.linalg.norm(residual) <= 1e-12
     assert np.all(res.vector >= 0.0)
+    assert res.residual <= 1e-8
 
 
 def test_left_perron_guided_er_cycle_exits_early():
@@ -107,6 +111,7 @@ def test_left_perron_guided_er_cycle_exits_early():
     apply = product_transpose_apply(g, J, I)
     lam = res.eigenvalue_estimate
     assert np.linalg.norm(apply(res.vector) - lam * res.vector) <= 1e-12 * lam
+    assert res.residual <= 1e-8
 
 
 def test_power_iteration_longer_cycles_exit_exactly():
@@ -128,6 +133,27 @@ def test_power_iteration_longer_cycles_exit_exactly():
         lam = res.eigenvalue_estimate
         assert abs(lam - rho) <= 1e-12 * rho
         assert np.linalg.norm(at @ res.vector - lam * res.vector) <= 1e-12 * lam
+        assert res.residual <= 1e-8
+
+
+def test_power_iteration_records_the_residual_of_an_undetected_cycle():
+    # a ring of nine layers is a cycle longer than MAX_PERIOD: the iteration
+    # runs out of steps with no eigenvector, and its residual says so
+    sizes = (1, 2, 1, 2, 1, 2, 1, 2, 1)
+    h = len(sizes)
+    first = np.cumsum((0,) + sizes)
+    layers = [np.arange(first[k], first[k + 1]) for k in range(h)]
+    edges = [(i, j) for k in range(h) for i in layers[k] for j in layers[(k + 1) % h]]
+    g = SparseGraph.from_edges(int(first[-1]), np.array(edges), directed=True)
+    res = dense_left_perron(g)
+    assert not res.converged
+    assert "no convergence" in res.note
+    at = g.csr.T.toarray()
+    lam = res.eigenvalue_estimate
+    gap = np.linalg.norm(at @ res.vector - lam * res.vector) / lam
+    assert res.residual == pytest.approx(gap, rel=1e-12)
+    assert res.residual >= 0.1
+    assert res.metadata()["residual"] == res.residual
 
 
 def test_symmetric_perron_triangle():
@@ -135,6 +161,7 @@ def test_symmetric_perron_triangle():
     res = symmetric_perron(g, full_column_sample(g))
     assert np.allclose(res.vector, np.ones(3) / np.sqrt(3), atol=1e-8)
     assert res.eigenvalue_estimate == pytest.approx(4.0, abs=1e-8)
+    assert res.residual <= 1e-8
 
 
 def test_symmetric_perron_star_degenerate_product():
@@ -147,6 +174,7 @@ def test_symmetric_perron_star_degenerate_product():
     apply = symmetric_product_apply(g, full_column_sample(g))
     residual = apply(res.vector) - res.eigenvalue_estimate * res.vector
     assert np.linalg.norm(residual) <= 1e-8
+    assert res.residual <= 1e-8
 
 
 def test_symmetric_perron_path_degenerate_product():
@@ -156,6 +184,7 @@ def test_symmetric_perron_path_degenerate_product():
     apply = symmetric_product_apply(g, full_column_sample(g))
     residual = apply(res.vector) - res.eigenvalue_estimate * res.vector
     assert np.linalg.norm(residual) <= 1e-8
+    assert res.residual <= 1e-8
 
 
 def test_symmetric_perron_rejects_directed():
@@ -192,6 +221,7 @@ def test_residual_invariant_implicit_product():
     apply = product_transpose_apply(g, J, I, cfg.epsilon)
     residual = np.linalg.norm(apply(res.vector) - res.eigenvalue_estimate * res.vector)
     assert residual <= cfg.tol * max(res.eigenvalue_estimate, 1.0)
+    assert res.residual <= 1e-8
 
 
 def test_full_sampling_matches_dense_oracle():
@@ -200,6 +230,7 @@ def test_full_sampling_matches_dense_oracle():
         res = left_perron(g, full_column_sample(g), full_row_sample(g), PerronConfig(tol=1e-12))
         oracle = dense_left_perron(g, tol=1e-12)
         assert oracle.converged
+        assert res.residual <= 1e-8 and oracle.residual <= 1e-8
         cosine = float(res.vector @ oracle.vector)
         assert cosine >= 1.0 - 1e-8
 
@@ -251,6 +282,7 @@ def test_perron_result_serialization():
     record = json.loads(json.dumps(res.metadata()))
     assert record["converged"] is True
     assert record["iterations"] == res.iterations
+    assert record["residual"] == res.residual <= 1e-8
     assert res.vector.shape == (3,)
 
 
