@@ -1,19 +1,25 @@
 """Command-line experiment driver: ingest or generate a graph, sample, score,
 rank, and compare against a reference ranking, with seeded reproducibility.
 
+Each run setting is one ``ExperimentConfig`` field, and each flag stores
+straight into the field of its name.  Run t of every ell uses seed
+``seed + t``.  An input ending in ``.mtx`` is read as Matrix Market, any
+other as an edge list.
+
 Synthetic generators live here as dataset-free fixtures.  Each measure has
 one exact reference: Perron uses the sparse power iteration, communicability
 the sparse ``expm_multiply`` row sums and Katz one certified sparse solve,
-all at every size; subgraph uses the dense oracle, which the run refuses
-above the dense cap rather than rank against an approximation.  The method
-behind the reference and its certificate go into ``report["reference"]``.
+all at every size; subgraph uses the dense oracle, which refuses graphs
+above ``matfun.DENSE_CAP`` nodes rather than rank against an approximation.
+The method behind the reference and its certificate go into
+``report["reference"]``.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -26,11 +32,10 @@ from .graph import SparseGraph, parse_edge_list
 from .matfun import (
     EXP_MINUS_ONE,
     RESOLVENT_MINUS_ONE,
-    EvaluationError,
     ScalarFunction,
     evaluate_masked_function,
 )
-from .oracle import DENSE_CAP, dense_left_perron, dense_matfun, expm_rowsum, katz_rowsum
+from .oracle import dense_left_perron, expm_rowsum, katz_rowsum, subgraph_diag
 from .perron import PerronConfig, left_perron, symmetric_perron
 from .ranking import (
     CentralityVector,
@@ -43,16 +48,18 @@ from .ranking import (
 from .sampling import sample_columns, sample_rows
 
 MEASURES = ("subgraph", "communicability", "katz", "perron")
-SEED_ENV = "SAMPLED_CENTRALITY_SEED"
 # estimate metadata copied into each report["results"] row
-PERRON_ROW_KEYS = ("iterations", "converged", "note", "residual")
-MATFUN_ROW_KEYS = ("method", "fallback_reason", "condition_estimate", "spectral_radius_estimate")
+PERRON_ROW_KEYS = ("fallback_draws", "iterations", "converged", "note", "residual")
+MATFUN_ROW_KEYS = (
+    "fallback_draws", "method", "fallback_reason", "condition_estimate", "spectral_radius_estimate"
+)
+# config fields that choose where and how the report is written, not echoed
+OUTPUT_FIELDS = ("out", "write_json", "write_csv")
 
 
 @dataclass
 class ExperimentConfig:
     input: str | None = None
-    format: str | None = None
     undirected: bool = False
     generate: str | None = None
     measure: str = "subgraph"
@@ -60,10 +67,9 @@ class ExperimentConfig:
     strategy: str = "guided"
     gamma: float = 1.0
     epsilon: float = 0.0
-    seeds: list[int] = field(default_factory=lambda: [0])
+    seed: int = 0
     trials: int = 1
     k: int = 20
-    dense_cap: int = DENSE_CAP
     out: str | None = None
     write_json: bool = True
     write_csv: bool = False
@@ -75,8 +81,6 @@ class ExperimentConfig:
             raise ValueError("ell values must be at least 1")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
-        if not self.seeds:
-            raise ValueError("at least one seed is required")
 
 
 # -- synthetic generators -----------------------------------------------------
@@ -212,9 +216,7 @@ def _load_graph(cfg: ExperimentConfig) -> SparseGraph:
     if cfg.generate is not None:
         return generate(cfg.generate)
     path = Path(cfg.input)
-    fmt = cfg.format
-    if fmt is None:
-        fmt = "matrix-market" if path.suffix.lower() == ".mtx" else "edge-list"
+    fmt = "matrix-market" if path.suffix.lower() == ".mtx" else "edge-list"
     with path.open() as handle:
         return parse_edge_list(handle, format=fmt, directed=not cfg.undirected)
 
@@ -227,22 +229,21 @@ def _scalar_function(cfg: ExperimentConfig) -> ScalarFunction:
 def _measure_scores(
     g: SparseGraph, cfg: ExperimentConfig, ell: int, seed: int
 ) -> CentralityVector:
-    params = {"ell": ell, "seed": seed, "strategy": cfg.strategy}
+    J = sample_columns(g, ell, seed, cfg.strategy)
+    draws = J.fallback_draws
     if cfg.measure == "perron":
         pcfg = PerronConfig(epsilon=cfg.epsilon)
         if g.directed:
-            J = sample_columns(g, ell, seed, cfg.strategy)
             I = sample_rows(g, ell, seed + 1, cfg.strategy)
+            draws += I.fallback_draws
             result = left_perron(g, J, I, pcfg)
         else:
-            J = sample_columns(g, ell, seed, cfg.strategy)
             result = symmetric_perron(g, J, pcfg)
-        return CentralityVector(result.vector, cfg.measure, params | result.metadata())
-
-    f = _scalar_function(cfg)
-    J = sample_columns(g, ell, seed, cfg.strategy)
-    result = evaluate_masked_function(g, J, f, seed=seed, dense_cap=cfg.dense_cap)
-    scores = result.diag if cfg.measure == "subgraph" else result.rowsum
+        scores = result.vector
+    else:
+        result = evaluate_masked_function(g, J, _scalar_function(cfg), seed=seed)
+        scores = result.diag if cfg.measure == "subgraph" else result.rowsum
+    params = {"ell": ell, "seed": seed, "strategy": cfg.strategy, "fallback_draws": draws}
     return CentralityVector(scores, cfg.measure, params | result.metadata())
 
 
@@ -259,38 +260,11 @@ def _reference_scores(g: SparseGraph, cfg: ExperimentConfig) -> CentralityVector
     if cfg.measure == "katz":
         ref = katz_rowsum(g, cfg.gamma)
         return CentralityVector(ref.scores, cfg.measure, ref.metadata())
-    if g.n > cfg.dense_cap:
-        raise EvaluationError(
-            f"no exact {cfg.measure} reference for n={g.n} above the dense cap "
-            f"{cfg.dense_cap} (--dense-cap)"
-        )
-    fa = dense_matfun(g.dense(), _scalar_function(cfg), dense_cap=cfg.dense_cap)
-    return CentralityVector(np.diagonal(fa).copy(), cfg.measure, {"method": "oracle"})
-
-
-def _expand_seeds(seeds: list[int], trials: int) -> list[int]:
-    runs = list(seeds)
-    while len(runs) < trials:
-        runs.append(runs[-1] + 1)
-    return runs
+    return CentralityVector(subgraph_diag(g, cfg.gamma), cfg.measure, {"method": "oracle"})
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:
-    return {
-        "input": cfg.input,
-        "format": cfg.format,
-        "undirected": cfg.undirected,
-        "generate": cfg.generate,
-        "measure": cfg.measure,
-        "ell_list": [int(v) for v in cfg.ell_list],
-        "strategy": cfg.strategy,
-        "gamma": float(cfg.gamma),
-        "epsilon": float(cfg.epsilon),
-        "seeds": [int(s) for s in cfg.seeds],
-        "trials": int(cfg.trials),
-        "k": int(cfg.k),
-        "dense_cap": int(cfg.dense_cap),
-    }
+    return {k: v for k, v in dataclasses.asdict(cfg).items() if k not in OUTPUT_FIELDS}
 
 
 def run(cfg: ExperimentConfig) -> int:
@@ -314,7 +288,7 @@ def run(cfg: ExperimentConfig) -> int:
         report["reference"] = reference.params
         ref_ranking = rank_nodes(reference, cfg.k)
         candidates: list[tuple[str, Ranking]] = []
-        seeds = _expand_seeds(cfg.seeds, cfg.trials)
+        seeds = range(cfg.seed, cfg.seed + cfg.trials)
         row_keys = PERRON_ROW_KEYS if cfg.measure == "perron" else MATFUN_ROW_KEYS
         for ell in cfg.ell_list:
             times = []
@@ -363,7 +337,8 @@ def _write_json(report: dict, out_base: Path) -> None:
     path = out_base.with_suffix(".json")
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as handle:
-        json.dump(report, handle, sort_keys=True, indent=2)
+        # config fields a library caller set to numpy scalars are written as numbers
+        json.dump(report, handle, sort_keys=True, indent=2, default=np.generic.item)
         handle.write("\n")
 
 
@@ -408,10 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Approximate spectral node centralities from sampled "
         "adjacency columns/rows and compare rankings against a reference.",
     )
-    parser.add_argument("--input", help="graph file (edge list or Matrix Market)")
-    parser.add_argument(
-        "--format", choices=["edge-list", "matrix-market"], help="input format (default: by suffix)"
-    )
+    parser.add_argument("--input", help="graph file: Matrix Market if named *.mtx, else edge list")
     parser.add_argument(
         "--undirected", action="store_true", default=False,
         help="read an edge list as undirected (symmetric .mtx files always are)",
@@ -420,46 +392,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--measure", choices=MEASURES, default="subgraph")
     parser.add_argument("--gamma", type=float, default=1.0, help="function scaling parameter")
     parser.add_argument("--epsilon", type=float, default=0.0, help="Perron perturbation")
-    parser.add_argument("--ell", default="20", help="sample sizes: '200', '500,1000', '500..3000'")
-    parser.add_argument("--strategy", choices=["guided", "random"], default="guided")
-    parser.add_argument("--seed", type=int, default=None, help=f"base seed (default ${SEED_ENV} or 0)")
-    parser.add_argument("--seeds", default=None, help="explicit comma-separated seed list")
-    parser.add_argument("--trials", type=int, default=1, help="runs per ell (timing statistics)")
-    parser.add_argument("--k", type=int, default=20, help="report depth")
     parser.add_argument(
-        "--dense-cap", type=int, default=DENSE_CAP,
-        help="largest dense order: sampled core, and graph for the subgraph reference",
+        "--ell", dest="ell_list", default="20", help="sample sizes: '200', '500,1000', '500..3000'"
     )
+    parser.add_argument("--strategy", choices=["guided", "random"], default="guided")
+    parser.add_argument("--seed", type=int, default=0, help="seed of the first run of each ell")
+    parser.add_argument("--trials", type=int, default=1, help="runs per ell: seed, seed+1, ...")
+    parser.add_argument("--k", type=int, default=20, help="report depth")
     parser.add_argument("--out", default="report", help="output path base (.json/.csv appended)")
     parser.add_argument("--csv", dest="write_csv", action="store_true", default=False)
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    if args.seeds is not None:
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    else:
-        base = args.seed
-        if base is None:
-            base = int(os.environ.get(SEED_ENV, "0"))
-        seeds = [base]
-    return ExperimentConfig(
-        input=args.input,
-        format=args.format,
-        undirected=args.undirected,
-        generate=args.generate,
-        measure=args.measure,
-        ell_list=_parse_ell(args.ell),
-        strategy=args.strategy,
-        gamma=args.gamma,
-        epsilon=args.epsilon,
-        seeds=seeds,
-        trials=args.trials,
-        k=args.k,
-        dense_cap=args.dense_cap,
-        out=args.out,
-        write_csv=args.write_csv,
-    )
+    return ExperimentConfig(**vars(args) | {"ell_list": _parse_ell(args.ell_list)})
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -169,10 +169,9 @@ def parse_edge_list(
     (coordinate pattern/integer/real, values coerced to 1, 1-based indices,
     symmetric/general headers honoured, n = declared dimension).
     """
-    fmt = format.lower()
-    if fmt in ("edge-list", "edgelist", "edges"):
+    if format == "edge-list":
         return _parse_plain_edges(source, directed)
-    if fmt in ("matrix-market", "matrix-market-pattern", "mtx", "mm"):
+    if format == "matrix-market":
         return _parse_matrix_market(source, directed)
     raise ValueError(f"unknown graph format {format!r}")
 

@@ -34,6 +34,8 @@ from .sampling import SampleSet
 EXP_MINUS_ONE = "exp_minus_one"
 RESOLVENT_MINUS_ONE = "resolvent_minus_one"
 
+# largest dense order: the sampled core, and the graph of a dense reference
+DENSE_CAP = 4000
 # entries of the dense row block of A21 @ K held at once in the arrow diagonal
 _ROW_BLOCK_ENTRIES = 1 << 22
 
@@ -227,7 +229,6 @@ def evaluate_masked_function(
     mask: SampleSet,
     f: ScalarFunction,
     seed: int = 0,
-    dense_cap: int = 4000,
 ) -> MatfunResult:
     """diag and rowsum of f(A_masked) from the sampled columns.
 
@@ -236,15 +237,15 @@ def evaluate_masked_function(
     exact and deterministic; ``seed`` is only recorded in the metadata.
     """
     core = direct_core_evaluation if g.directed else arrow_core_evaluation
-    return dataclasses.replace(core(g, mask, f, dense_cap), seed=seed)
+    return dataclasses.replace(core(g, mask, f), seed=seed)
 
 
-def _core_blocks(g: SparseGraph, mask: SampleSet, dense_cap: float = np.inf):
+def _core_blocks(g: SparseGraph, mask: SampleSet):
     """Dense leading core A[J, J] and the sparse trailing block A[rest, J]."""
     if mask.kind != "column":
         raise ValueError("masked evaluation expects a column mask")
-    if len(mask) > dense_cap:
-        raise EvaluationError(f"core size {len(mask)} exceeds the dense cap {dense_cap}")
+    if len(mask) > DENSE_CAP:
+        raise EvaluationError(f"core size {len(mask)} exceeds the dense cap {DENSE_CAP}")
     J = np.asarray(mask.indices, dtype=np.int64)
     rest = np.setdiff1d(np.arange(g.n), J, assume_unique=False)
     cols = g.csc[:, J].tocsr()
@@ -253,12 +254,7 @@ def _core_blocks(g: SparseGraph, mask: SampleSet, dense_cap: float = np.inf):
     return J, rest, a11, a21
 
 
-def direct_core_evaluation(
-    g: SparseGraph,
-    mask: SampleSet,
-    f: ScalarFunction,
-    dense_cap: int = 4000,
-) -> MatfunResult:
+def direct_core_evaluation(g: SparseGraph, mask: SampleSet, f: ScalarFunction) -> MatfunResult:
     """Exact dense evaluation of the column mask.
 
     Only the sampled columns of f(A_masked) are nonzero, and in the leading
@@ -266,7 +262,7 @@ def direct_core_evaluation(
     f(A11) and g(A11) @ 1 from one factorization of the ell-by-ell core give
     diag and rowsum exactly (up to the dense kernel), defective cores included.
     """
-    J, rest, a11, a21 = _core_blocks(g, mask, dense_cap)
+    J, rest, a11, a21 = _core_blocks(g, mask)
     ell = len(mask)
     f11, g1 = f.matrix_value_and_quotient_sum(a11)
 
@@ -293,12 +289,7 @@ def direct_core_evaluation(
     )
 
 
-def arrow_core_evaluation(
-    g: SparseGraph,
-    mask: SampleSet,
-    f: ScalarFunction,
-    dense_cap: int = 4000,
-) -> MatfunResult:
+def arrow_core_evaluation(g: SparseGraph, mask: SampleSet, f: ScalarFunction) -> MatfunResult:
     """Exact evaluation of the arrow mask of an undirected graph.
 
     The Gram matrix A21^T A21 = V S^2 V^T, restricted to its r nonzero
@@ -311,7 +302,7 @@ def arrow_core_evaluation(
     """
     if g.directed:
         raise ValueError("arrow_core_evaluation requires an undirected graph")
-    J, rest, a11, a21 = _core_blocks(g, mask, dense_cap)
+    J, rest, a11, a21 = _core_blocks(g, mask)
     ell = len(mask)
 
     s2, V = np.linalg.eigh((a21.T @ a21).toarray())
@@ -381,13 +372,12 @@ def transpose_measures(
     rows: SampleSet,
     f: ScalarFunction,
     seed: int = 0,
-    dense_cap: int = 4000,
 ) -> MatfunResult:
     """diag and rowsum of f(A^T) computed from sampled rows of A."""
     if rows.kind != "row":
         raise ValueError("transpose_measures expects a row mask")
     as_columns = dataclasses.replace(rows, kind="column")
-    return evaluate_masked_function(transpose(g), as_columns, f, seed, dense_cap)
+    return evaluate_masked_function(transpose(g), as_columns, f, seed)
 
 
 # -- Arnoldi spectral reconstruction (cross-check) ----------------------------

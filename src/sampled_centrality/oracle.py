@@ -1,10 +1,11 @@
 """Ground-truth references: dense f(A), sparse exp and Katz row sums, Perron.
 
 ``dense_matfun`` is exact at desk scale; dense matrices are plain numpy
-arrays (row-major, square) and the size cap keeps accidental huge inputs out.
-``expm_rowsum`` gives communicability row sums at any size from the action
-of the sparse exponential on the ones vector, and ``katz_rowsum`` gives Katz
-row sums at any size from one sparse solve that certifies its own
+arrays (row-major, square) and ``DENSE_CAP`` keeps huge inputs out.
+``subgraph_diag`` applies it to a graph and refuses above the cap before
+densifying.  ``expm_rowsum`` gives communicability row sums at any size from
+the action of the sparse exponential on the ones vector, and ``katz_rowsum``
+gives Katz row sums at any size from one sparse solve that certifies its own
 admissibility and error; neither forms a dense matrix.
 """
 
@@ -16,10 +17,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import SparseGraph
-from .matfun import EXP_MINUS_ONE, EvaluationError, ScalarFunction
+from .matfun import DENSE_CAP, EXP_MINUS_ONE, EvaluationError, ScalarFunction
 from .perron import PerronConfig, PerronResult, power_iteration
 
-DENSE_CAP = 4000
 # a certified Katz solve has |x - x*| <= this * x* entrywise
 KATZ_RESIDUAL_TOL = 1e-12
 # GMRES: stopping rule (2-norm residual relative to |1|_2), restart length
@@ -27,9 +27,11 @@ KATZ_RESIDUAL_TOL = 1e-12
 _KATZ_RTOL = 1e-15
 _KATZ_RESTART = 20
 _KATZ_MAX_STEPS = 2_000
+# restart cycles in a row that fail to halve |r|_inf before the solve gives up
+_KATZ_STALL_CYCLES = 10
 
 
-def dense_matfun(a: np.ndarray, f: ScalarFunction, dense_cap: int = DENSE_CAP) -> np.ndarray:
+def dense_matfun(a: np.ndarray, f: ScalarFunction) -> np.ndarray:
     """f evaluated at a dense square matrix.
 
     The exponential uses scaling-and-squaring with the degree-13 Pade
@@ -41,8 +43,8 @@ def dense_matfun(a: np.ndarray, f: ScalarFunction, dense_cap: int = DENSE_CAP) -
         raise ValueError("expected a square matrix")
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix entries must be finite")
-    if a.shape[0] > dense_cap:
-        raise EvaluationError(f"dense evaluation capped at n={dense_cap}")
+    if a.shape[0] > DENSE_CAP:
+        raise EvaluationError(f"dense evaluation capped at n={DENSE_CAP}")
     if f.kind != EXP_MINUS_ONE:
         if a.shape[0]:
             eigs = (
@@ -56,6 +58,16 @@ def dense_matfun(a: np.ndarray, f: ScalarFunction, dense_cap: int = DENSE_CAP) -
                     f"resolvent series diverges: gamma*rho = {f.gamma * rho:.6g} >= 1"
                 )
     return f.matrix_value(a)
+
+
+def subgraph_diag(g: SparseGraph, gamma: float) -> np.ndarray:
+    """Diagonal of exp(gamma*A) - I from the dense oracle, refused above
+    ``DENSE_CAP`` before the dense copy of A is built."""
+    if g.n > DENSE_CAP:
+        raise EvaluationError(
+            f"no exact subgraph reference for n={g.n} above the dense cap {DENSE_CAP}"
+        )
+    return np.diagonal(dense_matfun(g.dense(), ScalarFunction(EXP_MINUS_ONE, gamma))).copy()
 
 
 def expm_rowsum(g: SparseGraph, gamma: float) -> np.ndarray:
@@ -129,9 +141,12 @@ def katz_rowsum(g: SparseGraph, gamma: float) -> KatzRowsum:
         steps += 1
 
     # restart cycles run one at a time so the solve can stop where rounding
-    # stalls it: certified, and the last cycle did not halve |r|_inf
+    # stalls it (certified, and the last cycle did not halve |r|_inf) or
+    # where it makes no progress (_KATZ_STALL_CYCLES cycles in a row without
+    # halving the |r|_inf of the last cycle that did)
     x = np.zeros(g.n)
-    residual = np.inf
+    residual = halved = np.inf
+    stalled = 0
     for _ in range(_KATZ_MAX_STEPS // _KATZ_RESTART):
         x, info = gmres(
             shifted, ones, x0=x, rtol=_KATZ_RTOL, atol=0.0, restart=_KATZ_RESTART,
@@ -141,6 +156,12 @@ def katz_rowsum(g: SparseGraph, gamma: float) -> KatzRowsum:
         last, residual = residual, float(np.max(np.abs(image - ones), initial=0.0))
         if info == 0 or KATZ_RESIDUAL_TOL >= residual > 0.5 * last:
             break
+        if residual <= 0.5 * halved:
+            halved, stalled = residual, 0
+        else:
+            stalled += 1
+            if stalled == _KATZ_STALL_CYCLES:
+                break
     solve = f"|r|_inf = {residual:.3e} after {steps} GMRES steps"
     if not np.all(x > 0):
         raise EvaluationError(

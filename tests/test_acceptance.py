@@ -328,7 +328,7 @@ def test_criterion_8_property_suites(tmp_path):
             generate="pa:n=150,m=3,seed=9",
             measure="subgraph",
             ell_list=[15, 30],
-            seeds=[6],
+            seed=6,
             trials=2,
             out=str(path),
             write_csv=True,

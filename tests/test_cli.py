@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,8 +18,10 @@ from sampled_centrality import (
     parse_edge_list,
     resolvent_minus_one,
     sample_columns,
+    sample_rows,
     write_edge_list,
 )
+from sampled_centrality import matfun, oracle
 from sampled_centrality.cli import (
     ExperimentConfig,
     build_parser,
@@ -127,7 +131,7 @@ def test_run_star_perron_top_node_is_center(tmp_path):
         generate="star:leaves=3",
         measure="perron",
         ell_list=[4],
-        seeds=[3],
+        seed=3,
         k=4,
         out=str(out),
     )
@@ -159,7 +163,7 @@ def test_run_deterministic_reports(tmp_path):
         measure="communicability",
         ell_list=[10, 20],
         strategy="guided",
-        seeds=[5],
+        seed=5,
         trials=2,
     )
     assert first == second
@@ -174,7 +178,7 @@ def test_run_deterministic_katz_reports(tmp_path):
         gamma=0.05,
         ell_list=[10, 20],
         strategy="guided",
-        seeds=[5],
+        seed=5,
         trials=2,
     )
     assert first == second
@@ -188,7 +192,7 @@ def test_run_katz_measure(tmp_path):
         measure="katz",
         gamma=0.05,
         ell_list=[10],
-        seeds=[2],
+        seed=2,
         out=str(out),
     )
     assert run(cfg) == 0
@@ -204,7 +208,7 @@ def test_run_failure_writes_partial_report(tmp_path):
         generate="er:n=20,p=0.1,seed=1",
         measure="subgraph",
         ell_list=[10_000],  # exceeds the nonzero column count
-        seeds=[1],
+        seed=1,
         out=str(out),
     )
     assert run(cfg) == 1
@@ -220,7 +224,7 @@ def test_run_reads_edge_list_file(tmp_path):
         input=str(graph_file),
         measure="subgraph",
         ell_list=[3],
-        seeds=[1],
+        seed=1,
         k=3,
         out=str(out),
     )
@@ -251,12 +255,41 @@ def test_main_cli_round_trip(tmp_path):
     assert (tmp_path / "cli.json").exists()
 
 
-def test_env_seed_default(tmp_path, monkeypatch):
+def test_seed_environment_variable_is_ignored(tmp_path, monkeypatch):
+    # only --seed sets the seed: SAMPLED_CENTRALITY_SEED is not a run setting
     monkeypatch.setenv("SAMPLED_CENTRALITY_SEED", "99")
     parser = build_parser()
     args = parser.parse_args(["--generate", "cycle:n=5", "--out", str(tmp_path / "x")])
+    assert config_from_args(args).seed == 0
+    args = parser.parse_args(["--generate", "cycle:n=5", "--seed", "7", "--trials", "3"])
     cfg = config_from_args(args)
-    assert cfg.seeds == [99]
+    assert (cfg.seed, cfg.trials) == (7, 3)
+
+
+@pytest.mark.parametrize(
+    "flag", [["--dense-cap", "40"], ["--seeds", "1,2"], ["--format", "edge-list"]]
+)
+def test_removed_flags_are_usage_errors(flag):
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["--generate", "cycle:n=5", *flag])
+    assert exc.value.code == 2
+
+
+def test_config_echo_holds_every_run_setting(tmp_path):
+    out = tmp_path / "echo"
+    assert main(["--generate", "cycle:n=5", "--ell", "2", "--k", "3", "--out", str(out)]) == 0
+    echo = json.loads(out.with_suffix(".json").read_text())["config_echo"]
+    names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+    assert set(echo) == names - {"out", "write_json", "write_csv"}
+    assert echo["seed"] == 0 and echo["ell_list"] == [2] and echo["gamma"] == 1.0
+
+    # numpy scalars from a library caller are echoed as plain numbers
+    cfg = ExperimentConfig(
+        generate="cycle:n=5", ell_list=[np.int64(2)], seed=np.int64(3), k=3, out=str(out)
+    )
+    assert run(cfg) == 0
+    echo = json.loads(out.with_suffix(".json").read_text())["config_echo"]
+    assert (echo["seed"], echo["ell_list"]) == (3, [2])
 
 
 def test_json_flag_is_gone():
@@ -276,8 +309,6 @@ def test_config_validation():
         ExperimentConfig(ell_list=[0])
     with pytest.raises(ValueError):
         ExperimentConfig(trials=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(seeds=[])
 
 
 def test_run_rows_carry_estimate_metadata(tmp_path):
@@ -286,7 +317,7 @@ def test_run_rows_carry_estimate_metadata(tmp_path):
         measure="katz",
         gamma=0.02,
         ell_list=[10, 20],
-        seeds=[3],
+        seed=3,
         out=str(tmp_path / "arrow"),
     )
     assert run(cfg) == 0
@@ -303,7 +334,7 @@ def test_run_rows_carry_estimate_metadata(tmp_path):
         measure="perron",
         epsilon=1e-3,
         ell_list=[20],
-        seeds=[3],
+        seed=3,
         out=str(tmp_path / "perron"),
     )
     assert run(cfg) == 0
@@ -313,11 +344,16 @@ def test_run_rows_carry_estimate_metadata(tmp_path):
     assert row["note"] is None
 
 
-def test_reference_above_dense_cap(tmp_path):
+def test_reference_above_dense_cap(tmp_path, monkeypatch):
     # a sparse digraph above the cap: subgraph has no exact reference there
     # and must fail; communicability and Katz stay exact
     spec = "er:n=300,p=0.01,seed=2"
-    argv = ["--generate", spec, "--dense-cap", "40", "--ell", "20"]
+    g = generate(spec)
+    exact_exp = np.sort(dense_matfun(g.dense(), exp_minus_one(1.0)).sum(axis=1))[::-1]
+    exact_katz = np.sort(dense_matfun(g.dense(), resolvent_minus_one(0.05)).sum(axis=1))[::-1]
+    monkeypatch.setattr(oracle, "DENSE_CAP", 40)
+    monkeypatch.setattr(matfun, "DENSE_CAP", 40)
+    argv = ["--generate", spec, "--ell", "20"]
     out = tmp_path / "subgraph"
     assert main(argv + ["--measure", "subgraph", "--out", str(out)]) == 1
     report = json.loads(out.with_suffix(".json").read_text())
@@ -330,23 +366,20 @@ def test_reference_above_dense_cap(tmp_path):
     assert main(argv + ["--measure", "communicability", "--out", str(out)]) == 0
     report = json.loads(out.with_suffix(".json").read_text())
     assert "failed" not in report
-    g = generate(spec)
-    exact = np.sort(dense_matfun(g.dense(), exp_minus_one(1.0)).sum(axis=1))[::-1]
     scores = np.array(report["report"]["reference"]["scores"])
     assert scores.size == 300
-    assert rel_err(scores, exact) <= 1e-12
+    assert rel_err(scores, exact_exp) <= 1e-12
 
-    # the certified sparse solve has no cap; the dense oracle runs uncapped
+    # the certified sparse solve has no cap; the dense oracle ran before the
+    # cap was lowered
     out = tmp_path / "katz"
     assert main(argv + ["--measure", "katz", "--gamma", "0.05", "--out", str(out)]) == 0
     report = json.loads(out.with_suffix(".json").read_text())
     assert "failed" not in report
     assert report["reference"]["method"] == "certified_gmres"
-    dense = dense_matfun(g.dense(), resolvent_minus_one(0.05), dense_cap=g.n)
-    exact = np.sort(dense.sum(axis=1))[::-1]
     scores = np.array(report["report"]["reference"]["scores"])
     assert scores.size == 300
-    assert rel_err(scores, exact) <= 1e-12
+    assert rel_err(scores, exact_katz) <= 1e-12
 
 
 def test_report_records_reference_provenance(tmp_path):
@@ -420,41 +453,54 @@ def test_undirected_edge_list_takes_the_arrow_route(tmp_path):
     assert [row["method"] for row in rows] == ["direct_core", "direct_core"]
 
 
+@pytest.mark.parametrize("measure, extra", [("subgraph", []), ("perron", ["--epsilon", "1e-3"])])
+def test_rows_count_sampler_fallback_draws(tmp_path, measure, extra):
+    # five disjoint 2-cycles: once a pair is sampled, every eligible column
+    # and row carries zero weight, so the guided samplers must fall back
+    path = tmp_path / "pairs.txt"
+    pairs = [(i, i ^ 1) for i in range(10)]
+    path.write_text("".join(f"{i} {j}\n" for i, j in pairs))
+    out = tmp_path / measure
+    argv = ["--input", str(path), "--measure", measure, *extra, "--ell", "4,5", "--trials", "2"]
+    assert main(argv + ["--k", "5", "--seed", "3", "--out", str(out)]) == 0
+    rows = json.loads(out.with_suffix(".json").read_text())["results"]
+    g = parse_edge_list(path.read_text().splitlines())
+    for row in rows:
+        ell, seed = row["ell"], row["seed"]
+        draws = sample_columns(g, ell, seed).fallback_draws
+        if measure == "perron":
+            draws += sample_rows(g, ell, seed + 1).fallback_draws
+        assert draws > 0
+        assert row["fallback_draws"] == draws
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
 def _bench_module(name):
-    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    path = BENCH / f"{name}.py"
     spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
+    # registered first: dataclasses look their module up while it executes
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
-def test_benchmark_cli_katz_check_passes(tmp_path):
-    # the cli-validation Katz invocation at the benchmark's toy size, judged
-    # by the benchmark's own report check against its sparse-LU references
-    checks, inputs = _bench_module("checks"), _bench_module("inputs")
-    edges = inputs.directed_er(200, 6, 1)
-    n = int(edges.max()) + 1
-    path = tmp_path / "cli_input.txt"
-    inputs.write_edge_list(path, edges)
-    ells, seed, trials, k = (10, 20), 1001, 2, 20
-    out = tmp_path / "cli_katz"
-    argv = [
-        "--input", str(path), "--measure", "katz", "--gamma", "0.05",
-        "--ell", ",".join(str(e) for e in ells), "--trials", str(trials),
-        "--k", str(k), "--csv", "--seed", str(seed), "--out", str(out),
-    ]  # fmt: skip
-    assert main(argv) == 0
+def _workload_names():
+    # the benchmark's declared workloads, read without importing bench/, so a
+    # broken benchmark fails these tests rather than this module's collection
+    text = (BENCH.parent / "BENCHMARK.json").read_text()
+    return [w["name"] for w in json.loads(text)["workloads"]]
 
-    a = inputs.adjacency(n, edges, directed=True)
-    with path.open() as handle:
-        g = parse_edge_list(handle, directed=True)
-    runs = {}
-    for ell in ells:
-        for s in range(seed, seed + trials):
-            J = sample_columns(g, ell, s)
-            masked = checks.MatfunReference(checks.column_mask(a, J.indices), "katz", 0.05)
-            runs[(ell, s)] = masked.rowsum
-    ref = checks.MatfunReference(a, "katz", 0.05).rowsum
-    report = json.loads(out.with_suffix(".json").read_text())
-    csv_text = out.with_suffix(".csv").read_text()
-    assert checks.check_cli_report(report, csv_text, k, ref, runs, seed, checks.REL_TOL, 1.0) == []
+
+@pytest.mark.parametrize("name", _workload_names())
+def test_benchmark_workload_passes_its_checks(tmp_path, monkeypatch, name):
+    # every benchmark workload at its toy size, through its own command lines
+    # and calls into the program, judged by its own checks
+    monkeypatch.syspath_prepend(str(BENCH))
+    workload = _bench_module("workloads").WORKLOADS[name](tmp_path, seed=3, toy=True)
+    workload.setup()
+    assert workload.setup_problems() == []
+    for op in workload.operations():
+        assert op.check(op.run()) == [], op.name

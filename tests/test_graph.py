@@ -110,6 +110,12 @@ def test_parse_matrix_market_coerces_values_to_one():
     assert g.dense()[0, 1] == 1.0
 
 
+@pytest.mark.parametrize("alias", ["edgelist", "edges", "mtx", "mm", "matrix-market-pattern"])
+def test_parse_accepts_only_the_two_format_names(alias):
+    with pytest.raises(ValueError, match="unknown graph format"):
+        parse_edge_list(["0 1"], format=alias)
+
+
 def test_remove_self_loops():
     g = parse_edge_list(["0 0", "0 1", "1 1"], directed=True)
     clean, removed = remove_self_loops(g)

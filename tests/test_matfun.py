@@ -20,6 +20,7 @@ from sampled_centrality import (
     sample_columns,
     transpose_measures,
 )
+from sampled_centrality import matfun
 from sampled_centrality.graph import ArrowMaskedOperator, ColumnMaskedOperator
 from sampled_centrality.matfun import (
     KrylovDecomposition,
@@ -455,11 +456,12 @@ def test_direct_core_resolvent_pole_detected():
         direct_core_evaluation(g, mask, resolvent_minus_one(1.0))
 
 
-def test_direct_core_respects_cap():
+def test_direct_core_respects_cap(monkeypatch):
     g = _er_digraph(30, 0.2, seed=1)
     mask = sample_columns(g, 10, seed=0)
+    monkeypatch.setattr(matfun, "DENSE_CAP", 5)
     with pytest.raises(EvaluationError, match="cap"):
-        direct_core_evaluation(g, mask, exp_minus_one(1.0), dense_cap=5)
+        direct_core_evaluation(g, mask, exp_minus_one(1.0))
 
 
 # -- structural invariants ----------------------------------------------------

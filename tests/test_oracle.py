@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -56,9 +58,10 @@ def test_dense_matfun_resolvent_requires_convergent_gamma():
     assert np.allclose(out, [[1.0 / 3.0, 2.0 / 3.0], [2.0 / 3.0, 1.0 / 3.0]], atol=1e-14)
 
 
-def test_dense_matfun_cap():
+def test_dense_matfun_cap(monkeypatch):
+    monkeypatch.setattr(oracle, "DENSE_CAP", 10)
     with pytest.raises(EvaluationError, match="capped"):
-        dense_matfun(np.zeros((11, 11)), exp_minus_one(1.0), dense_cap=10)
+        dense_matfun(np.zeros((11, 11)), exp_minus_one(1.0))
 
 
 def test_dense_exponential_semigroup_property():
@@ -138,6 +141,17 @@ def test_katz_rowsum_refuses_an_unfinished_solve(monkeypatch):
     monkeypatch.setattr(oracle, "_KATZ_RESTART", 4)
     with pytest.raises(EvaluationError, match=r"\|r\|_inf = .* after 4 GMRES steps, above"):
         katz_rowsum(g, 0.9 / rho)
+
+
+def test_katz_rowsum_refuses_a_stagnant_solve_early():
+    # gamma*rho is far above 1: restarted GMRES makes no progress on the
+    # indefinite I - gamma*A, and the solve stops after ten cycles without
+    # halving |r|_inf instead of spending its 2000-step budget
+    g = generate("er:n=2000,p=0.005,seed=1")
+    with pytest.raises(EvaluationError, match="x > 0 fails") as exc:
+        katz_rowsum(g, 1.0)
+    steps = int(re.search(r"after (\d+) GMRES steps", str(exc.value)).group(1))
+    assert steps <= 400
 
 
 def test_dense_left_perron_triangle():
