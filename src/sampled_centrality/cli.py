@@ -55,6 +55,8 @@ MATFUN_ROW_KEYS = (
 )
 # config fields that choose where and how the report is written, not echoed
 OUTPUT_FIELDS = ("out", "write_json", "write_csv")
+# the report keys that hold wall-clock seconds; the rest is deterministic
+TIMING_KEYS = ("timing", "load_s", "reference_s")
 
 
 @dataclass
@@ -228,23 +230,25 @@ def _scalar_function(cfg: ExperimentConfig) -> ScalarFunction:
 
 def _measure_scores(
     g: SparseGraph, cfg: ExperimentConfig, ell: int, seed: int
-) -> CentralityVector:
+) -> tuple[CentralityVector, float, float]:
+    """The estimate of one run, with its sampling and its scoring seconds."""
+    t0 = time.perf_counter()
     J = sample_columns(g, ell, seed, cfg.strategy)
     draws = J.fallback_draws
+    if cfg.measure == "perron" and g.directed:
+        I = sample_rows(g, ell, seed + 1, cfg.strategy)
+        draws += I.fallback_draws
+    t1 = time.perf_counter()
     if cfg.measure == "perron":
         pcfg = PerronConfig(epsilon=cfg.epsilon)
-        if g.directed:
-            I = sample_rows(g, ell, seed + 1, cfg.strategy)
-            draws += I.fallback_draws
-            result = left_perron(g, J, I, pcfg)
-        else:
-            result = symmetric_perron(g, J, pcfg)
+        result = left_perron(g, J, I, pcfg) if g.directed else symmetric_perron(g, J, pcfg)
         scores = result.vector
     else:
         result = evaluate_masked_function(g, J, _scalar_function(cfg), seed=seed)
         scores = result.diag if cfg.measure == "subgraph" else result.rowsum
+    t2 = time.perf_counter()
     params = {"ell": ell, "seed": seed, "strategy": cfg.strategy, "fallback_draws": draws}
-    return CentralityVector(scores, cfg.measure, params | result.metadata())
+    return CentralityVector(scores, cfg.measure, params | result.metadata()), t1 - t0, t2 - t1
 
 
 def _reference_scores(g: SparseGraph, cfg: ExperimentConfig) -> CentralityVector:
@@ -282,20 +286,24 @@ def run(cfg: ExperimentConfig) -> int:
     }
     labels = None
     try:
+        t0 = time.perf_counter()
         g = _load_graph(cfg)
+        report["load_s"] = time.perf_counter() - t0
         labels = g.labels
+        t0 = time.perf_counter()
         reference = _reference_scores(g, cfg)
+        report["reference_s"] = time.perf_counter() - t0
         report["reference"] = reference.params
         ref_ranking = rank_nodes(reference, cfg.k)
         candidates: list[tuple[str, Ranking]] = []
         seeds = range(cfg.seed, cfg.seed + cfg.trials)
         row_keys = PERRON_ROW_KEYS if cfg.measure == "perron" else MATFUN_ROW_KEYS
         for ell in cfg.ell_list:
-            times = []
+            sample_times, score_times = [], []
             for run_index, seed in enumerate(seeds):
-                t0 = time.perf_counter()
-                scores = _measure_scores(g, cfg, ell, seed)
-                times.append(time.perf_counter() - t0)
+                scores, sample_s, score_s = _measure_scores(g, cfg, ell, seed)
+                sample_times.append(sample_s)
+                score_times.append(score_s)
                 ranking = rank_nodes(scores, cfg.k)
                 if run_index == 0:
                     candidates.append((f"l={ell}", ranking))
@@ -310,6 +318,7 @@ def run(cfg: ExperimentConfig) -> int:
                     }
                     | {key: scores.params[key] for key in row_keys}
                 )
+            times = np.add(sample_times, score_times)
             report["timing"].append(
                 {
                     "ell": int(ell),
@@ -317,6 +326,8 @@ def run(cfg: ExperimentConfig) -> int:
                     "max": float(np.max(times)),
                     "min": float(np.min(times)),
                     "runs": len(times),
+                    "sample_mean": float(np.mean(sample_times)),
+                    "score_mean": float(np.mean(score_times)),
                 }
             )
         full = RankingReport(ref_ranking, candidates, k=cfg.k)

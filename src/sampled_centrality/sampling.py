@@ -9,6 +9,7 @@ should use distinct seeds (the CLI uses ``seed`` and ``seed + 1``).
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,10 +53,15 @@ class SampleSet:
 def draw_categorical(weights: np.ndarray, rng: np.random.Generator) -> int:
     """One index drawn with probability weights[i] / sum(weights).
 
-    Inverse-CDF over the running prefix sum; O(n) per draw and reproducible
-    for a given generator state.  Zero-weight indices are never returned.
+    The single-draw reference law of the guided sampler: inverse CDF over the
+    running prefix sum, O(n) per draw and reproducible for a given generator
+    state.  ``sample_columns`` no longer calls it; its blocked search returns
+    the same index for the same ``rng.random()``.  Zero-weight indices are
+    never returned.
     """
     w = np.asarray(weights, dtype=np.float64)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
     if np.any(w < 0):
         raise ValueError("weights must be nonnegative")
     cum = np.cumsum(w)
@@ -64,6 +70,48 @@ def draw_categorical(weights: np.ndarray, rng: np.random.Generator) -> int:
         raise ValueError("weights sum to zero")
     u = rng.random() * total
     return int(np.searchsorted(cum, u, side="right"))
+
+
+class _BlockSums:
+    """n integer counts, starting at 0, in blocks of isqrt(n) with their sums.
+
+    ``find(u)`` equals ``searchsorted(cumsum(values), u, "right")`` in
+    O(sqrt(n)): the block comes from the prefix sum of the block sums, the
+    index from ``base + cumsum(block)``.  Every partial sum is an integer
+    below 2**53, so exact in float64, and that comparison is the same test as
+    the full prefix sum's.  (``u - base`` is never formed: it can round.)
+    """
+
+    def __init__(self, n: int):
+        self.values = np.zeros(n)
+        self.width = math.isqrt(n)
+        self.block_sums = np.zeros(-(-n // self.width))
+        self._prefix: np.ndarray | None = None
+
+    def increment(self, idx: np.ndarray) -> None:
+        """Add 1 at each of the distinct indices ``idx``."""
+        self.values[idx] += 1.0
+        self.block_sums += np.bincount(idx // self.width, minlength=self.block_sums.size)
+        self._prefix = None
+
+    def clear(self, j: int) -> None:
+        self.block_sums[j // self.width] -= self.values[j]
+        self.values[j] = 0.0
+        self._prefix = None
+
+    def prefix(self) -> np.ndarray:
+        if self._prefix is None:
+            self._prefix = self.block_sums.cumsum()
+        return self._prefix
+
+    def find(self, u: float) -> int:
+        prefix = self.prefix()
+        block = int(prefix.searchsorted(u, side="right"))
+        lo = block * self.width
+        within = self.values[lo : lo + self.width].cumsum()
+        if block:
+            within += prefix[block - 1]
+        return lo + int(within.searchsorted(u, side="right"))
 
 
 def sample_columns(
@@ -77,6 +125,12 @@ def sample_columns(
     chosen or zero columns are discarded and redrawn.  If all remaining
     eligible columns carry zero weight the draw falls back to uniform over
     them (counted in ``fallback_draws``).
+
+    A draw costs O(sqrt(n) + degree), not O(n): weights and eligible columns
+    live in ``_BlockSums``, and the eligible weight is an exact integer.  The
+    generator calls, and so the samples, are those of the O(n) loop over
+    ``draw_categorical``: ``rng.integers`` for the first pick and for each
+    fallback, one ``rng.random()`` per categorical draw.
     """
     nz = g.nonzero_columns()
     if not 1 <= ell <= nz.size:
@@ -90,31 +144,36 @@ def sample_columns(
     if strategy != GUIDED:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    eligible = np.zeros(g.n, dtype=bool)
-    eligible[nz] = True
-    chosen: list[int] = []
+    # 1 on the nonzero columns not yet chosen; the k-th of them is find(k)
+    eligible = _BlockSums(g.n)
+    eligible.increment(nz)
     # accumulated sum of the selected columns; drives the guided draw
-    weights = np.zeros(g.n)
+    weights = _BlockSums(g.n)
+    eligible_weight = 0  # weights summed over eligible columns, exactly
+    chosen: list[int] = []
     fallback = 0
 
-    first = int(nz[rng.integers(nz.size)])
-    chosen.append(first)
-    eligible[first] = False
-    weights[g.column(first)] += 1.0
-
-    while len(chosen) < ell:
-        if weights[eligible].sum() == 0.0:
-            pool = np.flatnonzero(eligible)
-            j = int(pool[rng.integers(pool.size)])
+    j = int(nz[rng.integers(nz.size)])
+    while True:
+        chosen.append(j)
+        eligible_weight -= int(weights.values[j])
+        eligible.clear(j)
+        # the store's int32 indices take numpy's slower fancy-indexing path
+        rows = g.column(j).astype(np.intp)
+        weights.increment(rows)
+        eligible_weight += np.count_nonzero(eligible.values[rows])
+        if len(chosen) == ell:
+            break
+        if eligible_weight == 0:
+            # uniform over the nz.size - len(chosen) eligible columns
+            j = eligible.find(rng.integers(nz.size - len(chosen)))
             fallback += 1
         else:
+            total = weights.prefix()[-1]
             while True:
-                j = draw_categorical(weights, rng)
-                if eligible[j]:
+                j = weights.find(rng.random() * total)
+                if eligible.values[j]:
                     break
-        chosen.append(j)
-        eligible[j] = False
-        weights[g.column(j)] += 1.0
 
     return SampleSet(
         np.asarray(chosen, dtype=np.int64), "column", strategy, seed, g.n, fallback

@@ -29,6 +29,7 @@ from sampled_centrality.cli import (
     generate,
     main,
     run,
+    TIMING_KEYS,
     _parse_ell,
 )
 from conftest import rel_err
@@ -141,13 +142,14 @@ def test_run_star_perron_top_node_is_center(tmp_path):
 
 
 def _report_twice(tmp_path, **config):
-    """The JSON report without its timing section, and the CSV, of two runs."""
+    """The JSON report without its timing keys, and the CSV, of two runs."""
 
     def one(path):
         cfg = ExperimentConfig(**config, out=str(path), write_csv=True)
         assert run(cfg) == 0
         report = json.loads(path.with_suffix(".json").read_text())
-        del report["timing"]
+        for key in TIMING_KEYS:
+            del report[key]
         return (
             json.dumps(report, sort_keys=True),
             path.with_suffix(".csv").read_bytes(),
@@ -198,8 +200,25 @@ def test_run_katz_measure(tmp_path):
     assert run(cfg) == 0
     report = json.loads((tmp_path / "katz.json").read_text())
     assert "failed" not in report
-    assert set(report["timing"][0]) == {"ell", "mean", "max", "min", "runs"}
+    assert set(report["timing"][0]) == {
+        "ell", "mean", "max", "min", "runs", "sample_mean", "score_mean"
+    }
     assert report["timing"][0]["runs"] == 1
+
+
+def test_report_times_each_stage(tmp_path):
+    out = tmp_path / "timed"
+    cfg = ExperimentConfig(
+        generate="er:n=80,p=0.08,seed=2", ell_list=[10, 20], trials=3, out=str(out)
+    )
+    assert run(cfg) == 0
+    report = json.loads(out.with_suffix(".json").read_text())
+    assert report["load_s"] > 0 and report["reference_s"] > 0
+    for entry in report["timing"]:
+        assert entry["sample_mean"] > 0 and entry["score_mean"] > 0
+        # each run's time is its sampling plus its scoring
+        assert entry["sample_mean"] + entry["score_mean"] == pytest.approx(entry["mean"])
+        assert entry["min"] <= entry["mean"] <= entry["max"]
 
 
 def test_run_failure_writes_partial_report(tmp_path):

@@ -11,8 +11,10 @@ from sampled_centrality import (
     draw_categorical,
     sample_columns,
     sample_rows,
+    sampling,
     transpose,
 )
+from sampled_centrality.cli import generate
 from conftest import dataset_dir, directed_edge, requires_datasets, star
 
 
@@ -92,6 +94,14 @@ def test_categorical_rejects_bad_weights():
         draw_categorical(np.array([1.0, -1.0]), rng)
 
 
+def test_categorical_rejects_non_finite_weights():
+    # NaN and inf used to pass the sign check and return index n
+    rng = np.random.default_rng(0)
+    for bad in ([1.0, np.nan, 1.0], [1.0, np.inf, 0.0]):
+        with pytest.raises(ValueError, match="finite"):
+            draw_categorical(np.array(bad), rng)
+
+
 def test_zero_weight_fallback_flagged():
     # two disjoint directed edges: after the first column the weight vector
     # has no mass on the other eligible column
@@ -152,3 +162,121 @@ def test_paper_protocol_enron_row_sampling():
     s = sample_rows(g, 3000, seed=0)
     assert len(set(s.indices.tolist())) == 3000
     assert np.all(g.row_degrees[s.indices] > 0)
+
+
+def _reference_guided(g, ell, seed):
+    """The O(n)-per-draw guided loop over ``draw_categorical``, as it stood
+    before the blocked search: (indices, fallback_draws)."""
+    nz = g.nonzero_columns()
+    rng = np.random.default_rng(seed)
+    eligible = np.zeros(g.n, dtype=bool)
+    eligible[nz] = True
+    weights = np.zeros(g.n)
+    fallback = 0
+    j = int(nz[rng.integers(nz.size)])
+    chosen = []
+    while True:
+        chosen.append(j)
+        eligible[j] = False
+        weights[g.column(j)] += 1.0
+        if len(chosen) == ell:
+            return chosen, fallback
+        if weights[eligible].sum() == 0.0:
+            pool = np.flatnonzero(eligible)
+            j = int(pool[rng.integers(pool.size)])
+            fallback += 1
+        else:
+            while True:
+                j = draw_categorical(weights, rng)
+                if eligible[j]:
+                    break
+
+
+class _BoundedRng:
+    """A generator that fails after ``limit`` uniforms, so a rejection loop
+    that never ends fails the test instead of hanging it."""
+
+    def __init__(self, rng, limit=100_000):
+        self._rng = rng
+        self.left = limit
+
+    def random(self):
+        self.left -= 1
+        if self.left < 0:
+            raise AssertionError("guided sampler drew too many uniforms")
+        return self._rng.random()
+
+    def integers(self, high):
+        return self._rng.integers(high)
+
+
+def _equivalence_cases():
+    """(label, graph, ell, seed, transposed) for the sampler equivalence test."""
+    rng = np.random.default_rng(17)
+    cases = []
+    for n, m in ((30, 120), (200, 900), (1500, 6000)):
+        g = _random_graph(n=n, m=m, seed=n)
+        nz = g.nonzero_columns().size
+        for seed in range(3):
+            cases.append((f"directed n={n}", g, min(n // 3, nz), seed, False))
+            cases.append((f"rows n={n}", g, min(n // 3, g.nonzero_rows().size), seed, True))
+        cases.append((f"directed n={n} ell=nz", g, nz, 7, False))
+    for seed in range(4):
+        g = generate(f"pa:n={300 + 100 * seed},m=3,seed={seed}")
+        cases.append((f"pa seed={seed}", g, 60, seed, False))
+    g = generate("pa:n=150,m=2,seed=9")
+    cases.append(("pa ell=nz", g, g.nonzero_columns().size, 1, False))
+    # weight on never-eligible zero columns: the source nodes 0..99 point
+    # into 100..199, so draws on them are rejected
+    src = rng.integers(0, 200, size=800)
+    dst = rng.integers(100, 200, size=800)
+    sources = SparseGraph.from_edges(200, np.column_stack([src, dst]), directed=True)
+    for seed in range(3):
+        cases.append(("zero-column weight", sources, 40, seed, False))
+    cases.append(("zero-column weight ell=nz", sources, sources.nonzero_columns().size, 3, False))
+    pairs = SparseGraph.from_edges(4, np.array([[0, 1], [2, 3]]), directed=True)
+    cases.append(("two disjoint edges", pairs, 2, 0, False))
+    # 60 disjoint triangles and 40 disjoint directed edges: many fallbacks
+    tri = np.arange(180).reshape(60, 3)
+    edges = np.vstack(
+        [tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]], 180 + np.arange(80).reshape(40, 2)]
+    )
+    parts = SparseGraph.from_edges(260, edges, directed=True)
+    for seed in range(3):
+        cases.append(("components", parts, 100, seed, False))
+        cases.append(("components rows", parts, 100, seed, True))
+    cases.append(("components ell=nz", parts, parts.nonzero_columns().size, 4, False))
+    # self-loops on every fifth node
+    diagonal = np.repeat(np.arange(0, 100, 5), 2).reshape(-1, 2)
+    loops = np.vstack([rng.integers(0, 100, size=(300, 2)), diagonal])
+    looped = SparseGraph.from_edges(100, loops, directed=True)
+    for seed in range(3):
+        cases.append(("self-loops", looped, 30, seed, False))
+    cases.append(("self-loops ell=nz", looped, looped.nonzero_columns().size, 5, False))
+    return cases
+
+
+def test_guided_sampler_matches_the_o_n_loop(monkeypatch):
+    cases = _equivalence_cases()
+    assert len(cases) >= 30
+    real_rng = np.random.default_rng
+    monkeypatch.setattr(sampling.np.random, "default_rng", lambda s: _BoundedRng(real_rng(s)))
+    fallbacks = 0
+    for label, g, ell, seed, rows in cases:
+        target = transpose(g) if rows else g
+        expected, expected_fallback = _reference_guided(target, ell, seed)
+        s = (sample_rows if rows else sample_columns)(g, ell, seed)
+        assert s.indices.tolist() == expected, label
+        assert s.fallback_draws == expected_fallback, label
+        fallbacks += s.fallback_draws
+    assert fallbacks > 0
+
+
+def test_guided_sampler_makes_no_o_n_draw(monkeypatch):
+    def forbidden(weights, rng):
+        raise AssertionError("the guided sampler called draw_categorical")
+
+    monkeypatch.setattr(sampling, "draw_categorical", forbidden)
+    g = _random_graph(n=200, m=1000, seed=4)
+    assert len(sample_columns(g, 60, seed=1)) == 60
+    assert len(sample_rows(g, 60, seed=2)) == 60
