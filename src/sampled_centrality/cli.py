@@ -91,9 +91,10 @@ class ExperimentConfig:
 def generate(spec: str) -> SparseGraph:
     """Build a synthetic graph from a spec like ``er:n=60,p=0.1,seed=1``.
 
-    Kinds: er (directed by default; directed=0 for undirected), pa
-    (preferential attachment, undirected, m edges per new node), star, path,
-    cycle, two-cluster-bridge (two intra-dense halves joined by one edge).
+    Kinds: er (directed by default; directed=0 for undirected; O(n + m)),
+    pa (preferential attachment, undirected, m edges per new node), star,
+    path, cycle, two-cluster-bridge (two intra-dense halves joined by one
+    edge).
     """
     name, _, rest = spec.partition(":")
     params: dict[str, str] = {}
@@ -135,42 +136,66 @@ def generate(spec: str) -> SparseGraph:
 
 
 def _gen_erdos_renyi(n: int, p: float, seed: int, directed: bool = True) -> SparseGraph:
+    """Each of the n(n - 1) off-diagonal entries independently with probability p.
+
+    Geometric skip sampling (Batagelj & Brandes, Phys. Rev. E 71, 036113,
+    2005) jumps from one edge to the next over the slots in row-major order,
+    so the cost is O(n + m) rather than O(n^2).  The batch sizes only bound
+    memory: the draws, and so the graph, depend on (n, p, seed) alone.
+    Undirected graphs keep the slots with i < j.
+    """
     if n < 1 or not 0.0 <= p <= 1.0:
         raise ValueError("need n >= 1 and p in [0, 1]")
     rng = np.random.default_rng(seed)
-    edges = []
-    chunk = max(1, min(n, 2_000_000 // max(n, 1)))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        block = rng.random((stop - start, n)) < p
-        rows, cols = np.nonzero(block)
-        rows = rows + start
-        keep = rows != cols
-        edges.append(np.column_stack([rows[keep], cols[keep]]))
-    all_edges = np.vstack(edges) if edges else np.empty((0, 2), dtype=np.int64)
+    slots = n * (n - 1)
+    found = []
+    last = -1
+    # a skip of `slots` already ends the stream; capping the skips there keeps
+    # last + cumsum below 2^63
+    cap = max(1, 2**62 // max(slots, 1))
+    while p > 0.0 and last < slots - 1:
+        expected = (slots - 1 - last) * p
+        size = min(cap, 1 << 20, int(expected + 6.0 * np.sqrt(expected)) + 64)
+        skips = np.minimum(rng.geometric(p, size=size), slots)
+        positions = last + np.cumsum(skips)
+        found.append(positions[: np.searchsorted(positions, slots)])
+        last = int(positions[-1])
+    t = np.concatenate(found) if found else np.empty(0, dtype=np.int64)
+    rows, cols = np.divmod(t, max(n - 1, 1))
+    cols += cols >= rows
     if not directed:
-        all_edges = all_edges[all_edges[:, 0] < all_edges[:, 1]]
-    return SparseGraph.from_edges(n, all_edges, directed=directed)
+        keep = rows < cols
+        rows, cols = rows[keep], cols[keep]
+    return SparseGraph.from_edges(n, np.column_stack([rows, cols]), directed=directed)
 
 
 def _gen_preferential_attachment(n: int, m: int, seed: int) -> SparseGraph:
     """Barabasi-Albert growth: each new node attaches to m distinct existing
-    nodes with probability proportional to degree (repeated-endpoint trick)."""
+    nodes with probability proportional to degree (repeated-endpoint trick).
+
+    ``repeated`` is the flat list of (targets, m copies of source) blocks, one
+    per new node.  Each round draws its m picks in one generator call and
+    tops up only while some repeat; that gives the values of m one-at-a-time
+    calls, so the graph is that of the scalar loop.
+    """
     if n <= m or m < 1:
         raise ValueError("need n > m >= 1")
-    rng = np.random.default_rng(seed)
+    integers = np.random.default_rng(seed).integers
     targets = list(range(m))
     repeated: list[int] = []
-    edges: list[tuple[int, int]] = []
     for source in range(m, n):
-        edges.extend((source, t) for t in targets)
-        repeated.extend(targets)
-        repeated.extend([source] * m)
-        picked: set[int] = set()
+        repeated += targets
+        repeated += [source] * m
+        if source == n - 1:
+            break
+        size = len(repeated)
+        picked = {repeated[i] for i in integers(size, size=m).tolist()}
         while len(picked) < m:
-            picked.add(repeated[int(rng.integers(len(repeated)))])
+            picked.update(repeated[i] for i in integers(size, size=m - len(picked)).tolist())
         targets = sorted(picked)
-    return SparseGraph.from_edges(n, np.asarray(edges, dtype=np.int64), directed=False)
+    blocks = np.asarray(repeated, dtype=np.int64).reshape(-1, 2, m)
+    edges = np.column_stack([blocks[:, 1].ravel(), blocks[:, 0].ravel()])
+    return SparseGraph.from_edges(n, edges, directed=False)
 
 
 def _gen_star(leaves: int) -> SparseGraph:

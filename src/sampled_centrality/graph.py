@@ -14,10 +14,19 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Iterable, TextIO
+from itertools import islice
+from typing import Iterable, Iterator, NoReturn, TextIO
 
 import numpy as np
 import scipy.sparse as sp
+
+
+# the largest node id the int64 store takes, since n = 1 + max id
+MAX_NODE_ID = 2**63 - 2
+# characters (file) or lines (other iterables) per parsed block: bounds the
+# per-byte arrays of one vectorised pass
+_BLOCK_CHARS = 1 << 20
+_BLOCK_LINES = 1 << 16
 
 
 class GraphParseError(ValueError):
@@ -177,28 +186,109 @@ def parse_edge_list(
 
 
 def _parse_plain_edges(source, directed: bool) -> SparseGraph:
-    srcs: list[int] = []
-    dsts: list[int] = []
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line or line[0] in "#%":
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphParseError("expected 'src dst'", line=lineno)
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphParseError("node ids must be integers", line=lineno) from None
-        if i < 0 or j < 0:
-            raise GraphParseError("node ids must be nonnegative", line=lineno)
-        srcs.append(i)
-        dsts.append(j)
-    if not srcs:
+    """One vectorised pass per block of whole lines.
+
+    The grammar is that of ``_edge_line_problem``: ASCII whitespace separates
+    tokens, a line whose first token starts with '#' or '%' is a comment, and
+    every other nonblank line holds two ids of ASCII digits.
+    """
+    ids = []
+    first_line = 1
+    for block in _line_blocks(source):
+        values, lines = _parse_block(block.encode(), first_line)
+        ids.append(values)
+        first_line += lines
+    edges = np.concatenate(ids).reshape(-1, 2) if ids else np.empty((0, 2), dtype=np.int64)
+    if not edges.size:
         raise GraphParseError("graph has no edges")
-    edges = np.column_stack([np.asarray(srcs, dtype=np.int64), np.asarray(dsts, dtype=np.int64)])
     n = int(edges.max()) + 1
     return SparseGraph.from_edges(n, edges, directed=directed)
+
+
+def _line_blocks(source) -> Iterator[str]:
+    """The text of ``source`` in blocks of whole lines, each ending in a newline.
+
+    A file is read in chunks; any other iterable gives one line per item, in
+    which a newline is only whitespace.
+    """
+    read = getattr(source, "read", None)
+    if read is not None:
+        while block := read(_BLOCK_CHARS):
+            if not block.endswith("\n"):
+                block += source.readline()
+            yield block if block.endswith("\n") else block + "\n"
+        return
+    items = iter(source)
+    while chunk := list(islice(items, _BLOCK_LINES)):
+        yield "".join(line.replace("\n", " ") + "\n" for line in chunk)
+
+
+def _parse_block(data: bytes, first_line: int) -> tuple[np.ndarray, int]:
+    """The ids of one block of lines, whose first is line ``first_line``, and
+    its line count.  Raises the error of its first bad line."""
+    a = np.frombuffer(data, dtype=np.uint8)
+    space = (a == 32) | ((a >= 9) & (a <= 13))
+    step = np.diff((~space).view(np.int8), prepend=np.int8(0))
+    starts, ends = np.flatnonzero(step == 1), np.flatnonzero(step == -1)
+    newlines = np.flatnonzero(a == 10)
+    before = np.searchsorted(starts, newlines)  # tokens before each line end
+    per_line = np.diff(before, prepend=0)
+    # a line is a comment when its first token starts with '#' or '%'; every
+    # other byte that is neither space nor digit makes its line bad
+    odd = np.flatnonzero(~space & ((a < ord("0")) | (a > ord("9"))))
+    odd_line = np.searchsorted(newlines, odd)
+    lead = (a[odd] == ord("#")) | (a[odd] == ord("%"))
+    lead_line = odd_line[lead]
+    first_token = np.concatenate([[0], before[:-1]])[lead_line]
+    comment = np.zeros(newlines.size, dtype=bool)
+    comment[lead_line[starts[first_token] == odd[lead]]] = True
+    long = np.flatnonzero(ends - starts >= len(str(MAX_NODE_ID)))
+    long = long[~comment[np.searchsorted(newlines, starts[long])]]
+    if (
+        np.any((per_line != 0) & (per_line != 2) & ~comment)
+        or not comment[odd_line].all()
+        or any(int(data[starts[k] : ends[k]]) > MAX_NODE_ID for k in long)
+    ):
+        _raise_first_bad_line(data, first_line)
+    if not per_line[~comment].any():
+        return np.empty(0, dtype=np.int64), newlines.size
+    if comment.any():
+        # blank the comment lines, which are disjoint spans [lo, hi)
+        hi = newlines[comment]
+        lo = np.concatenate([[0], newlines[:-1] + 1])[comment]
+        inside = np.zeros(a.size + 1, dtype=np.int8)
+        inside[lo] = 1
+        inside[hi] = -1
+        text = a.copy()
+        text[np.cumsum(inside[:-1], dtype=np.int8).view(bool)] = ord(" ")
+        data = text.tobytes()
+    return np.fromstring(data, dtype=np.int64, sep=" "), newlines.size
+
+
+def _edge_line_problem(raw: bytes) -> str | None:
+    """Why one edge-list line is rejected, or None if it is a comment, blank
+    or a valid ``src dst`` pair."""
+    line = raw.strip()
+    if not line or line[:1] in (b"#", b"%"):
+        return None
+    parts = line.split()
+    if len(parts) != 2:
+        return "expected 'src dst'"
+    if not all(p.isdigit() or (p[:1] == b"-" and p[1:].isdigit()) for p in parts):
+        return "node ids must be integers"
+    if not all(p.isdigit() for p in parts):
+        return "node ids must be nonnegative"
+    if any(int(p) > MAX_NODE_ID for p in parts):
+        return f"node ids must be at most {MAX_NODE_ID}"
+    return None
+
+
+def _raise_first_bad_line(data: bytes, first_line: int) -> NoReturn:
+    for offset, raw in enumerate(data.split(b"\n")):
+        problem = _edge_line_problem(raw)
+        if problem is not None:
+            raise GraphParseError(problem, line=first_line + offset)
+    raise AssertionError("the vectorised edge-list check rejected a valid block")
 
 
 def _parse_matrix_market(source, directed: bool) -> SparseGraph:

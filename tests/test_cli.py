@@ -82,6 +82,83 @@ def test_generate_preferential_attachment():
     assert degrees.max() > 20  # hubs emerge
 
 
+def _scalar_loop_pa(n: int, m: int, seed: int) -> SparseGraph:
+    """Preferential attachment with one generator call per pick: the reference
+    stream that ``pa:`` specs must keep."""
+    rng = np.random.default_rng(seed)
+    targets = list(range(m))
+    repeated: list[int] = []
+    edges: list[tuple[int, int]] = []
+    for source in range(m, n):
+        edges.extend((source, t) for t in targets)
+        repeated.extend(targets)
+        repeated.extend([source] * m)
+        picked: set[int] = set()
+        while len(picked) < m:
+            picked.add(repeated[int(rng.integers(len(repeated)))])
+        targets = sorted(picked)
+    return SparseGraph.from_edges(n, np.asarray(edges, dtype=np.int64), directed=False)
+
+
+@pytest.mark.parametrize(
+    "n,m,seed",
+    [
+        (2, 1, 0), (50, 1, 3), (150, 2, 9), (120, 3, 4), (200, 3, 1),
+        (200, 5, 2), (300, 4, 3), (2000, 5, 0), (2000, 5, 7), (5000, 5, 1),
+    ],
+)
+def test_generate_pa_keeps_the_scalar_stream(n, m, seed):
+    g = generate(f"pa:n={n},m={m},seed={seed}")
+    ref = _scalar_loop_pa(n, m, seed)
+    assert np.array_equal(g.csr.indices, ref.csr.indices)
+    assert np.array_equal(g.csr.indptr, ref.csr.indptr)
+
+
+def test_generate_er_edge_cases():
+    assert generate("er:n=30,p=0,seed=1").edge_count == 0
+    full = generate("er:n=30,p=1,seed=1")
+    assert full.edge_count == 30 * 29
+    assert np.array_equal(full.dense(), 1.0 - np.eye(30))
+    assert generate("er:n=30,p=1,seed=1,directed=0").edge_count == 30 * 29
+    for directed in (0, 1):
+        one = generate(f"er:n=1,p=1,seed=0,directed={directed}")
+        assert one.n == 1 and one.edge_count == 0
+        two = generate(f"er:n=2,p=1,seed=0,directed={directed}")
+        assert two.entry_set() == {(0, 1), (1, 0)}
+    assert generate("er:n=2,p=0.5,seed=3").n == 2
+    with pytest.raises(ValueError):
+        generate("er:n=0,p=0.5")
+    with pytest.raises(ValueError):
+        generate("er:n=5,p=1.5")
+
+
+def test_generate_er_is_simple_and_symmetric_when_undirected():
+    for seed in range(5):
+        d = generate(f"er:n=300,p=0.05,seed={seed}")
+        assert np.count_nonzero(d.csr.diagonal()) == 0
+        u = generate(f"er:n=300,p=0.05,seed={seed},directed=0")
+        assert np.count_nonzero(u.csr.diagonal()) == 0
+        assert (u.csr != u.csr.T).nnz == 0
+
+
+def test_generate_er_edge_count_law():
+    n, p = 10_000, 5e-4
+    trials = n * (n - 1)
+    for seed in range(3):
+        count = generate(f"er:n={n},p={p},seed={seed}").edge_count
+        assert abs(count - trials * p) <= 6.0 * np.sqrt(trials * p * (1 - p))
+
+
+def test_generate_er_entry_frequencies():
+    # every off-diagonal entry appears with probability p, independently of
+    # its slot; the diagonal never does
+    n, p, runs = 6, 0.3, 400
+    counts = sum(generate(f"er:n={n},p={p},seed={seed}").dense() for seed in range(runs))
+    assert np.all(np.diagonal(counts) == 0)
+    off = counts[~np.eye(n, dtype=bool)]
+    assert np.all(np.abs(off - runs * p) <= 5.0 * np.sqrt(runs * p * (1 - p)))
+
+
 def test_generate_two_cluster_bridge():
     g = generate("two-cluster-bridge:n=100,intra_p=0.3,seed=5")
     half = 50

@@ -19,6 +19,7 @@ from sampled_centrality import (
     transpose,
     write_edge_list,
 )
+from sampled_centrality import graph as graph_module
 from conftest import dataset_dir, directed_edge, requires_datasets, undirected_edge
 
 
@@ -64,6 +65,168 @@ def test_parse_errors_carry_line_numbers():
         parse_edge_list(["a b"], directed=True)
     with pytest.raises(GraphParseError, match="no edges"):
         parse_edge_list(["# nothing"], directed=True)
+
+
+def _line_loop_parse(source, directed: bool) -> SparseGraph:
+    """The line-by-line edge-list parser that the vectorised one replaced: the
+    reference for every input both grammars share."""
+    srcs: list[int] = []
+    dsts: list[int] = []
+    for lineno, raw in enumerate(source, start=1):
+        line = raw.strip()
+        if not line or line[0] in "#%":
+            continue
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphParseError("expected 'src dst'", line=lineno)
+        try:
+            i, j = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphParseError("node ids must be integers", line=lineno) from None
+        if i < 0 or j < 0:
+            raise GraphParseError("node ids must be nonnegative", line=lineno)
+        srcs.append(i)
+        dsts.append(j)
+    if not srcs:
+        raise GraphParseError("graph has no edges")
+    edges = np.column_stack([np.asarray(srcs, dtype=np.int64), np.asarray(dsts, dtype=np.int64)])
+    return SparseGraph.from_edges(int(edges.max()) + 1, edges, directed=directed)
+
+
+def _same_graph(a: SparseGraph, b: SparseGraph) -> bool:
+    return (
+        a.directed == b.directed
+        and a.duplicates_collapsed == b.duplicates_collapsed
+        and np.array_equal(a.csr.indptr, b.csr.indptr)
+        and np.array_equal(a.csr.indices, b.csr.indices)
+    )
+
+
+def _parse_outcome(parse, text: str, as_file: bool, directed: bool = True):
+    source = io.StringIO(text) if as_file else text.split("\n")
+    try:
+        return parse(source, directed=directed)
+    except GraphParseError as exc:
+        return str(exc), exc.line
+
+
+VALID_EDGE_LISTS = [
+    "0 1\n1 2\n",
+    "# header\n\n% more\n0 1\n   # indented comment 9 9 9\n\n2 3\n",
+    "0 1\r\n1 2\r\n\r\n3 0\r\n",
+    "0\t1\n1 \t 2\n",
+    "0 1   \n  1 2\t \n",
+    "0 1\n1 2",
+    "% only a header\n5 5\n5 6\n5 6\n007 0010\n",
+    "#0 1 2\n%x\n1 0\n",
+]
+
+INVALID_EDGE_LISTS = [
+    ("0 1\n1 2 3\n", 2, "expected 'src dst'"),
+    ("0 1\n\n5\n", 3, "expected 'src dst'"),
+    ("a b\n", 1, "node ids must be integers"),
+    ("0 1\n-1 2\n", 2, "node ids must be nonnegative"),
+    ("0 1\n1 2 # c\n", 2, "expected 'src dst'"),
+    ("0 1\n1 2#\n", 2, "node ids must be integers"),
+    ("0 1\n-1 x\n", 2, "node ids must be integers"),
+    ("# one\n% two\n\n", None, "graph has no edges"),
+    ("", None, "graph has no edges"),
+]
+
+
+@pytest.mark.parametrize("text", VALID_EDGE_LISTS)
+def test_parse_matches_the_line_loop_on_valid_input(text):
+    for as_file in (True, False):
+        for directed in (True, False):
+            got = _parse_outcome(parse_edge_list, text, as_file, directed)
+            want = _parse_outcome(_line_loop_parse, text, as_file, directed)
+            assert isinstance(got, SparseGraph) and _same_graph(got, want)
+
+
+@pytest.mark.parametrize("text,line,message", INVALID_EDGE_LISTS)
+def test_parse_matches_the_line_loop_on_invalid_input(text, line, message):
+    for as_file in (True, False):
+        got = _parse_outcome(parse_edge_list, text, as_file)
+        assert got == _parse_outcome(_line_loop_parse, text, as_file)
+        assert got[1] == line and got[0].endswith(message)
+
+
+def test_parse_random_text_matches_the_line_loop():
+    # random lines of small tokens, on which both grammars agree
+    rng = np.random.default_rng(11)
+    tokens = ["0", "1", "2", "7", "12", "007", "x", "1x", "#", "%", "#3", "-1", "3%"]
+    spaces = [" ", " ", "\t", "  ", " \t"]
+    for _ in range(300):
+        lines = []
+        for _ in range(int(rng.integers(0, 6))):
+            words = rng.choice(tokens, size=int(rng.choice([0, 1, 2, 2, 2, 3])))
+            gaps = rng.choice(spaces, size=words.size + 1)
+            line = "".join(g + w for g, w in zip(gaps, words)) + gaps[-1] * int(rng.integers(2))
+            lines.append(line + rng.choice(["", "\r"]))
+        text = "\n".join(lines) + rng.choice(["", "\n"])
+        for as_file in (True, False):
+            got = _parse_outcome(parse_edge_list, text, as_file)
+            want = _parse_outcome(_line_loop_parse, text, as_file)
+            if isinstance(want, SparseGraph):
+                assert isinstance(got, SparseGraph) and _same_graph(got, want), repr(text)
+            else:
+                assert got == want, repr(text)
+
+
+def test_parse_finds_the_bad_line_past_the_first_block(monkeypatch):
+    monkeypatch.setattr(graph_module, "_BLOCK_CHARS", 16)
+    monkeypatch.setattr(graph_module, "_BLOCK_LINES", 3)
+    lines = [f"{i} {i + 1}" for i in range(40)]
+    lines[26] = "# comment"
+    text = "\n".join(lines) + "\n"
+    for as_file in (True, False):
+        got = _parse_outcome(parse_edge_list, text, as_file)
+        assert _same_graph(got, _line_loop_parse(text.split("\n"), directed=True))
+    lines[31] = "31 x"
+    text = "\n".join(lines) + "\n"
+    for as_file in (True, False):
+        assert _parse_outcome(parse_edge_list, text, as_file) == (
+            "line 32: node ids must be integers",
+            32,
+        )
+
+
+def test_parse_ids_are_ascii_digits():
+    # forms that int() and str.split() accept but the edge-list grammar does not
+    for line, message in (
+        ("+1 2", "node ids must be integers"),
+        ("1_0 2", "node ids must be integers"),
+        ("\u0661 2", "node ids must be integers"),
+        ("-0 2", "node ids must be nonnegative"),
+        ("1\u00a02", "expected 'src dst'"),
+        ("1\x1c2", "expected 'src dst'"),
+    ):
+        with pytest.raises(GraphParseError, match=f"line 2: {message}"):
+            parse_edge_list(["0 1", line])
+
+
+def test_parse_rejects_ids_beyond_int64_with_a_line_number():
+    for ids in ("99999999999999999999 1", "0 9223372036854775807"):
+        with pytest.raises(GraphParseError, match="line 2: node ids must be at most") as info:
+            parse_edge_list(["0 1", ids])
+        assert info.value.line == 2
+        with pytest.raises(GraphParseError, match="line 2"):
+            parse_edge_list(io.StringIO(f"0 1\n{ids}\n"))
+    # leading zeros make a long token, not a large id
+    g = parse_edge_list(["0 1", "00000000000000000000002 1"])
+    assert g.n == 3 and g.entry_set() == {(0, 1), (2, 1)}
+
+
+def test_edge_list_round_trip_at_scale():
+    rng = np.random.default_rng(12)
+    for directed in (True, False):
+        g = SparseGraph.from_edges(3000, rng.integers(0, 3000, size=(10_000, 2)), directed=directed)
+        buf = io.StringIO()
+        write_edge_list(g, buf)
+        buf.seek(0)
+        h = parse_edge_list(buf, directed=directed)
+        assert np.array_equal(h.csr.indptr, g.csr.indptr)
+        assert np.array_equal(h.csr.indices, g.csr.indices)
 
 
 MM_GENERAL = """%%MatrixMarket matrix coordinate pattern general

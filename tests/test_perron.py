@@ -16,7 +16,6 @@ from sampled_centrality import (
     sample_rows,
     symmetric_perron,
 )
-from sampled_centrality.cli import generate
 from sampled_centrality.perron import (
     power_iteration,
     product_transpose_apply,
@@ -98,10 +97,24 @@ def test_left_perron_period_two_exit_is_exact_eigenvector():
     assert res.residual <= 1e-8
 
 
+def _dense_stream_er(n: int, p: float, seed: int) -> SparseGraph:
+    """The digraph that ``er:`` specs gave before the generator became O(n + m):
+    entry (i, j), i != j, wherever the uniform of slot i*n + j is below p."""
+    rng = np.random.default_rng(seed)
+    edges = []
+    rows_per_block = max(1, 2_000_000 // n)
+    for start in range(0, n, rows_per_block):
+        rows, cols = np.nonzero(rng.random((min(rows_per_block, n - start), n)) < p)
+        rows += start
+        keep = rows != cols
+        edges.append(np.column_stack([rows[keep], cols[keep]]))
+    return SparseGraph.from_edges(n, np.vstack(edges), directed=True)
+
+
 def test_left_perron_guided_er_cycle_exits_early():
     # a guided 300-node product of a sparse ER digraph whose uniform-start
     # iterates alternate forever; the exit stops within a few iterations
-    g = generate("er:n=5000,p=0.002,seed=1")
+    g = _dense_stream_er(5000, 0.002, seed=1)
     J = sample_columns(g, 300, 3, "guided")
     I = sample_rows(g, 300, 4, "guided")
     res = left_perron(g, J, I, PerronConfig(epsilon=0.0))
