@@ -49,7 +49,9 @@ from .sampling import sample_columns, sample_rows
 
 MEASURES = ("subgraph", "communicability", "katz", "perron")
 # estimate metadata copied into each report["results"] row
-PERRON_ROW_KEYS = ("fallback_draws", "iterations", "converged", "note", "residual")
+PERRON_ROW_KEYS = (
+    "fallback_draws", "sample_overlap", "iterations", "converged", "note", "residual"
+)
 MATFUN_ROW_KEYS = (
     "fallback_draws", "method", "fallback_reason", "condition_estimate", "spectral_radius_estimate"
 )
@@ -260,9 +262,12 @@ def _measure_scores(
     t0 = time.perf_counter()
     J = sample_columns(g, ell, seed, cfg.strategy)
     draws = J.fallback_draws
+    overlap = None
     if cfg.measure == "perron" and g.directed:
         I = sample_rows(g, ell, seed + 1, cfg.strategy)
         draws += I.fallback_draws
+        # A_cols(J) @ A_rows(I) has rank at most |J & I|, and is zero without it
+        overlap = int(np.intersect1d(J.indices, I.indices).size)
     t1 = time.perf_counter()
     if cfg.measure == "perron":
         pcfg = PerronConfig(epsilon=cfg.epsilon)
@@ -272,7 +277,13 @@ def _measure_scores(
         result = evaluate_masked_function(g, J, _scalar_function(cfg), seed=seed)
         scores = result.diag if cfg.measure == "subgraph" else result.rowsum
     t2 = time.perf_counter()
-    params = {"ell": ell, "seed": seed, "strategy": cfg.strategy, "fallback_draws": draws}
+    params = {
+        "ell": ell,
+        "seed": seed,
+        "strategy": cfg.strategy,
+        "fallback_draws": draws,
+        "sample_overlap": overlap,
+    }
     return CentralityVector(scores, cfg.measure, params | result.metadata()), t1 - t0, t2 - t1
 
 

@@ -187,11 +187,11 @@ def katz_rowsum(g: SparseGraph, gamma: float) -> KatzRowsum:
 
 
 def dense_left_perron(g: SparseGraph, tol: float = 1e-10) -> PerronResult:
-    """Left Perron vector of A by power iteration on A^T, uniform start.
+    """Left Perron vector of A by power iteration on A^T + I, uniform start.
 
-    Bipartite-type spectra (dominant +/- pair) make plain power iteration
-    cycle with period 2; that cycle is detected and the +lambda eigenvector
-    on the span of the two iterates is returned with ``converged=False``.
+    The shift makes imprimitive spectra, such as the dominant +/- pair of a
+    bipartite graph, converge to the +lambda eigenvector; ``tol`` bounds the
+    relative eigen-residual of the result.
     """
     if g.n < 1:
         raise ValueError("graph is empty")

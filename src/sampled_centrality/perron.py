@@ -7,18 +7,16 @@ the iteration away from non-unique dominant eigenvectors and is likewise
 applied implicitly.
 
 ``power_iteration`` is the one iteration behind every Perron route.  It
-starts from the uniform vector and stops on convergence or on a cycle of
-period h <= ``MAX_PERIOD``, the case of an imprimitive operator whose
-dominant eigenvalues are lambda times the h-th roots of unity; there it
-returns the exact +lambda eigenvector of the span of the cycling iterates.
-Every result carries its relative eigen-residual |P v - lambda v| / lambda,
-which exposes a vector that is no eigenvector (a longer cycle, or an
-iteration that ran out of steps) whatever the stopping rule said.
+iterates P + I from the uniform vector: the shift by the identity makes an
+irreducible nonnegative P primitive without changing its Perron vector
+(Perron-Frobenius), so imprimitive spectra, whose dominant eigenvalues are
+lambda times the h-th roots of unity, converge like any other.  It stops on
+the relative eigen-residual |P v - lambda v| / lambda that every result
+carries.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable
 
@@ -29,8 +27,6 @@ from .sampling import SampleSet
 
 
 MAX_ITER = 100_000
-# longest cycle of iterates recognised as a periodic (imprimitive) spectrum
-MAX_PERIOD = 8
 
 
 class RankDeficientProductError(RuntimeError):
@@ -41,8 +37,10 @@ class RankDeficientProductError(RuntimeError):
 class PerronConfig:
     """Perturbation and stopping tolerance of the power iteration.
 
-    ``seed`` is read by nothing: the iteration always starts from the uniform
-    vector.  It is kept only because ``bench/workloads.py`` still passes it.
+    ``tol`` is the relative eigen-residual |P v - lambda v| / lambda at which
+    the iteration stops.  ``seed`` is read by nothing: the iteration always
+    starts from the uniform vector.  It is kept only because
+    ``bench/workloads.py`` still passes it.
     """
 
     epsilon: float = 0.0
@@ -87,14 +85,15 @@ def product_transpose_apply(
     """Returns v -> (M + E)^T v for M = A_cols(J) @ A_rows(I), never forming M."""
     Js = np.unique(np.asarray(J.indices, dtype=np.int64))
     Is = np.unique(np.asarray(I.indices, dtype=np.int64))
-    cols = g.csc[:, Js]
-    rows = g.csr[Is, :]
+    # transposed once here: a scipy .T view costs more than the product itself
+    cols_t = g.csc[:, Js].T
+    rows_t = g.csr[Is, :].T
     n = g.n
 
     def apply(v: np.ndarray) -> np.ndarray:
         t = np.zeros(n)
-        t[Js] = cols.T @ v
-        w = rows.T @ t[Is]
+        t[Js] = cols_t @ v
+        w = rows_t @ t[Is]
         if epsilon > 0:
             w = w + epsilon * float(v.sum())
         return w
@@ -108,9 +107,10 @@ def symmetric_product_apply(
     """Returns v -> (M + E) v for the symmetric M = A_cols(J) @ A_cols(J)^T."""
     Js = np.unique(np.asarray(J.indices, dtype=np.int64))
     cols = g.csc[:, Js]
+    cols_t = cols.T
 
     def apply(v: np.ndarray) -> np.ndarray:
-        w = cols @ (cols.T @ v)
+        w = cols @ (cols_t @ v)
         if epsilon > 0:
             w = w + epsilon * float(v.sum())
         return w
@@ -121,75 +121,50 @@ def symmetric_product_apply(
 def power_iteration(
     apply: Callable[[np.ndarray], np.ndarray], n: int, cfg: PerronConfig
 ) -> PerronResult:
-    """Normalized power iteration from the uniform start.
+    """Normalized power iteration on P + I from the uniform start.
 
-    Every operator iterated here is entrywise nonnegative, so the iterates
-    stay nonnegative and a zero iterate would recur from any positive start:
-    it raises ``RankDeficientProductError``.  Convergence is a 2-norm
-    difference of successive iterates below ``cfg.tol``.  A period-h cycle,
-    2 <= h <= ``MAX_PERIOD`` (an iterate within ``cfg.tol`` of the one h
-    steps back, while successive iterates stay more than sqrt(``cfg.tol``)
-    apart), returns the +lambda eigenvector on the span of the last h
-    iterates with ``converged=False``.
+    Each step forms w = P v and lambda = v^T w, and stops once
+    |w - lambda v| <= ``cfg.tol`` * lambda; otherwise v <- (w + v) / |w + v|.
+    Every P iterated here is entrywise nonnegative.  For an irreducible P the
+    shifted operator is primitive with the same Perron vector, so the
+    iteration converges whatever the period of P's spectrum.
+
+    Shifted iterates never vanish, so rank deficiency is read off the
+    supports s_k = supp(P^k 1), which only shrink: an empty s_k means P^k
+    maps the uniform start to zero and raises ``RankDeficientProductError``
+    at iterate k.  The test ends once a support repeats, which with
+    epsilon > 0 is after the first step.
     """
     v = np.full(n, 1.0 / np.sqrt(n))
-    # the last MAX_PERIOD iterates v_j, newest last, each with the norm c_j
-    # of P v_{j-1} that produced it (none for the start) and its entry sum
-    history: deque = deque([(v, None, float(v.sum()))], maxlen=MAX_PERIOD)
-    sum_gap = np.sqrt(n) * cfg.tol
-    note = None
-    converged = False
-    iterations = 0
-
-    while iterations < MAX_ITER:
-        iterations += 1
+    # s_k for the current k, None once it has repeated
+    support = np.ones(n, dtype=bool)
+    for iterations in range(1, MAX_ITER + 1):
         w = apply(v)
-        norm = float(np.linalg.norm(w))
-        if norm == 0.0:
-            raise RankDeficientProductError(
-                f"rank-deficient product: iterate {iterations} collapsed to zero"
-            )
-        v_new = w / norm
-        step = float(np.linalg.norm(v_new - v))
-        if step <= cfg.tol:
-            converged = True
-            if iterations == 1 and cfg.epsilon == 0.0:
-                note = (
-                    "start vector is an exact fixed point; the dominant "
-                    "eigenvalue may be non-simple and the result start-dependent"
+        if support is not None:
+            # the uniform v has the support of 1, so its image gives s_1 free
+            image = w if iterations == 1 else apply(support.astype(np.float64))
+            nonzero = image > 0
+            if not nonzero.any():
+                raise RankDeficientProductError(
+                    f"rank-deficient product: iterate {iterations} collapsed to zero"
                 )
-            v = v_new
+            support = None if np.array_equal(nonzero, support) else nonzero
+        eigenvalue = float(v @ w)
+        gap = float(np.linalg.norm(w - eigenvalue * v))
+        converged = gap <= cfg.tol * eigenvalue
+        if converged or iterations == MAX_ITER:
             break
-        # a decaying subdominant eigenvalue also brings v_new close to an
-        # earlier iterate; only a one-step difference far above tol is a cycle.
-        # |sum(a - b)| <= sqrt(n) |a - b| screens the candidates cheaply.
-        total = float(v_new.sum())
-        period = None
-        if step > np.sqrt(cfg.tol):
-            period = next(
-                (
-                    h
-                    for h in range(2, len(history) + 1)
-                    if abs(total - history[-h][2]) <= sum_gap
-                    and float(np.linalg.norm(v_new - history[-h][0])) <= cfg.tol
-                ),
-                None,
-            )
-        history.append((v_new, norm, total))
-        if period:
-            v = _cycle_eigenvector(list(history)[-period:])
-            note = (
-                f"period-{period} oscillation detected; "
-                "returning the +lambda eigenvector of the cycle"
-            )
-            break
-        v = v_new
-    else:
-        note = f"no convergence within {MAX_ITER} iterations"
+        v = v + w
+        v /= np.linalg.norm(v)
 
-    image = apply(v)
-    eigenvalue = float(v @ image)
-    gap = float(np.linalg.norm(image - eigenvalue * v))
+    note = None
+    if not converged:
+        note = f"no convergence within {MAX_ITER} iterations"
+    elif iterations == 1 and cfg.epsilon == 0.0:
+        note = (
+            "start vector is an exact fixed point; the dominant "
+            "eigenvalue may be non-simple and the result start-dependent"
+        )
     return PerronResult(
         vector=v,
         eigenvalue_estimate=eigenvalue,
@@ -198,20 +173,6 @@ def power_iteration(
         residual=gap / eigenvalue if eigenvalue > 0 else np.inf,
         note=note,
     )
-
-
-def _cycle_eigenvector(cycle: list[tuple[np.ndarray, float, float]]) -> np.ndarray:
-    """+lambda eigenvector of P on the span of a cycle of iterates.
-
-    ``cycle`` holds v_1 .. v_h with P v_j = c_{j+1} v_{j+1} and P v_h = c_1 v_1,
-    so lambda = (c_1 ... c_h)^(1/h) and x = sum_j w_j v_j with w_1 = 1 and
-    w_{j+1} = w_j c_{j+1} / lambda satisfies P x = lambda x.
-    """
-    norms = np.array([c for _, c, _ in cycle])
-    lam = float(np.prod(norms)) ** (1.0 / len(cycle))
-    weights = np.cumprod(np.concatenate([[1.0], norms[1:] / lam]))
-    x = sum(wj * vj for wj, (vj, _, _) in zip(weights, cycle))
-    return x / np.linalg.norm(x)
 
 
 def left_perron(

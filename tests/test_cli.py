@@ -570,6 +570,28 @@ def test_rows_count_sampler_fallback_draws(tmp_path, measure, extra):
         assert row["fallback_draws"] == draws
 
 
+def test_perron_rows_record_the_sample_overlap(tmp_path):
+    # |J & I| bounds the rank of the directed product; undirected rows have no I
+    spec = "er:n=300,p=0.03,seed=2"
+    argv = ["--measure", "perron", "--epsilon", "1e-3", "--ell", "40,80", "--trials", "3"]
+    assert main(["--generate", spec, *argv, "--seed", "5", "--out", str(tmp_path / "d")]) == 0
+    rows = json.loads((tmp_path / "d.json").read_text())["results"]
+    g = generate(spec)
+    overlaps = []
+    for row in rows:
+        ell, seed, strategy = row["ell"], row["seed"], row["strategy"]
+        J = sample_columns(g, ell, seed, strategy)
+        I = sample_rows(g, ell, seed + 1, strategy)
+        overlaps.append(len(set(J.indices.tolist()) & set(I.indices.tolist())))
+    assert [row["sample_overlap"] for row in rows] == overlaps
+    assert max(overlaps) > 0
+
+    spec = "pa:n=100,m=3,seed=1"
+    assert main(["--generate", spec, *argv, "--seed", "5", "--out", str(tmp_path / "u")]) == 0
+    rows = json.loads((tmp_path / "u.json").read_text())["results"]
+    assert [row["sample_overlap"] for row in rows] == [None] * 6
+
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 

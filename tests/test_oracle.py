@@ -163,12 +163,13 @@ def test_dense_left_perron_triangle():
 
 
 def test_dense_left_perron_star_bipartite_average():
-    res = dense_left_perron(star(3))
+    assert dense_left_perron(star(3)).converged
+    res = dense_left_perron(star(3), tol=1e-12)
     expected = np.array([np.sqrt(3.0), 1.0, 1.0, 1.0]) / np.sqrt(6.0)
     assert np.allclose(res.vector, expected, atol=1e-8)
     assert res.eigenvalue_estimate == pytest.approx(np.sqrt(3.0), abs=1e-8)
-    assert not res.converged
-    assert "oscillation" in res.note
+    assert res.converged
+    assert res.note is None
     assert res.residual <= 1e-8
 
 
@@ -191,28 +192,29 @@ def test_dense_left_perron_two_cycle_random_start_oscillates():
 
 def test_dense_left_perron_non_normal_cycle_exact_eigenvector():
     # A^T maps span{e0+e1, e2+e3} into itself with gains 1 and 2, so the
-    # uniform start alternates; the +sqrt(2) eigenvector weighs the two
-    # directions by the square roots of the gains, not equally
+    # unshifted uniform start alternates; the +sqrt(2) eigenvector weighs the
+    # two directions by the square roots of the gains, not equally
     edges = np.array([(0, 3), (1, 2), (2, 0), (2, 1), (3, 0), (3, 1)])
     g = SparseGraph.from_edges(4, edges, directed=True)
-    res = dense_left_perron(g)
+    assert dense_left_perron(g).converged
+    res = dense_left_perron(g, tol=1e-12)
     expected = np.array([1.0, 1.0, 1.0 / np.sqrt(2.0), 1.0 / np.sqrt(2.0)]) / np.sqrt(3.0)
     assert np.max(np.abs(res.vector - expected)) <= 1e-12
     assert res.eigenvalue_estimate == pytest.approx(np.sqrt(2.0), abs=1e-12)
-    assert not res.converged
-    assert "oscillation" in res.note
+    assert res.converged
+    assert res.note is None
     assert res.residual <= 1e-8
 
 
 def test_dense_left_perron_period_three_exact_eigenvector():
-    # every cycle has length 3 (0 -> {1, 2} -> 3 -> 0), so the uniform start
-    # cycles through three directions; rho = 2^(1/3)
+    # every cycle has length 3 (0 -> {1, 2} -> 3 -> 0), so the unshifted
+    # uniform start cycles through three directions; rho = 2^(1/3)
     edges = np.array([(0, 1), (0, 2), (1, 3), (2, 3), (3, 0)])
     g = SparseGraph.from_edges(4, edges, directed=True)
-    res = dense_left_perron(g)
-    assert res.iterations <= 10
-    assert not res.converged
-    assert "period-3 oscillation" in res.note
+    assert dense_left_perron(g).converged
+    res = dense_left_perron(g, tol=1e-12)
+    assert res.converged
+    assert res.note is None
     lam = res.eigenvalue_estimate
     assert abs(lam - 2.0 ** (1.0 / 3.0)) <= 1e-12
     assert np.linalg.norm(g.dense().T @ res.vector - lam * res.vector) <= 1e-12

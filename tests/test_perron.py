@@ -22,6 +22,7 @@ from sampled_centrality.perron import (
     symmetric_product_apply,
 )
 from conftest import (
+    directed_path,
     directed_two_cycle,
     full_column_sample,
     full_row_sample,
@@ -79,16 +80,16 @@ def test_left_perron_two_cycle_without_epsilon_stagnates():
 
 def test_left_perron_period_two_exit_is_exact_eigenvector():
     # from the uniform start, M^T = (A^2)^T alternates between two directions
-    # with unequal gains (0.853 and 1.173, product 1): the exit must weigh
-    # them by the square roots of the gains to hit the lambda = 1 eigenvector
+    # with unequal gains (0.853 and 1.173, product 1); the shifted iteration
+    # converges to the lambda = 1 eigenvector all the same
     edges = np.array([(0, 4), (1, 3), (3, 0), (3, 2), (4, 5), (5, 3)])
     g = SparseGraph.from_edges(6, edges, directed=True)
     J = full_column_sample(g)
     I = full_row_sample(g)
-    res = left_perron(g, J, I, PerronConfig(epsilon=0.0))
-    assert res.iterations <= 10
-    assert not res.converged
-    assert "oscillation" in res.note
+    assert left_perron(g, J, I).converged
+    res = left_perron(g, J, I, PerronConfig(tol=1e-12))
+    assert res.converged
+    assert res.note is None
     assert res.eigenvalue_estimate == pytest.approx(1.0, abs=1e-12)
     apply = product_transpose_apply(g, J, I)
     residual = apply(res.vector) - res.eigenvalue_estimate * res.vector
@@ -112,15 +113,15 @@ def _dense_stream_er(n: int, p: float, seed: int) -> SparseGraph:
 
 
 def test_left_perron_guided_er_cycle_exits_early():
-    # a guided 300-node product of a sparse ER digraph whose uniform-start
-    # iterates alternate forever; the exit stops within a few iterations
+    # a guided 300-node product of a sparse ER digraph whose unshifted
+    # uniform-start iterates alternate forever
     g = _dense_stream_er(5000, 0.002, seed=1)
     J = sample_columns(g, 300, 3, "guided")
     I = sample_rows(g, 300, 4, "guided")
-    res = left_perron(g, J, I, PerronConfig(epsilon=0.0))
-    assert res.iterations <= 20
-    assert not res.converged
-    assert "oscillation" in res.note
+    assert left_perron(g, J, I).converged
+    res = left_perron(g, J, I, PerronConfig(tol=1e-12))
+    assert res.converged
+    assert res.note is None
     apply = product_transpose_apply(g, J, I)
     lam = res.eigenvalue_estimate
     assert np.linalg.norm(apply(res.vector) - lam * res.vector) <= 1e-12 * lam
@@ -130,7 +131,7 @@ def test_left_perron_guided_er_cycle_exits_early():
 def test_power_iteration_longer_cycles_exit_exactly():
     # complete bipartite links between successive layers of a ring of h
     # layers of unequal sizes: every cycle length is a multiple of h, and the
-    # uniform start cycles through h directions with unequal gains
+    # unshifted uniform start cycles through h directions with unequal gains
     for sizes in ((1, 2, 3, 1), (2, 1, 3, 1, 2), (1, 2, 1, 3, 1, 2, 1, 2)):
         h = len(sizes)
         first = np.cumsum((0,) + sizes)
@@ -138,10 +139,10 @@ def test_power_iteration_longer_cycles_exit_exactly():
         edges = [(i, j) for k in range(h) for i in layers[k] for j in layers[(k + 1) % h]]
         g = SparseGraph.from_edges(int(first[-1]), np.array(edges), directed=True)
         at = g.csr.T.toarray()
-        res = power_iteration(lambda v: at @ v, g.n, PerronConfig())
-        assert res.iterations <= 2 * h
-        assert not res.converged
-        assert f"period-{h} oscillation" in res.note
+        assert power_iteration(lambda v: at @ v, g.n, PerronConfig()).converged
+        res = power_iteration(lambda v: at @ v, g.n, PerronConfig(tol=1e-12))
+        assert res.converged
+        assert res.note is None
         rho = float(np.max(np.abs(np.linalg.eigvals(at))))
         lam = res.eigenvalue_estimate
         assert abs(lam - rho) <= 1e-12 * rho
@@ -150,22 +151,25 @@ def test_power_iteration_longer_cycles_exit_exactly():
 
 
 def test_power_iteration_records_the_residual_of_an_undetected_cycle():
-    # a ring of nine layers is a cycle longer than MAX_PERIOD: the iteration
-    # runs out of steps with no eigenvector, and its residual says so
+    # a ring of nine layers: the unshifted iterates cycle with period 9, the
+    # shifted ones converge, and the recorded residual is that of the vector
     sizes = (1, 2, 1, 2, 1, 2, 1, 2, 1)
     h = len(sizes)
     first = np.cumsum((0,) + sizes)
     layers = [np.arange(first[k], first[k + 1]) for k in range(h)]
     edges = [(i, j) for k in range(h) for i in layers[k] for j in layers[(k + 1) % h]]
     g = SparseGraph.from_edges(int(first[-1]), np.array(edges), directed=True)
-    res = dense_left_perron(g)
-    assert not res.converged
-    assert "no convergence" in res.note
+    assert dense_left_perron(g).converged
+    res = dense_left_perron(g, tol=1e-12)
+    assert res.converged
+    assert res.note is None
     at = g.csr.T.toarray()
+    rho = float(np.max(np.abs(np.linalg.eigvals(at))))
     lam = res.eigenvalue_estimate
+    assert abs(lam - rho) <= 1e-12 * rho
     gap = np.linalg.norm(at @ res.vector - lam * res.vector) / lam
     assert res.residual == pytest.approx(gap, rel=1e-12)
-    assert res.residual >= 0.1
+    assert res.residual <= 1e-12
     assert res.metadata()["residual"] == res.residual
 
 
@@ -265,6 +269,35 @@ def test_rank_deficient_product_raises():
     I = SampleSet(np.array([0]), "row", "guided", 0, 2)
     with pytest.raises(RankDeficientProductError):
         left_perron(g, J, I)
+
+
+def test_nilpotent_product_raises_where_its_power_vanishes():
+    # on the path 0 -> 1 -> 2 -> 3, J = I = {1, 2} gives M = e0 e2^T + e1 e3^T:
+    # M is nonzero but M^2 = 0, and A^4 = 0 while A^3 is not
+    g = directed_path(4)
+    J = SampleSet(np.array([1, 2]), "column", "guided", 0, 4)
+    I = SampleSet(np.array([1, 2]), "row", "guided", 0, 4)
+    with pytest.raises(RankDeficientProductError, match="iterate 2 collapsed"):
+        left_perron(g, J, I)
+    with pytest.raises(RankDeficientProductError, match="iterate 4 collapsed"):
+        dense_left_perron(g)
+
+
+def test_perturbed_product_needs_no_extra_applications():
+    # with epsilon > 0 the support test settles on the first image
+    g = _strongly_connected_digraph(40, 0.12, seed=2)
+    J = sample_columns(g, 10, 1, "guided")
+    I = sample_rows(g, 10, 2, "guided")
+    apply = product_transpose_apply(g, J, I, 1e-3)
+    calls = []
+
+    def counted(v):
+        calls.append(1)
+        return apply(v)
+
+    res = power_iteration(counted, g.n, PerronConfig(epsilon=1e-3))
+    assert res.converged
+    assert len(calls) <= res.iterations + 1
 
 
 def test_implicit_product_matches_dense_product():
