@@ -9,8 +9,9 @@ other as an edge list.
 Synthetic generators live here as dataset-free fixtures.  Each measure has
 one exact reference: Perron uses the sparse power iteration, communicability
 the sparse ``expm_multiply`` row sums and Katz one certified sparse solve,
-all at every size; subgraph uses the dense oracle, which refuses graphs
-above ``matfun.DENSE_CAP`` nodes rather than rank against an approximation.
+all at every size; subgraph uses Taylor scaling and squaring of the sparse
+matrix, whose n x n iterate makes it refuse graphs above
+``matfun.DENSE_CAP`` nodes rather than rank against an approximation.
 The method behind the reference and its certificate go into
 ``report["reference"]``.
 """
@@ -35,7 +36,14 @@ from .matfun import (
     ScalarFunction,
     evaluate_masked_function,
 )
-from .oracle import dense_left_perron, expm_rowsum, katz_rowsum, subgraph_diag
+from .oracle import (
+    TAYLOR_DEGREE,
+    dense_left_perron,
+    expm_rowsum,
+    katz_rowsum,
+    subgraph_diag,
+    taylor_scaling,
+)
 from .perron import PerronConfig, left_perron, symmetric_perron
 from .ranking import (
     CentralityVector,
@@ -53,7 +61,7 @@ PERRON_ROW_KEYS = (
     "fallback_draws", "sample_overlap", "iterations", "converged", "note", "residual"
 )
 MATFUN_ROW_KEYS = (
-    "fallback_draws", "method", "fallback_reason", "condition_estimate", "spectral_radius_estimate"
+    "fallback_draws", "method", "condition_estimate", "spectral_radius_estimate"
 )
 # config fields that choose where and how the report is written, not echoed
 OUTPUT_FIELDS = ("out", "write_json", "write_csv")
@@ -300,7 +308,18 @@ def _reference_scores(g: SparseGraph, cfg: ExperimentConfig) -> CentralityVector
     if cfg.measure == "katz":
         ref = katz_rowsum(g, cfg.gamma)
         return CentralityVector(ref.scores, cfg.measure, ref.metadata())
-    return CentralityVector(subgraph_diag(g, cfg.gamma), cfg.measure, {"method": "oracle"})
+    scores = subgraph_diag(g, cfg.gamma)
+    squarings, norm_bound = taylor_scaling(g, cfg.gamma)
+    return CentralityVector(
+        scores,
+        cfg.measure,
+        {
+            "method": "taylor_squaring",
+            "degree": TAYLOR_DEGREE,
+            "squarings": squarings,
+            "norm_bound": norm_bound,
+        },
+    )
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:

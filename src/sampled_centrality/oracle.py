@@ -1,16 +1,20 @@
-"""Ground-truth references: dense f(A), sparse exp and Katz row sums, Perron.
+"""Ground-truth references: dense f(A), the subgraph diagonal, sparse exp and
+Katz row sums, Perron.
 
 ``dense_matfun`` is exact at desk scale; dense matrices are plain numpy
 arrays (row-major, square) and ``DENSE_CAP`` keeps huge inputs out.
-``subgraph_diag`` applies it to a graph and refuses above the cap before
-densifying.  ``expm_rowsum`` gives communicability row sums at any size from
-the action of the sparse exponential on the ones vector, and ``katz_rowsum``
-gives Katz row sums at any size from one sparse solve that certifies its own
-admissibility and error; neither forms a dense matrix.
+``subgraph_diag`` gets diag exp(gamma*A) by Taylor scaling and squaring of
+the sparse matrix, one route for directed and undirected graphs, and refuses
+above the cap before it builds its n x n iterate.  ``expm_rowsum`` gives
+communicability row sums at any size from the action of the sparse
+exponential on the ones vector, and ``katz_rowsum`` gives Katz row sums at
+any size from one sparse solve that certifies its own admissibility and
+error; neither forms a dense matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +24,11 @@ from .graph import SparseGraph
 from .matfun import DENSE_CAP, EXP_MINUS_ONE, EvaluationError, ScalarFunction
 from .perron import PerronConfig, PerronResult, power_iteration
 
+# Taylor degree of the subgraph reference, and theta_m for it in double
+# precision (Higham and Al-Mohy, Acta Numerica 19, 2010, Table A.3; the value
+# in scipy's expm_multiply table)
+TAYLOR_DEGREE = 30
+TAYLOR_THETA = 3.54
 # a certified Katz solve has |x - x*| <= this * x* entrywise
 KATZ_RESIDUAL_TOL = 1e-12
 # GMRES: stopping rule (2-norm residual relative to |1|_2), restart length
@@ -60,14 +69,68 @@ def dense_matfun(a: np.ndarray, f: ScalarFunction) -> np.ndarray:
     return f.matrix_value(a)
 
 
+def taylor_scaling(g: SparseGraph, gamma: float) -> tuple[int, float]:
+    """Squarings s and norm bound alpha of the subgraph reference at gamma.
+
+    B = gamma*A is entrywise nonnegative, so |B^p|_1 = max(1^T B^p) exactly
+    and p products with B^T give d_p = |B^p|_1^(1/p) with no estimate.
+    alpha = min over 2 <= p, p(p - 1) <= m + 1, of max(d_p, d_{p+1}) bounds
+    the Taylor remainder of degree m = ``TAYLOR_DEGREE`` (Al-Mohy and Higham,
+    SIAM J. Sci. Comput. 33(2), 2011, Sec. 3), and s is the fewest halvings
+    with alpha / 2^s <= theta_m = ``TAYLOR_THETA``.
+    """
+    if not (gamma > 0 and np.isfinite(gamma)):
+        raise ValueError("gamma must be positive and finite")
+    bt = gamma * g.csc.T
+    p_max = max(p for p in range(2, TAYLOR_DEGREE) if p * (p - 1) <= TAYLOR_DEGREE + 1)
+    v = np.ones(g.n)
+    d = {}
+    for p in range(1, p_max + 2):
+        v = bt @ v
+        d[p] = float(np.max(v, initial=0.0)) ** (1.0 / p)
+    alpha = min(max(d[p], d[p + 1]) for p in range(2, p_max + 1))
+    if alpha == np.inf:
+        raise EvaluationError(f"the norm bound of gamma*A overflows at gamma={gamma:g}")
+    squarings = max(0, math.ceil(math.log2(alpha / TAYLOR_THETA))) if alpha > 0 else 0
+    return squarings, alpha
+
+
 def subgraph_diag(g: SparseGraph, gamma: float) -> np.ndarray:
-    """Diagonal of exp(gamma*A) - I from the dense oracle, refused above
-    ``DENSE_CAP`` before the dense copy of A is built."""
+    """Diagonal of exp(gamma*A) - I by Taylor scaling and squaring.
+
+    With (s, alpha) from ``taylor_scaling``, alpha / 2^s <= theta_30 = 3.54
+    makes T_30(2^-s * gamma*A)^(2^s) the exponential of gamma*A plus a
+    backward error below the unit roundoff relative to its norm (Al-Mohy and
+    Higham, SIAM J. Sci. Comput. 33(2), 2011, Sec. 3); because A >= 0, no
+    term cancels (Shao, Gao and Xue, Math. Comp. 83, 2014).
+    Y = T_30(C) - I, C = 2^-s * gamma*A, comes by Horner from Y = 0 as
+    Y <- C (I + Y) / k, one sparse-by-dense product per degree; each
+    squaring maps Y to 2Y + Y^2, and the last one forms only its diagonal,
+    2 Y_ii + sum_j Y_ij Y_ji.  Every step sums products of nonnegative
+    numbers, and working with Y rather than T_30(C) also spares the final
+    subtraction of the identity.  Refused above ``DENSE_CAP`` before any
+    n x n array is built.
+    """
     if g.n > DENSE_CAP:
         raise EvaluationError(
             f"no exact subgraph reference for n={g.n} above the dense cap {DENSE_CAP}"
         )
-    return np.diagonal(dense_matfun(g.dense(), ScalarFunction(EXP_MINUS_ONE, gamma))).copy()
+    squarings, _ = taylor_scaling(g, gamma)
+    c = (gamma / 2.0**squarings) * g.csr
+    y = c.toarray()
+    y /= TAYLOR_DEGREE
+    for k in range(TAYLOR_DEGREE - 1, 0, -1):
+        y.flat[:: g.n + 1] += 1.0
+        y = c @ y
+        y /= k
+    for _ in range(squarings - 1):
+        square = y @ y
+        square += y
+        square += y
+        y = square
+    if squarings == 0:
+        return np.diagonal(y).copy()
+    return np.einsum("ij,ji->i", y, y) + 2.0 * np.diagonal(y)
 
 
 def expm_rowsum(g: SparseGraph, gamma: float) -> np.ndarray:

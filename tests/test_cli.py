@@ -421,7 +421,6 @@ def test_run_rows_carry_estimate_metadata(tmp_path):
     assert len(rows) == 2
     for row in rows:
         assert row["method"] == "arrow_core"
-        assert row["fallback_reason"] is None
         assert row["condition_estimate"] == 1.0
         assert 0 < row["spectral_radius_estimate"] * 0.02 <= 0.95
 
@@ -485,7 +484,13 @@ def test_report_records_reference_provenance(tmp_path):
         assert main(argv + ["--ell", "10", "--k", "5", "--out", str(out)]) == 0
         return json.loads(out.with_suffix(".json").read_text())
 
-    assert reference("subgraph")["reference"] == {"method": "oracle"}
+    squarings, norm_bound = oracle.taylor_scaling(generate("er:n=80,p=0.08,seed=3"), 1.0)
+    assert reference("subgraph")["reference"] == {
+        "method": "taylor_squaring",
+        "degree": 30,
+        "squarings": squarings,
+        "norm_bound": norm_bound,
+    }
     assert reference("communicability")["reference"] == {"method": "expm_multiply"}
 
     report = reference("perron", "--epsilon", "1e-3")

@@ -86,6 +86,95 @@ def test_dense_resolvent_identity():
     assert np.max(np.abs((np.eye(n) - gamma * a) @ (r + np.eye(n)) - np.eye(n))) <= 1e-10
 
 
+SUBGRAPH_CASES = [
+    ("er:n=300,p=0.02,seed=5", 1.0),
+    ("er:n=300,p=0.02,seed=5", 0.1),
+    ("pa:n=300,m=4,seed=3", 0.5),
+    ("pa:n=300,m=4,seed=3", 1.0),
+    ("star:leaves=500", 2.0),
+    ("path:n=50", 2.0),
+]
+
+
+def floored_rel_err(a: np.ndarray, b: np.ndarray) -> float:
+    """Worst |a - b| / max(|a|, |b|, 1) over all entries."""
+    return float(np.max(np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)))
+
+
+@pytest.mark.parametrize("spec, gamma", SUBGRAPH_CASES)
+def test_subgraph_diag_matches_dense(spec, gamma):
+    g = generate(spec)
+    exact = np.diagonal(dense_matfun(g.dense(), exp_minus_one(gamma)))
+    assert floored_rel_err(oracle.subgraph_diag(g, gamma), exact) <= 1e-12
+
+
+def test_subgraph_diag_scaling_meets_theta():
+    squarings_seen = set()
+    for spec, gamma in SUBGRAPH_CASES:
+        squarings, alpha = oracle.taylor_scaling(generate(spec), gamma)
+        squarings_seen.add(squarings)
+        assert alpha / 2.0**squarings <= oracle.TAYLOR_THETA
+        # the fewest squarings that meet the bound
+        assert squarings == 0 or alpha / 2.0 ** (squarings - 1) > oracle.TAYLOR_THETA
+    # no squaring, the diagonal-only squaring, and full squarings before it
+    assert {0, 1} < squarings_seen
+
+
+def test_subgraph_diag_norm_bound_is_exact_for_nonnegative_powers():
+    g = generate("er:n=300,p=0.02,seed=5")
+    b = 0.7 * g.dense()
+    d = [np.linalg.norm(np.linalg.matrix_power(b, p), 1) ** (1.0 / p) for p in range(2, 8)]
+    alpha = min(max(d[i], d[i + 1]) for i in range(5))
+    assert oracle.taylor_scaling(g, 0.7)[1] == pytest.approx(alpha, rel=1e-13)
+
+
+def test_subgraph_diag_dag_is_exactly_zero():
+    rng = np.random.default_rng(8)
+    pairs = rng.integers(0, 200, size=(2000, 2))
+    pairs = pairs[pairs[:, 0] < pairs[:, 1]]
+    dag = SparseGraph.from_edges(200, pairs, directed=True)
+    assert oracle.taylor_scaling(dag, 3.0)[0] >= 2  # full squarings run
+    for g in (dag, directed_path(30)):
+        assert oracle.subgraph_diag(g, 3.0).tolist() == [0.0] * g.n
+
+
+def test_subgraph_diag_no_edges():
+    g = SparseGraph.from_edges(5, np.empty((0, 2), dtype=np.int64), directed=True)
+    assert oracle.taylor_scaling(g, 1.0) == (0, 0.0)
+    assert oracle.subgraph_diag(g, 1.0).tolist() == [0.0] * 5
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, np.inf, np.nan])
+def test_subgraph_diag_refuses_gamma(gamma):
+    with pytest.raises(ValueError, match="gamma"):
+        oracle.subgraph_diag(triangle(), gamma)
+
+
+def test_subgraph_diag_refuses_an_overflowing_norm_bound():
+    with pytest.raises(EvaluationError, match="overflows"):
+        oracle.subgraph_diag(generate("er:n=50,p=0.1,seed=1"), 1e300)
+
+
+def test_subgraph_diag_cap_refuses_before_dense_allocation(monkeypatch):
+    import tracemalloc
+
+    g = generate("er:n=2000,p=0.001,seed=1")
+    monkeypatch.setattr(oracle, "DENSE_CAP", 10)
+
+    def no_dense(self):
+        raise AssertionError("dense copy built above the cap")
+
+    monkeypatch.setattr(SparseGraph, "dense", no_dense)
+    tracemalloc.start()
+    try:
+        with pytest.raises(EvaluationError, match="dense cap 10"):
+            oracle.subgraph_diag(g, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < g.n * 8  # not even one row of an n x n float array
+
+
 @pytest.mark.parametrize(
     "spec, gamma",
     [("er:n=300,p=0.02,seed=5", 1.0), ("pa:n=300,m=4,seed=3", 0.5)],
