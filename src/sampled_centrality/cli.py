@@ -82,7 +82,7 @@ class ExperimentConfig:
     seed: int = 0
     trials: int = 1
     k: int = 20
-    out: str | None = None
+    out: str = "report"
     write_json: bool = True
     write_csv: bool = False
 
@@ -332,7 +332,7 @@ def run(cfg: ExperimentConfig) -> int:
     Returns 0 when all runs completed; on failure a partial report carrying
     a failure marker is flushed and the exit status is nonzero.
     """
-    out_base = Path(cfg.out) if cfg.out else Path("report")
+    out_base = Path(cfg.out)
     report: dict = {
         "tool_version": __version__,
         "config_echo": _config_echo(cfg),
@@ -444,34 +444,40 @@ def _parse_ell(text: str) -> list[int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Flags without defaults: an absent flag leaves its ``ExperimentConfig``
+    field at the dataclass default, the one place each default is declared."""
     parser = argparse.ArgumentParser(
         prog="sampled-centrality",
         description="Approximate spectral node centralities from sampled "
         "adjacency columns/rows and compare rankings against a reference.",
+        argument_default=argparse.SUPPRESS,
     )
     parser.add_argument("--input", help="graph file: Matrix Market if named *.mtx, else edge list")
     parser.add_argument(
-        "--undirected", action="store_true", default=False,
+        "--undirected", action="store_true",
         help="read an edge list as undirected (symmetric .mtx files always are)",
     )
     parser.add_argument("--generate", help="synthetic graph spec, e.g. er:n=60,p=0.1,seed=1")
-    parser.add_argument("--measure", choices=MEASURES, default="subgraph")
-    parser.add_argument("--gamma", type=float, default=1.0, help="function scaling parameter")
-    parser.add_argument("--epsilon", type=float, default=0.0, help="Perron perturbation")
+    parser.add_argument("--measure", choices=MEASURES)
+    parser.add_argument("--gamma", type=float, help="function scaling parameter")
+    parser.add_argument("--epsilon", type=float, help="Perron perturbation")
     parser.add_argument(
-        "--ell", dest="ell_list", default="20", help="sample sizes: '200', '500,1000', '500..3000'"
+        "--ell", dest="ell_list", help="sample sizes: '200', '500,1000', '500..3000'"
     )
-    parser.add_argument("--strategy", choices=["guided", "random"], default="guided")
-    parser.add_argument("--seed", type=int, default=0, help="seed of the first run of each ell")
-    parser.add_argument("--trials", type=int, default=1, help="runs per ell: seed, seed+1, ...")
-    parser.add_argument("--k", type=int, default=20, help="report depth")
-    parser.add_argument("--out", default="report", help="output path base (.json/.csv appended)")
-    parser.add_argument("--csv", dest="write_csv", action="store_true", default=False)
+    parser.add_argument("--strategy", choices=["guided", "random"])
+    parser.add_argument("--seed", type=int, help="seed of the first run of each ell")
+    parser.add_argument("--trials", type=int, help="runs per ell: seed, seed+1, ...")
+    parser.add_argument("--k", type=int, help="report depth")
+    parser.add_argument("--out", help="output path base (.json/.csv appended)")
+    parser.add_argument("--csv", dest="write_csv", action="store_true")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    return ExperimentConfig(**vars(args) | {"ell_list": _parse_ell(args.ell_list)})
+    values = vars(args)
+    if "ell_list" in values:
+        values = values | {"ell_list": _parse_ell(values["ell_list"])}
+    return ExperimentConfig(**values)
 
 
 def main(argv: list[str] | None = None) -> int:

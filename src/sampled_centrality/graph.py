@@ -13,6 +13,7 @@ computations.
 from __future__ import annotations
 
 import dataclasses
+import re
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, NoReturn, TextIO
@@ -176,7 +177,8 @@ def parse_edge_list(
     ``format`` is ``"edge-list"`` (one ``src dst`` pair per line, '#'/'%'
     comments, 0-based ids, n = 1 + max id) or ``"matrix-market"``
     (coordinate pattern/integer/real, values coerced to 1, 1-based indices,
-    symmetric/general headers honoured, n = declared dimension).
+    symmetric/general headers honoured, n = declared dimension; ``source``
+    must then be a seekable text stream).
     """
     if format == "edge-list":
         return _parse_plain_edges(source, directed)
@@ -292,77 +294,47 @@ def _raise_first_bad_line(data: bytes, first_line: int) -> NoReturn:
 
 
 def _parse_matrix_market(source, directed: bool) -> SparseGraph:
-    lines = iter(enumerate(source, start=1))
-    try:
-        lineno, header = next(lines)
-    except StopIteration:
-        raise GraphParseError("empty Matrix Market input") from None
-    tokens = header.strip().lower().split()
-    if len(tokens) < 5 or tokens[0] != "%%matrixmarket":
-        raise GraphParseError("missing %%MatrixMarket header", line=lineno)
-    _, obj, layout, fld, symmetry = tokens[:5]
-    if obj != "matrix" or layout != "coordinate":
-        raise GraphParseError("only 'matrix coordinate' files are supported", line=lineno)
-    if fld not in ("pattern", "integer", "real"):
-        raise GraphParseError(f"unsupported field type {fld!r}", line=lineno)
-    if symmetry not in ("general", "symmetric"):
-        raise GraphParseError(f"unsupported symmetry {symmetry!r}", line=lineno)
-    want = 2 if fld == "pattern" else 3
+    """The header by ``scipy.io.mminfo``, then the entries by ``scipy.io.mmread``.
 
-    size = None
-    for lineno, raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        parts = line.split()
-        if len(parts) != 3:
-            raise GraphParseError("expected 'rows cols nnz' size line", line=lineno)
-        try:
-            nrows, ncols, nnz = (int(p) for p in parts)
-        except ValueError:
-            raise GraphParseError("size line must be integers", line=lineno) from None
-        size = (nrows, ncols, nnz)
-        break
-    if size is None:
-        raise GraphParseError("missing size line")
-    nrows, ncols, nnz = size
+    ``source`` must be a seekable text stream: it is read twice.  scipy's
+    reader counts and range-checks the entries; its errors are raised as
+    ``GraphParseError`` with their line number.
+    """
+    # deferred: at module level scipy.io would add to every import of the package
+    import scipy.io
+
+    nrows, ncols, nnz, layout, fld, symmetry = _read_mm(scipy.io.mminfo, source)
+    if layout != "coordinate":
+        raise GraphParseError("only 'matrix coordinate' files are supported", line=1)
+    if fld not in ("pattern", "integer", "real"):
+        raise GraphParseError(f"unsupported field type {fld!r}", line=1)
+    if symmetry not in ("general", "symmetric"):
+        raise GraphParseError(f"unsupported symmetry {symmetry!r}", line=1)
     if nrows != ncols:
         raise GraphParseError(f"matrix is not square ({nrows}x{ncols})")
     if nnz == 0:
         raise GraphParseError("graph has no edges")
-
-    srcs = np.empty(nnz, dtype=np.int64)
-    dsts = np.empty(nnz, dtype=np.int64)
-    count = 0
-    for lineno, raw in lines:
-        line = raw.strip()
-        if not line or line.startswith("%"):
-            continue
-        if count >= nnz:
-            raise GraphParseError("more entries than declared", line=lineno)
-        parts = line.split()
-        if len(parts) != want:
-            raise GraphParseError(f"expected {want} fields per entry", line=lineno)
-        try:
-            i, j = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphParseError("entry indices must be integers", line=lineno) from None
-        if not (1 <= i <= nrows and 1 <= j <= ncols):
-            raise GraphParseError("entry index out of range", line=lineno)
-        srcs[count] = i - 1
-        dsts[count] = j - 1
-        count += 1
-    if count != nnz:
-        raise GraphParseError(f"expected {nnz} entries, found {count}")
-
-    edges = np.column_stack([srcs, dsts])
-    symmetric = symmetry == "symmetric"
-    if symmetric:
-        off = edges[:, 0] != edges[:, 1]
-        edges = np.vstack([edges, edges[off][:, ::-1]])
-    final_directed = False if symmetric else directed
+    source.seek(0)
+    coo = _read_mm(scipy.io.mmread, source)
+    edges = np.column_stack([coo.row, coo.col])
+    if symmetry == "symmetric":
+        # mmread mirrors each off-diagonal entry; keep one copy of each
+        edges = edges[coo.row >= coo.col]
     labels = np.arange(1, nrows + 1, dtype=np.int64)
-    return SparseGraph.from_edges(nrows, edges, directed=final_directed, labels=labels)
+    return SparseGraph.from_edges(
+        nrows, edges, directed=directed and symmetry == "general", labels=labels
+    )
+
+
+def _read_mm(read, source):
+    """``read(source)``, with scipy's "Line N: ..." errors as ``GraphParseError``."""
+    try:
+        return read(source)
+    except (ValueError, OverflowError) as exc:
+        found = re.fullmatch(r"Line (\d+): (.*)", str(exc), re.DOTALL)
+        if found is None:
+            raise GraphParseError(str(exc)) from exc
+        raise GraphParseError(found[2], line=int(found[1])) from exc
 
 
 def remove_self_loops(g: SparseGraph) -> tuple[SparseGraph, int]:

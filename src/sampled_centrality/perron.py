@@ -82,35 +82,18 @@ class PerronResult:
 def product_transpose_apply(
     g: SparseGraph, J: SampleSet, I: SampleSet, epsilon: float = 0.0
 ) -> Callable[[np.ndarray], np.ndarray]:
-    """Returns v -> (M + E)^T v for M = A_cols(J) @ A_rows(I), never forming M."""
-    Js = np.unique(np.asarray(J.indices, dtype=np.int64))
-    Is = np.unique(np.asarray(I.indices, dtype=np.int64))
+    """Returns v -> (M + E)^T v for M = A_cols(J) @ A_rows(I), never forming M.
+
+    M sums A[:, k] A[k, :] over k in K = J & I, so M = A[:, K] @ A[K, :] has
+    rank at most |K| and M^T v = A[K, :]^T (A[:, K]^T v).
+    """
+    K = np.intersect1d(J.indices, I.indices)
     # transposed once here: a scipy .T view costs more than the product itself
-    cols_t = g.csc[:, Js].T
-    rows_t = g.csr[Is, :].T
-    n = g.n
+    cols_t = g.csc[:, K].T
+    rows_t = g.csr[K, :].T
 
     def apply(v: np.ndarray) -> np.ndarray:
-        t = np.zeros(n)
-        t[Js] = cols_t @ v
-        w = rows_t @ t[Is]
-        if epsilon > 0:
-            w = w + epsilon * float(v.sum())
-        return w
-
-    return apply
-
-
-def symmetric_product_apply(
-    g: SparseGraph, J: SampleSet, epsilon: float = 0.0
-) -> Callable[[np.ndarray], np.ndarray]:
-    """Returns v -> (M + E) v for the symmetric M = A_cols(J) @ A_cols(J)^T."""
-    Js = np.unique(np.asarray(J.indices, dtype=np.int64))
-    cols = g.csc[:, Js]
-    cols_t = cols.T
-
-    def apply(v: np.ndarray) -> np.ndarray:
-        w = cols @ (cols_t @ v)
+        w = rows_t @ (cols_t @ v)
         if epsilon > 0:
             w = w + epsilon * float(v.sum())
         return w
@@ -198,4 +181,5 @@ def symmetric_perron(
         raise ValueError("J must be a column sample")
     if J.n != g.n:
         raise ValueError("sample dimension does not match the graph")
-    return power_iteration(symmetric_product_apply(g, J, cfg.epsilon), g.n, cfg)
+    # A is symmetric, so A_cols(J)^T = A_rows(J) and the product is its own transpose
+    return power_iteration(product_transpose_apply(g, J, J, cfg.epsilon), g.n, cfg)

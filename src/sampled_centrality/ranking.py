@@ -40,11 +40,17 @@ class Ranking:
 
 
 def rank_nodes(scores, k: int = 20) -> Ranking:
-    """Deterministic descending sort with ascending-id tie-break."""
+    """Deterministic descending sort with ascending-id tie-break.
+
+    Refuses inf and nan scores, which overflowed estimates and references
+    would otherwise rank silently.
+    """
     arr = scores.scores if isinstance(scores, CentralityVector) else np.asarray(scores, dtype=np.float64)
     n = arr.size
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside [1, {n}]")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{np.count_nonzero(~np.isfinite(arr))} of {n} scores are not finite")
     order = np.lexsort((np.arange(n), -arr))
     return Ranking(ordered_nodes=order, scores=arr[order], k=k)
 

@@ -209,11 +209,12 @@ def test_criterion_5_perron_full_sampling_consistency():
     star_expected = np.array([np.sqrt(3.0), 1.0, 1.0, 1.0]) / np.sqrt(6.0)
     star_vec_err = float(np.max(np.abs(oracle_star.vector - star_expected)))
     res_star = symmetric_perron(st, full_column_sample(st))
-    from sampled_centrality.perron import symmetric_product_apply
+    from sampled_centrality.perron import product_transpose_apply
 
+    J_star = full_column_sample(st)
     star_residual = float(
         np.linalg.norm(
-            symmetric_product_apply(st, full_column_sample(st))(res_star.vector)
+            product_transpose_apply(st, J_star, J_star)(res_star.vector)
             - res_star.eigenvalue_estimate * res_star.vector
         )
     )

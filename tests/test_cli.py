@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -398,6 +400,23 @@ def test_json_flag_is_gone():
     assert cfg.write_json
 
 
+def test_import_loads_neither_scipy_io_nor_sparse_linalg():
+    # both load where first used; at import they would add to every run's start-up
+    code = (
+        "import sys, sampled_centrality, sampled_centrality.cli; "
+        "print([m for m in ('scipy.io', 'scipy.sparse.linalg') if m in sys.modules])"
+    )
+    src = Path(matfun.__file__).parents[1]
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env=os.environ | {"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(measure="degree")
@@ -528,6 +547,21 @@ def test_katz_reference_refuses_an_uncertified_solution(tmp_path):
     report = json.loads(out.with_suffix(".json").read_text())
     assert "x > 0 fails" in report["failed"]
     assert "reference" not in report
+    assert "report" not in report
+
+
+@pytest.mark.parametrize("spec", ["er:n=50,p=0.1,seed=1", "pa:n=60,m=3,seed=1"])
+@pytest.mark.parametrize("measure", ["subgraph", "communicability"])
+def test_overflowed_scores_fail_the_run(tmp_path, spec, measure):
+    # exp(1000 A) overflows in double precision: the run fails instead of
+    # ranking inf scores
+    out = tmp_path / "overflow"
+    argv = ["--generate", spec, "--measure", measure, "--gamma", "1000", "--ell", "10"]
+    with np.errstate(all="ignore"):
+        assert main(argv + ["--out", str(out)]) == 1
+    report = json.loads(out.with_suffix(".json").read_text())
+    assert report["failed"].startswith("ValueError")
+    assert "scores are not finite" in report["failed"]
     assert "report" not in report
 
 

@@ -258,6 +258,7 @@ def test_parse_matrix_market_symmetric_expands():
     assert not g.directed  # symmetric header wins
     # three off-diagonal pairs stored twice plus one kept diagonal entry
     assert g.edge_count == 7
+    assert g.duplicates_collapsed == 0
     assert g.column(0).tolist() == [1, 2, 3]
 
 
@@ -271,6 +272,109 @@ def test_parse_matrix_market_coerces_values_to_one():
     text = "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 3.5\n"
     g = parse_edge_list(io.StringIO(text), format="matrix-market")
     assert g.dense()[0, 1] == 1.0
+
+
+# (text, n, directed, csr.indptr, csr.indices); labels are always 1..n
+MM_FIXTURES = {
+    "pattern-general-comment": (MM_GENERAL, 3, True, [0, 1, 2, 2], [1, 2]),
+    "integer-symmetric-diagonal": (
+        MM_SYMMETRIC, 4, False, [0, 3, 5, 6, 7], [1, 2, 3, 0, 1, 0, 0]
+    ),
+    "real-general": (
+        "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 3.5\n",
+        2, True, [0, 1, 1], [1],
+    ),
+    "real-symmetric-crlf": (
+        "%%MatrixMarket matrix coordinate real symmetric\r\n% a\r\n%b\r\n5 5 5\r\n"
+        "1 1 2.0\r\n3 1 1e3\r\n5 2 -1\r\n4 4 0\r\n5 3 0.5\r\n",
+        5, False, [0, 2, 3, 5, 6, 8], [0, 2, 4, 0, 4, 3, 1, 2],
+    ),
+    "integer-general-diagonal-blank-line": (
+        "%%MatrixMarket matrix coordinate integer general\n% c1\n\n4 4 6\n"
+        "1 1 1\n2 1 5\n1 2 5\n2 1 5\n4 4 1\n3 4 2\n",
+        4, True, [0, 2, 3, 4, 5], [0, 1, 0, 3, 3],
+    ),
+    "pattern-symmetric-upper": (
+        "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n1 2\n3 1\n",
+        3, False, [0, 2, 3, 4], [1, 2, 0, 0],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MM_FIXTURES))
+def test_parse_matrix_market_fixture_graphs(name):
+    text, n, directed, indptr, indices = MM_FIXTURES[name]
+    g = parse_edge_list(io.StringIO(text), format="matrix-market", directed=True)
+    assert (g.n, g.directed) == (n, directed)
+    assert g.labels.tolist() == list(range(1, n + 1))
+    assert g.csr.indptr.tolist() == indptr
+    assert g.csr.indices.tolist() == indices
+
+
+def test_parse_matrix_market_symmetric_counts_only_repeated_entries():
+    g = parse_edge_list(io.StringIO(MM_SYMMETRIC), format="matrix-market")
+    assert g.duplicates_collapsed == 0
+    # (1, 2) and (2, 1) name the same undirected edge
+    text = "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 3\n1 2\n3 1\n2 1\n"
+    g = parse_edge_list(io.StringIO(text), format="matrix-market")
+    assert g.duplicates_collapsed == 1
+    assert g.edge_count == 4
+
+
+MM_HEAD = "%%MatrixMarket matrix coordinate pattern general\n"
+
+
+@pytest.mark.parametrize(
+    "text, match, line",
+    [
+        ("", "banner", 1),
+        ("3 3 2\n1 2\n2 3\n", "banner", 1),
+        ("%%MatrixMarket foo coordinate real general\n2 2 1\n1 2 3\n", "foo", 1),
+        ("%%MatrixMarket vector coordinate real general\n1 1\n1 3\n", "Vector", None),
+        ("%%MatrixMarket matrix array real general\n1 1\n1\n", "matrix coordinate", 1),
+        ("%%MatrixMarket matrix coordinate complex general\n2 2 1\n1 2 3 4\n", "field", 1),
+        ("%%MatrixMarket matrix coordinate real skew-symmetric\n2 2 1\n2 1 3\n", "symmetry", 1),
+        ("%%MatrixMarket matrix coordinate real hermitian\n2 2 1\n2 1 3\n", "symmetry", 1),
+        (MM_HEAD + "2 3 1\n1 2\n", "not square", None),
+        (MM_HEAD + "2 2 0\n", "no edges", None),
+        (MM_HEAD + "% only a comment\n", "EOF", 3),
+        (MM_HEAD + "2 2 1\n1 3\n", "out of bounds", 3),
+        (MM_HEAD + "2 2 1\n0 1\n", "out of bounds", 3),
+        (MM_HEAD + "2 2 1\n-1 1\n", "out of bounds", 3),
+        (MM_HEAD + "2 2 1\n1.5 1\n", "integer", 3),
+        (MM_HEAD + "2 2 1\n99999999999999999999 1\n", "out of range", 3),
+        ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2\n", "value", 3),
+        (MM_HEAD + "2 2 1\n1 2\n2 1\n", "Too many", 4),
+        (MM_HEAD + "2 2 3\n1 2\n2 1\n", "Truncated", None),
+    ],
+)
+def test_parse_matrix_market_refusals(text, match, line):
+    with pytest.raises(GraphParseError, match=match) as exc:
+        parse_edge_list(io.StringIO(text), format="matrix-market")
+    assert exc.value.line == line
+
+
+# three outcomes that changed with scipy's reader
+
+
+def test_parse_matrix_market_lowercase_banner_is_refused():
+    text = "%%matrixmarket matrix coordinate pattern general\n2 2 1\n1 2\n"
+    with pytest.raises(GraphParseError, match="banner") as exc:
+        parse_edge_list(io.StringIO(text), format="matrix-market")
+    assert exc.value.line == 1
+
+
+def test_parse_matrix_market_comment_between_entries_is_refused():
+    text = MM_HEAD + "2 2 2\n1 2\n% between entries\n2 1\n"
+    with pytest.raises(GraphParseError) as exc:
+        parse_edge_list(io.StringIO(text), format="matrix-market")
+    assert exc.value.line == 4
+
+
+def test_parse_matrix_market_tokens_after_the_last_field_are_accepted():
+    text = "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 3.5 9\n"
+    g = parse_edge_list(io.StringIO(text), format="matrix-market")
+    assert g.entry_set() == {(0, 1)}
 
 
 @pytest.mark.parametrize("alias", ["edgelist", "edges", "mtx", "mm", "matrix-market-pattern"])

@@ -11,10 +11,14 @@ import pytest
 from sampled_centrality import (
     CentralityVector,
     RankingReport,
+    evaluate_masked_function,
     exact_matches,
+    exp_minus_one,
     rank_nodes,
+    sample_columns,
     topk_overlap,
 )
+from sampled_centrality.cli import generate
 
 
 def test_rank_nodes_tie_break_by_id():
@@ -33,6 +37,26 @@ def test_rank_nodes_accepts_centrality_vector():
     r = rank_nodes(cv, k=2)
     assert r.ordered_nodes.tolist()[:2] == [0, 2]
     assert r.top().tolist() == [0, 2]
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_rank_nodes_refuses_non_finite_scores(bad):
+    with pytest.raises(ValueError, match="1 of 3 scores are not finite"):
+        rank_nodes(np.array([1.0, bad, 2.0]), k=2)
+
+
+@pytest.mark.parametrize("spec", ["er:n=50,p=0.1,seed=1", "pa:n=60,m=3,seed=1"])
+def test_overflowed_core_estimates_are_refused(spec):
+    # at gamma = 1000 exp(gamma * A11) overflows on the column core (directed)
+    # and the arrow core (undirected)
+    g = generate(spec)
+    J = sample_columns(g, 10, 1, "guided")
+    with np.errstate(all="ignore"):
+        result = evaluate_masked_function(g, J, exp_minus_one(1000.0))
+    for scores in (result.diag, result.rowsum):
+        assert not np.isfinite(scores).all()
+        with pytest.raises(ValueError, match="not finite"):
+            rank_nodes(scores, k=5)
 
 
 def test_rank_nodes_k_bounds():
