@@ -3,8 +3,6 @@
 __version__ = "0.1.0"
 
 from .graph import (
-    ArrowMaskedOperator,
-    ColumnMaskedOperator,
     GraphParseError,
     SparseGraph,
     parse_edge_list,
@@ -20,7 +18,6 @@ from .matfun import (
     direct_core_evaluation,
     evaluate_masked_function,
     exp_minus_one,
-    krylov_spectral_evaluation,
     resolvent_minus_one,
     transpose_measures,
 )
@@ -44,9 +41,7 @@ from .sampling import SampleSet, draw_categorical, sample_columns, sample_rows
 
 __all__ = [
     "__version__",
-    "ArrowMaskedOperator",
     "CentralityVector",
-    "ColumnMaskedOperator",
     "EvaluationError",
     "GraphParseError",
     "MatfunResult",
@@ -68,7 +63,6 @@ __all__ = [
     "exp_minus_one",
     "expm_rowsum",
     "katz_rowsum",
-    "krylov_spectral_evaluation",
     "left_perron",
     "parse_edge_list",
     "rank_nodes",

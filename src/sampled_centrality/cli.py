@@ -93,6 +93,11 @@ class ExperimentConfig:
             raise ValueError("ell values must be at least 1")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
+        if self.k < 1:
+            raise ValueError("k must be at least 1")
+        # the two parameter types refuse a gamma or epsilon they cannot use
+        ScalarFunction(EXP_MINUS_ONE, self.gamma)
+        PerronConfig(epsilon=self.epsilon)
 
 
 # -- synthetic generators -----------------------------------------------------

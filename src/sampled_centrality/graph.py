@@ -1,4 +1,4 @@
-"""Sparse adjacency matrices with column, row, and masked matrix-vector access.
+"""Sparse adjacency matrices with column and row access, and their text formats.
 
 The convention throughout: ``a[i, j] = 1`` iff there is an edge from node ``i``
 to node ``j``, so column ``j`` holds the in-neighbours of ``j`` and row ``i``
@@ -123,14 +123,6 @@ class SparseGraph:
     @property
     def row_cols(self) -> np.ndarray:
         return self.csr.indices
-
-    @property
-    def col_ptr(self) -> np.ndarray:
-        return self.csc.indptr
-
-    @property
-    def col_rows(self) -> np.ndarray:
-        return self.csc.indices
 
     @property
     def edge_count(self) -> int:
@@ -300,6 +292,11 @@ def _parse_matrix_market(source, directed: bool) -> SparseGraph:
     reader counts and range-checks the entries; its errors are raised as
     ``GraphParseError`` with their line number.
     """
+    if not hasattr(source, "seek"):
+        raise TypeError(
+            "Matrix Market input must be a seekable text stream, such as an open "
+            f"file or io.StringIO, not {type(source).__name__}"
+        )
     # deferred: at module level scipy.io would add to every import of the package
     import scipy.io
 
@@ -351,53 +348,6 @@ def remove_self_loops(g: SparseGraph) -> tuple[SparseGraph, int]:
 def transpose(g: SparseGraph) -> SparseGraph:
     """The graph of A^T: the CSR and CSC layouts swap, as views with no copy."""
     return dataclasses.replace(g, csr=g.csc.T, csc=g.csr.T)
-
-
-class ColumnMaskedOperator:
-    """Applies y = A_mask @ x where all columns outside the mask are zeroed.
-
-    Accumulation runs over masked columns in ascending index order, then
-    ascending row within each column, so results are bitwise reproducible.
-    """
-
-    def __init__(self, g: SparseGraph, indices: np.ndarray):
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= g.n):
-            raise ValueError("mask index out of range")
-        self.n = g.n
-        self.indices = np.unique(idx)
-        self._sub = g.csc[:, self.indices]
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        if x.shape != (self.n,):
-            raise ValueError(f"vector has shape {x.shape}, expected ({self.n},)")
-        if self.indices.size == 0:
-            return np.zeros(self.n, dtype=x.dtype)
-        return self._sub @ x[self.indices]
-
-
-class ArrowMaskedOperator:
-    """Applies y = A_arrow @ x keeping entries (i, j) with i or j in the mask."""
-
-    def __init__(self, g: SparseGraph, indices: np.ndarray):
-        idx = np.asarray(indices, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= g.n):
-            raise ValueError("mask index out of range")
-        self.n = g.n
-        marker = np.zeros(g.n, dtype=bool)
-        marker[idx] = True
-        coo = g.csr.tocoo()
-        keep = marker[coo.row] | marker[coo.col]
-        self._sub = sp.csr_matrix(
-            (coo.data[keep], (coo.row[keep], coo.col[keep])), shape=(g.n, g.n)
-        )
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        if x.shape != (self.n,):
-            raise ValueError(f"vector has shape {x.shape}, expected ({self.n},)")
-        return self._sub @ x
 
 
 def write_edge_list(g: SparseGraph, stream: TextIO) -> None:

@@ -9,9 +9,8 @@ Directed graphs use the column mask (``direct_core_evaluation``), undirected
 graphs the "arrow" mask that keeps entries with a sampled row or column
 (``arrow_core_evaluation``).  Each reduces f(A_masked) to one dense
 computation on a core of order at most 2*ell plus sparse products, with no
-iteration.  The Arnoldi spectral reconstruction
-(``krylov_spectral_evaluation``) is an independent second method kept for
-cross-checks.
+iteration; that is the one route for each mask.  A result with an inf or
+nan entry raises ``EvaluationError`` where it is computed.
 
 The permutation that would move sampled columns first is never materialized:
 everything is indexed in original node order, with the selection order of J
@@ -22,13 +21,12 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .graph import ColumnMaskedOperator, SparseGraph, transpose
+from .graph import SparseGraph, transpose
 from .sampling import SampleSet
 
 EXP_MINUS_ONE = "exp_minus_one"
@@ -40,10 +38,7 @@ DENSE_CAP = 4000
 _ROW_BLOCK_ENTRIES = 1 << 22
 
 # numerical thresholds of the evaluation routes
-BREAKDOWN_TOL = 1e-12   # Arnoldi breakdown, times the norm of the first Krylov image
-ZERO_EIG_TOL = 1e-10    # relative level of vanishing Ritz values and Gram eigenvalues
-COND_THRESHOLD = 1e8    # eigenbasis / core-solve conditioning gate
-IMAG_TOL = 1e-8         # times max(1, |result|_inf) on residual imaginary parts
+ZERO_EIG_TOL = 1e-10    # relative level of vanishing Gram eigenvalues
 KATZ_SAFETY = 0.95      # require gamma * rho_hat <= this for the resolvent
 
 
@@ -61,8 +56,8 @@ class ScalarFunction:
     def __post_init__(self):
         if self.kind not in (EXP_MINUS_ONE, RESOLVENT_MINUS_ONE):
             raise ValueError(f"unknown function kind {self.kind!r}")
-        if not self.gamma > 0:
-            raise ValueError("gamma must be positive")
+        if not (self.gamma > 0 and np.isfinite(self.gamma)):
+            raise ValueError("gamma must be positive and finite")
 
     def value(self, z):
         """f(z), elementwise; complex inputs allowed."""
@@ -71,17 +66,6 @@ class ScalarFunction:
             return np.expm1(w)
         return w / (1.0 - w)
 
-    def quotient(self, z):
-        """g(z) = f(z)/z with the removable singularity patched at 0."""
-        z = np.asarray(z, dtype=complex)
-        w = self.gamma * z
-        if self.kind == EXP_MINUS_ONE:
-            small = np.abs(w) < 1e-6
-            ws = np.where(small, 0.0, w)
-            out = np.where(small, 1.0 + w / 2 + w * w / 6, np.expm1(ws) / np.where(small, 1.0, ws))
-            return self.gamma * out
-        return self.gamma / (1.0 - w)
-
     def matrix_value(self, a: np.ndarray) -> np.ndarray:
         """f evaluated at a small dense matrix."""
         a = np.asarray(a, dtype=np.float64)
@@ -89,18 +73,6 @@ class ScalarFunction:
         if self.kind == EXP_MINUS_ONE:
             return sla.expm(self.gamma * a) - np.eye(m)
         return self._resolvent(a) - np.eye(m)
-
-    def matrix_quotient(self, a: np.ndarray) -> np.ndarray:
-        """g(t) = f(t)/t evaluated at a small dense matrix (exact at 0)."""
-        a = np.asarray(a, dtype=np.float64)
-        m = a.shape[0]
-        if self.kind == EXP_MINUS_ONE:
-            # phi1 block of the augmented exponential handles singular cores
-            aug = np.zeros((2 * m, 2 * m))
-            aug[:m, :m] = self.gamma * a
-            aug[:m, m:] = np.eye(m)
-            return self.gamma * sla.expm(aug)[:m, m:]
-        return self.gamma * self._resolvent(a)
 
     def matrix_value_and_quotient_sum(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """f(A) and g(A) @ 1 of a small dense matrix from one factorization.
@@ -147,35 +119,6 @@ def resolvent_minus_one(gamma: float) -> ScalarFunction:
 
 
 @dataclass(frozen=True)
-class KrylovDecomposition:
-    """Orthonormal basis and square Hessenberg matrix from Arnoldi.
-
-    At breakdown the relation ``A_masked @ basis == basis @ small_matrix``
-    holds to rounding; ``residual_norm`` is the magnitude of the final
-    subdiagonal coefficient.
-    """
-
-    basis: np.ndarray
-    small_matrix: np.ndarray
-    steps: int
-    breakdown: bool
-    residual_norm: float
-
-    def invariance_residual(self, op: Callable[[np.ndarray], np.ndarray]) -> float:
-        image = np.column_stack([op(v) for v in self.basis.T])
-        return float(np.linalg.norm(image - self.basis @ self.small_matrix))
-
-
-@dataclass(frozen=True)
-class SpectralData:
-    """Eigenpairs of the small matrix, sorted by nonincreasing modulus."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    condition_estimate: float
-
-
-@dataclass(frozen=True)
 class MatfunResult:
     """Per-node diagonal entries and row sums of f(A_masked).
 
@@ -191,7 +134,6 @@ class MatfunResult:
     gamma: float
     function: str
     seed: int | None = None
-    steps: int | None = None
     condition_estimate: float | None = None
     fallback_reason: str | None = None
 
@@ -202,7 +144,6 @@ class MatfunResult:
             "gamma": float(self.gamma),
             "function": self.function,
             "seed": None if self.seed is None else int(self.seed),
-            "steps": None if self.steps is None else int(self.steps),
             "spectral_radius_estimate": None
             if self.spectral_radius_estimate is None
             else float(self.spectral_radius_estimate),
@@ -237,7 +178,16 @@ def evaluate_masked_function(
     exact and deterministic; ``seed`` is only recorded in the metadata.
     """
     core = direct_core_evaluation if g.directed else arrow_core_evaluation
-    return dataclasses.replace(core(g, mask, f), seed=seed)
+    result = core(g, mask, f)
+    for values in (result.diag, result.rowsum):
+        _require_finite(values, result.method, f.gamma)
+    return dataclasses.replace(result, seed=seed)
+
+
+def _require_finite(values: np.ndarray, route: str, gamma: float) -> None:
+    """Raise ``EvaluationError`` naming the route and gamma if any entry is inf or nan."""
+    if not np.all(np.isfinite(values)):
+        raise EvaluationError(f"{route} returned inf or nan scores at gamma={gamma:g}")
 
 
 def _core_blocks(g: SparseGraph, mask: SampleSet):
@@ -351,22 +301,6 @@ def _row_quadratic_forms(a: sp.csr_matrix, K: np.ndarray) -> np.ndarray:
     return out
 
 
-def _masked_function_columns(
-    g: SparseGraph, mask: SampleSet, f: ScalarFunction
-) -> np.ndarray:
-    """Dense n-by-ell block of the nonzero columns of f(A_masked).
-
-    Diagnostic helper for structure checks; memory is n * ell.
-    """
-    J, rest, a11, a21 = _core_blocks(g, mask)
-    f11 = f.matrix_value(a11)
-    g11 = f.matrix_quotient(a11).real
-    out = np.zeros((g.n, len(mask)))
-    out[J, :] = f11
-    out[rest, :] = a21 @ g11
-    return out
-
-
 def transpose_measures(
     g: SparseGraph,
     rows: SampleSet,
@@ -378,165 +312,3 @@ def transpose_measures(
         raise ValueError("transpose_measures expects a row mask")
     as_columns = dataclasses.replace(rows, kind="column")
     return evaluate_masked_function(transpose(g), as_columns, f, seed)
-
-
-# -- Arnoldi spectral reconstruction (cross-check) ----------------------------
-
-
-def arnoldi(
-    g: SparseGraph,
-    mask: SampleSet,
-    seed: int = 0,
-    v1: np.ndarray | None = None,
-) -> KrylovDecomposition:
-    """Arnoldi with full reorthogonalization on the column-masked operator.
-
-    Starts from a seeded random vector (``v1`` overrides it, for closed-form
-    tests).  Iteration stops at breakdown, a subdiagonal below BREAKDOWN_TOL
-    times the norm of the first image, which is dropped, or after
-    min(ell + 1, n) steps, where the Krylov space of the rank-ell operator is
-    necessarily exhausted.
-    """
-    if mask.kind != "column":
-        raise ValueError("arnoldi expects a column mask")
-    if v1 is None:
-        v1 = np.random.default_rng(seed).standard_normal(g.n)
-        v1 /= np.linalg.norm(v1)
-    op = ColumnMaskedOperator(g, mask.indices)
-    max_steps = min(len(mask) + 1, g.n)
-    w = op(v1)
-    scale = float(np.linalg.norm(w))
-    if scale <= 1e-13:
-        raise EvaluationError("the masked operator annihilates the start vector")
-    threshold = BREAKDOWN_TOL * scale
-
-    V = [v1]
-    cols: list[np.ndarray] = []
-    breakdown = False
-    while True:
-        k = len(V) - 1
-        h = np.zeros(k + 2)
-        for _ in range(2):  # the second pass keeps orthogonality at eps
-            for i, vi in enumerate(V):
-                c = vi @ w
-                w = w - c * vi
-                h[i] += c
-        beta = float(np.linalg.norm(w))
-        h[k + 1] = beta
-        cols.append(h)
-        if beta <= threshold:
-            breakdown = True
-            break
-        if k + 1 >= max_steps:
-            break
-        V.append(w / beta)
-        w = op(V[-1])
-
-    m = len(V)
-    H = np.zeros((m, m))
-    for c, h in enumerate(cols):
-        top = min(c + 2, m)
-        H[:top, c] = h[:top]
-    return KrylovDecomposition(np.column_stack(V), H, m, breakdown, beta)
-
-
-def spectral_factorize(d: KrylovDecomposition) -> SpectralData:
-    """Eigenpairs of the small matrix, nonincreasing modulus, stable ties."""
-    if not d.breakdown:
-        raise EvaluationError(
-            "spectral factorization requires a breakdown (invariant) decomposition"
-        )
-    try:
-        lam, S = np.linalg.eig(d.small_matrix)
-    except np.linalg.LinAlgError as exc:
-        raise EvaluationError(f"eigen-solver failure: {exc}") from exc
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        cond = float(np.linalg.cond(S))
-    if np.isnan(cond):
-        cond = np.inf
-    order = np.lexsort((np.arange(lam.size), -np.abs(lam)))
-    return SpectralData(lam[order], S[:, order], cond)
-
-
-def estimate_spectral_radius(sd: SpectralData) -> float:
-    """Largest Ritz modulus of the masked operator."""
-    if sd.eigenvalues.size == 0:
-        raise ValueError("empty spectral data")
-    return float(np.abs(sd.eigenvalues[0]))
-
-
-def _realize(values: np.ndarray) -> np.ndarray:
-    real = values.real
-    worst = float(np.max(np.abs(values.imag))) if values.size else 0.0
-    limit = IMAG_TOL * max(1.0, float(np.max(np.abs(real))) if real.size else 0.0)
-    if worst > limit:
-        raise EvaluationError(
-            f"imaginary residue {worst:.3e} exceeds tolerance {limit:.3e}; "
-            "complex Ritz pairs did not cancel"
-        )
-    return np.ascontiguousarray(real)
-
-
-def krylov_spectral_evaluation(
-    g: SparseGraph,
-    mask: SampleSet,
-    f: ScalarFunction,
-    seed: int = 0,
-) -> MatfunResult:
-    """diag and rowsum of f on the column mask by Arnoldi spectral reconstruction.
-
-    An independent cross-check of ``direct_core_evaluation``: once the
-    Arnoldi basis of the column-masked operator breaks down, the Ritz pairs
-    reconstruct the nonzero columns of f(A_masked) through a solve against
-    the sampled rows of the eigenvector block.  Raises EvaluationError when
-    that is unusable (no breakdown, defective or ill-conditioned eigenbasis,
-    rank-deficient core).
-    """
-    ell = len(mask)
-    d = arnoldi(g, mask, seed)
-    sd = spectral_factorize(d)
-    rho = estimate_spectral_radius(sd)
-    _check_katz_bound(f, rho)
-    if sd.condition_estimate > COND_THRESHOLD:
-        raise EvaluationError(
-            f"ill-conditioned eigenbasis of the small matrix ({sd.condition_estimate:.3e})"
-        )
-
-    keep = np.abs(sd.eigenvalues) > ZERO_EIG_TOL * max(1.0, rho)
-    kept = int(np.count_nonzero(keep))
-    if kept != ell:
-        raise EvaluationError(f"{kept} nonvanishing Ritz values for {ell} sampled columns")
-
-    W = d.basis.astype(complex) @ sd.eigenvectors[:, keep]
-    WJ = W[mask.indices, :]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        cond_wj = float(np.linalg.cond(WJ))
-    if not np.isfinite(cond_wj) or cond_wj > COND_THRESHOLD:
-        raise EvaluationError("sampled rows of the eigenvector block are singular")
-
-    lam = sd.eigenvalues[keep]
-    flam = f.value(lam)
-    lu = sla.lu_factor(WJ)
-
-    # rowsum = W f(L) WJ^{-1} 1 (columns outside J vanish, f(0)=0)
-    u = sla.lu_solve(lu, np.ones(ell, dtype=complex))
-    rowsum_c = (W * flam[np.newaxis, :]) @ u
-
-    # diag over J is the diagonal of (WJ f(L)) WJ^{-1}
-    M = WJ * flam[np.newaxis, :]
-    X = sla.lu_solve(lu, M.T, trans=1)
-    diag_c = np.zeros(g.n, dtype=complex)
-    diag_c[mask.indices] = np.diagonal(X)
-
-    return MatfunResult(
-        diag=_realize(diag_c),
-        rowsum=_realize(rowsum_c),
-        method="krylov_spectral",
-        spectral_radius_estimate=rho,
-        ell=ell,
-        gamma=f.gamma,
-        function=f.kind,
-        seed=seed,
-        steps=d.steps,
-        condition_estimate=max(sd.condition_estimate, cond_wj),
-    )

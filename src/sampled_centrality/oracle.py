@@ -9,7 +9,8 @@ above the cap before it builds its n x n iterate.  ``expm_rowsum`` gives
 communicability row sums at any size from the action of the sparse
 exponential on the ones vector, and ``katz_rowsum`` gives Katz row sums at
 any size from one sparse solve that certifies its own admissibility and
-error; neither forms a dense matrix.
+error; neither forms a dense matrix.  An inf or nan score raises
+``EvaluationError``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import SparseGraph
-from .matfun import DENSE_CAP, EXP_MINUS_ONE, EvaluationError, ScalarFunction
+from .matfun import (
+    DENSE_CAP,
+    EXP_MINUS_ONE,
+    EvaluationError,
+    ScalarFunction,
+    _require_finite,
+)
 from .perron import PerronConfig, PerronResult, power_iteration
 
 # Taylor degree of the subgraph reference, and theta_m for it in double
@@ -129,8 +136,11 @@ def subgraph_diag(g: SparseGraph, gamma: float) -> np.ndarray:
         square += y
         y = square
     if squarings == 0:
-        return np.diagonal(y).copy()
-    return np.einsum("ij,ji->i", y, y) + 2.0 * np.diagonal(y)
+        diag = np.diagonal(y).copy()
+    else:
+        diag = np.einsum("ij,ji->i", y, y) + 2.0 * np.diagonal(y)
+    _require_finite(diag, "subgraph_diag", gamma)
+    return diag
 
 
 def expm_rowsum(g: SparseGraph, gamma: float) -> np.ndarray:
@@ -145,7 +155,9 @@ def expm_rowsum(g: SparseGraph, gamma: float) -> np.ndarray:
     from scipy.sparse.linalg import expm_multiply
 
     ones = np.ones(g.n)
-    return expm_multiply(gamma * g.csc, ones) - ones
+    rowsum = expm_multiply(gamma * g.csc, ones) - ones
+    _require_finite(rowsum, "expm_rowsum", gamma)
+    return rowsum
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,8 @@ class PerronConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        if not (self.epsilon >= 0 and np.isfinite(self.epsilon)):
+            raise ValueError("epsilon must be finite and nonnegative")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
 

@@ -424,6 +424,36 @@ def test_config_validation():
         ExperimentConfig(ell_list=[0])
     with pytest.raises(ValueError):
         ExperimentConfig(trials=0)
+    for bad in (0.0, -1.0, np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="gamma"):
+            ExperimentConfig(gamma=bad)
+    for bad in (-1e-3, np.inf, np.nan):
+        with pytest.raises(ValueError, match="epsilon"):
+            ExperimentConfig(epsilon=bad)
+    with pytest.raises(ValueError, match="k must"):
+        ExperimentConfig(k=0)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--measure", "perron", "--epsilon", "nan"],
+        ["--measure", "perron", "--epsilon", "-1"],
+        ["--measure", "communicability", "--gamma", "inf"],
+        ["--measure", "katz", "--gamma", "inf"],
+        ["--gamma", "nan"],
+        ["--gamma", "0"],
+        ["--k", "0"],
+    ],
+)
+def test_non_finite_parameters_are_usage_errors(tmp_path, capsys, flags):
+    # refused before any graph is loaded: the input file does not exist
+    argv = ["--input", str(tmp_path / "absent.txt"), "--out", str(tmp_path / "r"), *flags]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_run_rows_carry_estimate_metadata(tmp_path):
@@ -553,15 +583,15 @@ def test_katz_reference_refuses_an_uncertified_solution(tmp_path):
 @pytest.mark.parametrize("spec", ["er:n=50,p=0.1,seed=1", "pa:n=60,m=3,seed=1"])
 @pytest.mark.parametrize("measure", ["subgraph", "communicability"])
 def test_overflowed_scores_fail_the_run(tmp_path, spec, measure):
-    # exp(1000 A) overflows in double precision: the run fails instead of
-    # ranking inf scores
+    # exp(1000 A) overflows in double precision: the reference that computes
+    # the inf scores fails the run instead of ranking them
     out = tmp_path / "overflow"
     argv = ["--generate", spec, "--measure", measure, "--gamma", "1000", "--ell", "10"]
     with np.errstate(all="ignore"):
         assert main(argv + ["--out", str(out)]) == 1
     report = json.loads(out.with_suffix(".json").read_text())
-    assert report["failed"].startswith("ValueError")
-    assert "scores are not finite" in report["failed"]
+    assert report["failed"].startswith("EvaluationError")
+    assert "inf or nan scores at gamma=1000" in report["failed"]
     assert "report" not in report
 
 

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from sampled_centrality import (
-    ColumnMaskedOperator,
     GraphParseError,
     SampleSet,
     SparseGraph,
@@ -21,6 +20,7 @@ from sampled_centrality import (
 )
 from sampled_centrality import graph as graph_module
 from conftest import dataset_dir, directed_edge, requires_datasets, undirected_edge
+from krylov_reference import ColumnMaskedOperator
 
 
 def test_parse_edge_list_directed():
@@ -253,6 +253,11 @@ def test_parse_matrix_market_general():
     assert g.labels.tolist() == [1, 2, 3]
 
 
+def test_parse_matrix_market_needs_a_seekable_stream():
+    with pytest.raises(TypeError, match="seekable text stream.*io.StringIO.*not list"):
+        parse_edge_list(MM_GENERAL.splitlines(), format="matrix-market")
+
+
 def test_parse_matrix_market_symmetric_expands():
     g = parse_edge_list(io.StringIO(MM_SYMMETRIC), format="matrix-market", directed=True)
     assert not g.directed  # symmetric header wins
@@ -478,7 +483,7 @@ def test_edge_list_round_trip():
 def test_graph_arrays_immutable():
     g = directed_edge()
     with pytest.raises(ValueError):
-        g.col_rows[0] = 5
+        g.csc.indices[0] = 5
     loops = SparseGraph.from_edges(3, np.array([[0, 0], [0, 1], [2, 1]]), directed=False)
     for h in (g, transpose(g), loops, remove_self_loops(loops)[0]):
         for arr in (h.csr.data, h.csr.indices, h.csr.indptr, h.csc.data, h.csc.indices, h.csc.indptr):

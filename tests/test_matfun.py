@@ -15,21 +15,13 @@ from sampled_centrality import (
     direct_core_evaluation,
     evaluate_masked_function,
     exp_minus_one,
-    krylov_spectral_evaluation,
     resolvent_minus_one,
     sample_columns,
     transpose_measures,
 )
 from sampled_centrality import matfun
-from sampled_centrality.graph import ArrowMaskedOperator, ColumnMaskedOperator
-from sampled_centrality.matfun import (
-    KrylovDecomposition,
-    ScalarFunction,
-    _masked_function_columns,
-    arnoldi,
-    estimate_spectral_radius,
-    spectral_factorize,
-)
+from sampled_centrality.cli import generate
+from sampled_centrality.matfun import ScalarFunction
 from conftest import (
     directed_edge,
     directed_two_cycle,
@@ -39,6 +31,14 @@ from conftest import (
     star,
     triangle,
     undirected_edge,
+)
+from krylov_reference import (
+    ColumnMaskedOperator,
+    KrylovDecomposition,
+    arnoldi,
+    estimate_spectral_radius,
+    krylov_spectral_evaluation,
+    spectral_factorize,
 )
 
 
@@ -61,13 +61,16 @@ def _column_mask(n, indices):
     return SampleSet(np.asarray(indices), "column", "guided", 0, n)
 
 
-def _assert_arrow_matches_dense(g, mask, f):
-    """diag and rowsum on every node against dense f of the arrow-masked matrix."""
-    arrow = ArrowMaskedOperator(g, mask.indices)._sub.toarray()
+def _arrow_dense(g, mask):
+    """The dense arrow mask: entries whose row or column is sampled."""
     keep = np.zeros(g.n, dtype=bool)
     keep[mask.indices] = True
-    assert np.array_equal(arrow, g.dense() * (keep[:, None] | keep[None, :]))
-    exact = dense_matfun(arrow, f)
+    return g.dense() * (keep[:, None] | keep[None, :])
+
+
+def _assert_arrow_matches_dense(g, mask, f):
+    """diag and rowsum on every node against dense f of the arrow-masked matrix."""
+    exact = dense_matfun(_arrow_dense(g, mask), f)
     res = arrow_core_evaluation(g, mask, f)
     assert res.method == "arrow_core"
     assert rel_err(res.diag, np.diagonal(exact)) <= 1e-10
@@ -81,28 +84,40 @@ def _assert_arrow_matches_dense(g, mask, f):
 def test_scalar_function_values():
     f = exp_minus_one(2.0)
     assert np.isclose(f.value(1.0), np.expm1(2.0))
-    assert np.isclose(f.quotient(0.0).real, 2.0)  # gamma * phi1(0)
     r = resolvent_minus_one(0.25)
     assert np.isclose(r.value(2.0), 1.0 / (1 - 0.5) - 1.0)
-    assert np.isclose(r.quotient(0.0).real, 0.25)
 
 
 def test_scalar_function_validation():
     with pytest.raises(ValueError):
         ScalarFunction("log", 1.0)
-    with pytest.raises(ValueError):
-        exp_minus_one(0.0)
+    for gamma in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="gamma"):
+            exp_minus_one(gamma)
+        with pytest.raises(ValueError, match="gamma"):
+            resolvent_minus_one(gamma)
 
 
-def test_matrix_quotient_handles_singular_core():
+def test_quotient_sum_handles_singular_core():
     f = exp_minus_one(1.0)
-    g11 = f.matrix_quotient(np.zeros((1, 1)))
-    assert np.allclose(g11, [[1.0]])
+    _, g1 = f.matrix_value_and_quotient_sum(np.zeros((1, 1)))
+    assert np.allclose(g1, [1.0])
     # agreement with eigenvalue evaluation on a diagonalizable core
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     lam, q = np.linalg.eigh(a)
-    expected = (q * f.quotient(lam).real) @ q.T
-    assert np.allclose(f.matrix_quotient(a), expected, atol=1e-13)
+    expected = q @ ((np.expm1(lam) / lam) * (q.T @ np.ones(2)))
+    _, g1 = f.matrix_value_and_quotient_sum(a)
+    assert np.allclose(g1, expected, atol=1e-13)
+
+
+def _phi1_rowsum(a, gamma):
+    """gamma * phi1(gamma*A) @ 1 from the phi1 block of the 2m-order augmented
+    exponential expm([[gamma*A, I], [0, 0]]), exact for singular A."""
+    m = a.shape[0]
+    aug = np.zeros((2 * m, 2 * m))
+    aug[:m, :m] = gamma * a
+    aug[:m, m:] = np.eye(m)
+    return gamma * sla.expm(aug)[:m, m:] @ np.ones(m)
 
 
 def test_augmented_exponential_matches_matrix_quotient():
@@ -114,7 +129,7 @@ def test_augmented_exponential_matches_matrix_quotient():
             f = exp_minus_one(gamma)
             f11, g1 = f.matrix_value_and_quotient_sum(a)
             assert rel_err(f11, f.matrix_value(a)) <= 1e-12
-            assert rel_err(g1, f.matrix_quotient(a) @ np.ones(a.shape[0])) <= 1e-12
+            assert rel_err(g1, _phi1_rowsum(a, gamma)) <= 1e-12
     # the nilpotent series terminates: g(A) 1 = sum_k A^k 1 / (k + 1)!
     f11, g1 = exp_minus_one(1.0).matrix_value_and_quotient_sum(nilpotent)
     series = np.zeros(6)
@@ -128,7 +143,8 @@ def test_augmented_exponential_matches_matrix_quotient():
     r = resolvent_minus_one(0.02)
     f11, g1 = r.matrix_value_and_quotient_sum(dense_random)
     assert rel_err(f11, r.matrix_value(dense_random)) <= 1e-12
-    assert rel_err(g1, r.matrix_quotient(dense_random) @ np.ones(30)) <= 1e-12
+    katz = 0.02 * np.linalg.solve(np.eye(30) - 0.02 * dense_random, np.ones(30))
+    assert rel_err(g1, katz) <= 1e-12
 
 
 # -- Arnoldi ------------------------------------------------------------------
@@ -233,8 +249,7 @@ def test_arrow_core_random_graphs_match_dense():
     g = SparseGraph.from_edges(40, edges, directed=False)
     for ell, seed in ((10, 2), (1, 0), (25, 4)):
         mask = sample_columns(g, ell, seed=seed)
-        arrow = ArrowMaskedOperator(g, mask.indices)._sub.toarray()
-        rho = float(np.max(np.abs(np.linalg.eigvalsh(arrow))))
+        rho = float(np.max(np.abs(np.linalg.eigvalsh(_arrow_dense(g, mask)))))
         _assert_arrow_matches_dense(g, mask, exp_minus_one(1.0))
         _assert_arrow_matches_dense(g, mask, resolvent_minus_one(0.5 / rho))
 
@@ -253,8 +268,7 @@ def test_arrow_core_rank_deficient_trailing_block():
         mask = _column_mask(g.n, indices)
         rest = np.setdiff1d(np.arange(g.n), mask.indices)
         assert np.linalg.matrix_rank(g.dense()[np.ix_(rest, mask.indices)]) < len(indices)
-        arrow = ArrowMaskedOperator(g, mask.indices)._sub.toarray()
-        rho = float(np.max(np.abs(np.linalg.eigvalsh(arrow))))
+        rho = float(np.max(np.abs(np.linalg.eigvalsh(_arrow_dense(g, mask)))))
         _assert_arrow_matches_dense(g, mask, exp_minus_one(1.0))
         _assert_arrow_matches_dense(g, mask, resolvent_minus_one(0.5 / rho))
 
@@ -464,24 +478,51 @@ def test_direct_core_respects_cap(monkeypatch):
         direct_core_evaluation(g, mask, exp_minus_one(1.0))
 
 
+def test_row_quadratic_forms_over_several_row_blocks(monkeypatch):
+    g = generate("pa:n=400,m=3,seed=2")
+    mask = sample_columns(g, 12, seed=1)
+    f = exp_minus_one(0.5)
+    single = arrow_core_evaluation(g, mask, f)
+    rest = g.n - len(mask)
+    # a row block holds _ROW_BLOCK_ENTRIES // ell rows of A21 @ K
+    monkeypatch.setattr(matfun, "_ROW_BLOCK_ENTRIES", len(mask) * (rest // 3 - 1))
+    step = matfun._ROW_BLOCK_ENTRIES // len(mask)
+    assert -(-rest // step) >= 3
+    blocked = arrow_core_evaluation(g, mask, f)
+    assert rel_err(blocked.diag, single.diag) <= 1e-14
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_core_blocks_refuse_above_the_dense_cap(directed):
+    import tracemalloc
+
+    n = matfun.DENSE_CAP + 1
+    idx = np.arange(n - 1, dtype=np.int64)
+    g = SparseGraph.from_edges(n, np.column_stack([idx, idx + 1]), directed=directed)
+    mask = _column_mask(n, np.arange(n))
+    tracemalloc.start()
+    try:
+        with pytest.raises(EvaluationError, match=f"core size {n} exceeds the dense cap"):
+            evaluate_masked_function(g, mask, exp_minus_one(1.0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 8  # not even one row of the ell x ell core
+
+
 # -- structural invariants ----------------------------------------------------
 
 
 def test_resolvent_identity_on_reconstructed_columns():
+    # the Katz row sums x = 1 + rowsum solve (I - gamma*A_mask) x = 1
     g = _er_digraph(35, 0.2, seed=8)
     mask = sample_columns(g, 10, seed=5)
-    rho = np.max(np.abs(np.linalg.eigvals(_masked_dense(g, mask))))
+    masked = _masked_dense(g, mask)
+    rho = np.max(np.abs(np.linalg.eigvals(masked)))
     gamma = 0.5 / max(rho, 1.0)
-    f = resolvent_minus_one(gamma)
-    G = _masked_function_columns(g, mask, f)
-    op = ColumnMaskedOperator(g, mask.indices)
-    for pos, j in enumerate(mask.indices):
-        x = G[:, pos].copy()
-        x[j] += 1.0
-        residual = x - gamma * op(x)
-        expected = np.zeros(g.n)
-        expected[j] = 1.0
-        assert np.max(np.abs(residual - expected)) <= 1e-8
+    res = evaluate_masked_function(g, mask, resolvent_minus_one(gamma))
+    x = 1.0 + res.rowsum
+    assert np.max(np.abs(x - gamma * (masked @ x) - 1.0)) <= 1e-8
 
 
 def test_nilpotent_series_termination():

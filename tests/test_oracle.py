@@ -155,6 +155,20 @@ def test_subgraph_diag_refuses_an_overflowing_norm_bound():
         oracle.subgraph_diag(generate("er:n=50,p=0.1,seed=1"), 1e300)
 
 
+@pytest.mark.parametrize("spec", ["er:n=50,p=0.1,seed=1", "pa:n=60,m=3,seed=1"])
+def test_overflowed_references_are_refused(spec):
+    # exp(1000 A) overflows in double precision, though the norm bound does not
+    g = generate(spec)
+    with np.errstate(all="ignore"):
+        for route, reference in (
+            ("subgraph_diag", oracle.subgraph_diag),
+            ("expm_rowsum", oracle.expm_rowsum),
+        ):
+            message = f"{route} returned inf or nan scores at gamma=1000"
+            with pytest.raises(EvaluationError, match=message):
+                reference(g, 1000.0)
+
+
 def test_subgraph_diag_cap_refuses_before_dense_allocation(monkeypatch):
     import tracemalloc
 

@@ -334,7 +334,8 @@ def test_perron_result_serialization():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        PerronConfig(epsilon=-1.0)
+    for bad in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="epsilon"):
+            PerronConfig(epsilon=bad)
     with pytest.raises(ValueError):
         PerronConfig(tol=0.0)
