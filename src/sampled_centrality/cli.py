@@ -36,14 +36,7 @@ from .matfun import (
     ScalarFunction,
     evaluate_masked_function,
 )
-from .oracle import (
-    TAYLOR_DEGREE,
-    dense_left_perron,
-    expm_rowsum,
-    katz_rowsum,
-    subgraph_diag,
-    taylor_scaling,
-)
+from .oracle import dense_left_perron, expm_rowsum, katz_rowsum, subgraph_diag
 from .perron import PerronConfig, left_perron, symmetric_perron
 from .ranking import (
     CentralityVector,
@@ -313,18 +306,8 @@ def _reference_scores(g: SparseGraph, cfg: ExperimentConfig) -> CentralityVector
     if cfg.measure == "katz":
         ref = katz_rowsum(g, cfg.gamma)
         return CentralityVector(ref.scores, cfg.measure, ref.metadata())
-    scores = subgraph_diag(g, cfg.gamma)
-    squarings, norm_bound = taylor_scaling(g, cfg.gamma)
-    return CentralityVector(
-        scores,
-        cfg.measure,
-        {
-            "method": "taylor_squaring",
-            "degree": TAYLOR_DEGREE,
-            "squarings": squarings,
-            "norm_bound": norm_bound,
-        },
-    )
+    ref = subgraph_diag(g, cfg.gamma)
+    return CentralityVector(ref.scores, cfg.measure, ref.metadata())
 
 
 def _config_echo(cfg: ExperimentConfig) -> dict:

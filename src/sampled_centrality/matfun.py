@@ -10,7 +10,8 @@ graphs the "arrow" mask that keeps entries with a sampled row or column
 (``arrow_core_evaluation``).  Each reduces f(A_masked) to one dense
 computation on a core of order at most 2*ell plus sparse products, with no
 iteration; that is the one route for each mask.  A result with an inf or
-nan entry raises ``EvaluationError`` where it is computed.
+nan entry raises ``EvaluationError`` where it is computed: each core's dense
+kernel stops at its first overflow or invalid value, with no RuntimeWarning.
 
 The permutation that would move sampled columns first is never materialized:
 everything is indexed in original node order, with the selection order of J
@@ -19,6 +20,7 @@ defining the leading block.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 from dataclasses import dataclass
 
@@ -187,7 +189,22 @@ def evaluate_masked_function(
 def _require_finite(values: np.ndarray, route: str, gamma: float) -> None:
     """Raise ``EvaluationError`` naming the route and gamma if any entry is inf or nan."""
     if not np.all(np.isfinite(values)):
-        raise EvaluationError(f"{route} returned inf or nan scores at gamma={gamma:g}")
+        raise _non_finite(route, gamma)
+
+
+def _non_finite(route: str, gamma: float) -> EvaluationError:
+    return EvaluationError(f"{route} returned inf or nan scores at gamma={gamma:g}")
+
+
+@contextlib.contextmanager
+def _stop_at_overflow(route: str, gamma: float):
+    """Run a dense kernel so its first overflow or invalid value raises
+    ``EvaluationError`` instead of a RuntimeWarning and inf or nan scores."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise _non_finite(route, gamma) from exc
 
 
 def _core_blocks(g: SparseGraph, mask: SampleSet):
@@ -214,13 +231,14 @@ def direct_core_evaluation(g: SparseGraph, mask: SampleSet, f: ScalarFunction) -
     """
     J, rest, a11, a21 = _core_blocks(g, mask)
     ell = len(mask)
-    f11, g1 = f.matrix_value_and_quotient_sum(a11)
+    with _stop_at_overflow("direct_core", f.gamma):
+        f11, g1 = f.matrix_value_and_quotient_sum(a11)
 
-    diag = np.zeros(g.n)
-    diag[J] = np.diagonal(f11)
-    rowsum = np.zeros(g.n)
-    rowsum[J] = f11.sum(axis=1)
-    rowsum[rest] = a21 @ g1
+        diag = np.zeros(g.n)
+        diag[J] = np.diagonal(f11)
+        rowsum = np.zeros(g.n)
+        rowsum[J] = f11.sum(axis=1)
+        rowsum[rest] = a21 @ g1
 
     # A_masked is block lower triangular, so its spectrum is that of A11;
     # only the resolvent's admissibility gate needs it
@@ -264,21 +282,22 @@ def arrow_core_evaluation(g: SparseGraph, mask: SampleSet, f: ScalarFunction) ->
     mu, W = np.linalg.eigh(core)
     rho = float(np.max(np.abs(mu), initial=0.0))
     _check_katz_bound(f, rho)
-    fmu = f.value(mu)
+    with _stop_at_overflow("arrow_core", f.gamma):
+        fmu = f.value(mu)
 
-    # U^T 1 = [1_J; Q^T 1_rest], and U maps the core back to node order
-    z = np.concatenate([np.ones(ell), P.T @ np.asarray(a21.sum(axis=0)).ravel()])
-    fz = W @ (fmu * (W.T @ z))
-    rowsum = np.empty(g.n)
-    rowsum[J] = fz[:ell]
-    rowsum[rest] = a21 @ (P @ fz[ell:])
+        # U^T 1 = [1_J; Q^T 1_rest], and U maps the core back to node order
+        z = np.concatenate([np.ones(ell), P.T @ np.asarray(a21.sum(axis=0)).ravel()])
+        fz = W @ (fmu * (W.T @ z))
+        rowsum = np.empty(g.n)
+        rowsum[J] = fz[:ell]
+        rowsum[rest] = a21 @ (P @ fz[ell:])
 
-    # diag over rest is a_i^T K a_i with K = P F22 P^T, F22 = f(C)[ell:, ell:]
-    PW2 = P @ W[ell:]
-    K = (PW2 * fmu) @ PW2.T
-    diag = np.empty(g.n)
-    diag[J] = (W[:ell] ** 2) @ fmu
-    diag[rest] = _row_quadratic_forms(a21, K)
+        # diag over rest is a_i^T K a_i with K = P F22 P^T, F22 = f(C)[ell:, ell:]
+        PW2 = P @ W[ell:]
+        K = (PW2 * fmu) @ PW2.T
+        diag = np.empty(g.n)
+        diag[J] = (W[:ell] ** 2) @ fmu
+        diag[rest] = _row_quadratic_forms(a21, K)
     return MatfunResult(
         diag=diag,
         rowsum=rowsum,

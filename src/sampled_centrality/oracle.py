@@ -5,7 +5,9 @@ Katz row sums, Perron.
 arrays (row-major, square) and ``DENSE_CAP`` keeps huge inputs out.
 ``subgraph_diag`` gets diag exp(gamma*A) by Taylor scaling and squaring of
 the sparse matrix, one route for directed and undirected graphs, and refuses
-above the cap before it builds its n x n iterate.  ``expm_rowsum`` gives
+above the cap before it builds its n x n iterate.  Its Horner recurrence runs
+in column panels, one worker thread per available CPU; the output does not
+depend on the number of workers.  ``expm_rowsum`` gives
 communicability row sums at any size from the action of the sparse
 exponential on the ones vector, and ``katz_rowsum`` gives Katz row sums at
 any size from one sparse solve that certifies its own admissibility and
@@ -16,6 +18,7 @@ error; neither forms a dense matrix.  An inf or nan score raises
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +39,9 @@ from .perron import PerronConfig, PerronResult, power_iteration
 # in scipy's expm_multiply table)
 TAYLOR_DEGREE = 30
 TAYLOR_THETA = 3.54
+# columns of the subgraph reference's Horner panel: 64 keep an n x 64 panel
+# in cache (1 MB at n = 2000) through every product
+_PANEL_COLUMNS = 64
 # a certified Katz solve has |x - x*| <= this * x* entrywise
 KATZ_RESIDUAL_TOL = 1e-12
 # GMRES: stopping rule (2-norm residual relative to |1|_2), restart length
@@ -102,7 +108,24 @@ def taylor_scaling(g: SparseGraph, gamma: float) -> tuple[int, float]:
     return squarings, alpha
 
 
-def subgraph_diag(g: SparseGraph, gamma: float) -> np.ndarray:
+@dataclass(frozen=True)
+class SubgraphDiag:
+    """diag exp(gamma*A) - I with the Taylor scaling that produced it."""
+
+    scores: np.ndarray
+    squarings: int
+    norm_bound: float
+
+    def metadata(self) -> dict:
+        return {
+            "method": "taylor_squaring",
+            "degree": TAYLOR_DEGREE,
+            "squarings": self.squarings,
+            "norm_bound": self.norm_bound,
+        }
+
+
+def subgraph_diag(g: SparseGraph, gamma: float) -> SubgraphDiag:
     """Diagonal of exp(gamma*A) - I by Taylor scaling and squaring.
 
     With (s, alpha) from ``taylor_scaling``, alpha / 2^s <= theta_30 = 3.54
@@ -116,20 +139,30 @@ def subgraph_diag(g: SparseGraph, gamma: float) -> np.ndarray:
     2 Y_ii + sum_j Y_ij Y_ji.  Every step sums products of nonnegative
     numbers, and working with Y rather than T_30(C) also spares the final
     subtraction of the identity.  Refused above ``DENSE_CAP`` before any
-    n x n array is built.
+    n x n array is built.  The result carries s and alpha with the scores.
+
+    The columns of Y do not depend on each other, so the Horner recurrence
+    runs in panels of ``_PANEL_COLUMNS`` columns that stay in cache through
+    all its products, one worker thread per CPU the process may run on.  The
+    sparse product sums each entry in the same order whatever the panel, so
+    the result does not depend on the number of workers.  The squarings are
+    single dense products in the calling thread.
     """
     if g.n > DENSE_CAP:
         raise EvaluationError(
             f"no exact subgraph reference for n={g.n} above the dense cap {DENSE_CAP}"
         )
-    squarings, _ = taylor_scaling(g, gamma)
+    squarings, norm_bound = taylor_scaling(g, gamma)
     c = (gamma / 2.0**squarings) * g.csr
     y = c.toarray()
     y /= TAYLOR_DEGREE
-    for k in range(TAYLOR_DEGREE - 1, 0, -1):
-        y.flat[:: g.n + 1] += 1.0
-        y = c @ y
-        y /= k
+    # imported here: the thread pool module adds 10 ms to importing the package
+    from concurrent.futures import ThreadPoolExecutor
+
+    starts = range(0, g.n, _PANEL_COLUMNS)
+    with ThreadPoolExecutor(max_workers=min(_available_cpus(), len(starts))) as pool:
+        # list() waits for every panel and re-raises a worker's exception here
+        list(pool.map(lambda start: _horner_panel(c, y, start), starts))
     for _ in range(squarings - 1):
         square = y @ y
         square += y
@@ -140,7 +173,33 @@ def subgraph_diag(g: SparseGraph, gamma: float) -> np.ndarray:
     else:
         diag = np.einsum("ij,ji->i", y, y) + 2.0 * np.diagonal(y)
     _require_finite(diag, "subgraph_diag", gamma)
-    return diag
+    return SubgraphDiag(scores=diag, squarings=squarings, norm_bound=norm_bound)
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _horner_panel(c: sp.csr_matrix, y: np.ndarray, start: int) -> None:
+    """Y[:, start:stop] <- T_30(C) - I on one column panel, in place.
+
+    On entry the panel holds C / 30, the first Horner step; column j of I
+    is the unit vector at row start + j.  Runs on a worker thread, so it
+    calls only numpy and scipy: wrappers around the package's public
+    functions then see the calling thread alone.
+    """
+    panel = y[:, start : start + _PANEL_COLUMNS].copy()
+    width = panel.shape[1]
+    unit = (np.arange(start, start + width), np.arange(width))
+    for k in range(TAYLOR_DEGREE - 1, 0, -1):
+        panel[unit] += 1.0
+        panel = c @ panel
+        panel /= k
+    y[:, start : start + width] = panel
 
 
 def expm_rowsum(g: SparseGraph, gamma: float) -> np.ndarray:

@@ -1,0 +1,43 @@
+"""The subgraph reference's Horner recurrence on the whole n x n iterate.
+
+This is ``oracle.subgraph_diag`` as it was before the recurrence ran in
+column panels on worker threads: one sparse-by-dense product per degree on
+all n columns at once, in the calling thread.  No pipeline route runs it.
+The tests import it from here to check that the panelled kernel gives the
+same diagonal bit for bit.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from sampled_centrality import EvaluationError, SparseGraph
+from sampled_centrality.matfun import DENSE_CAP, _require_finite
+from sampled_centrality.oracle import TAYLOR_DEGREE, taylor_scaling
+
+
+def whole_matrix_subgraph_diag(g: SparseGraph, gamma: float) -> np.ndarray:
+    """Diagonal of exp(gamma*A) - I by Taylor scaling and squaring."""
+    if g.n > DENSE_CAP:
+        raise EvaluationError(
+            f"no exact subgraph reference for n={g.n} above the dense cap {DENSE_CAP}"
+        )
+    squarings, _ = taylor_scaling(g, gamma)
+    c = (gamma / 2.0**squarings) * g.csr
+    y = c.toarray()
+    y /= TAYLOR_DEGREE
+    for k in range(TAYLOR_DEGREE - 1, 0, -1):
+        y.flat[:: g.n + 1] += 1.0
+        y = c @ y
+        y /= k
+    for _ in range(squarings - 1):
+        square = y @ y
+        square += y
+        square += y
+        y = square
+    if squarings == 0:
+        diag = np.diagonal(y).copy()
+    else:
+        diag = np.einsum("ij,ji->i", y, y) + 2.0 * np.diagonal(y)
+    _require_finite(diag, "subgraph_diag", gamma)
+    return diag

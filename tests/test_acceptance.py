@@ -247,7 +247,7 @@ def test_criterion_6_guided_beats_random():
     random_overlaps = []
     for seed in range(20):
         g = generate(f"pa:n=2000,m=5,seed={seed}")
-        exact = subgraph_diag(g, 1.0)
+        exact = subgraph_diag(g, 1.0).scores
         exact_ranking = rank_nodes(exact, k)
         for strategy, bucket in (("guided", guided_overlaps), ("random", random_overlaps)):
             mask = sample_columns(g, ell, seed=seed, strategy=strategy)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -468,6 +470,25 @@ def test_direct_core_resolvent_pole_detected():
     mask = full_column_sample(g)
     with pytest.raises(EvaluationError, match="pole"):
         direct_core_evaluation(g, mask, resolvent_minus_one(1.0))
+
+
+@pytest.mark.parametrize(
+    "spec, route, core",
+    [
+        ("er:n=200,p=0.05,seed=1", "direct_core", direct_core_evaluation),
+        ("pa:n=200,m=3,seed=1", "arrow_core", arrow_core_evaluation),
+    ],
+)
+def test_core_routes_stop_at_the_first_overflow(spec, route, core):
+    # exp(1000 A11) overflows: the kernel raises at once, with no RuntimeWarning
+    g = generate(spec)
+    mask = sample_columns(g, 20, seed=1, strategy="guided")
+    message = f"{route} returned inf or nan scores at gamma=1000"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(EvaluationError, match=message) as info:
+            core(g, mask, exp_minus_one(1000.0))
+    assert isinstance(info.value.__cause__, FloatingPointError)
 
 
 def test_direct_core_respects_cap(monkeypatch):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import re
 
 import numpy as np
@@ -29,6 +30,7 @@ from conftest import (
     star,
     triangle,
 )
+from taylor_reference import whole_matrix_subgraph_diag
 
 
 def test_dense_matfun_zero_matrix():
@@ -101,11 +103,17 @@ def floored_rel_err(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.max(np.abs(a - b) / np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0)))
 
 
+def random_dag(n: int = 200) -> SparseGraph:
+    rng = np.random.default_rng(8)
+    pairs = rng.integers(0, n, size=(10 * n, 2))
+    return SparseGraph.from_edges(n, pairs[pairs[:, 0] < pairs[:, 1]], directed=True)
+
+
 @pytest.mark.parametrize("spec, gamma", SUBGRAPH_CASES)
 def test_subgraph_diag_matches_dense(spec, gamma):
     g = generate(spec)
     exact = np.diagonal(dense_matfun(g.dense(), exp_minus_one(gamma)))
-    assert floored_rel_err(oracle.subgraph_diag(g, gamma), exact) <= 1e-12
+    assert floored_rel_err(oracle.subgraph_diag(g, gamma).scores, exact) <= 1e-12
 
 
 def test_subgraph_diag_scaling_meets_theta():
@@ -129,19 +137,57 @@ def test_subgraph_diag_norm_bound_is_exact_for_nonnegative_powers():
 
 
 def test_subgraph_diag_dag_is_exactly_zero():
-    rng = np.random.default_rng(8)
-    pairs = rng.integers(0, 200, size=(2000, 2))
-    pairs = pairs[pairs[:, 0] < pairs[:, 1]]
-    dag = SparseGraph.from_edges(200, pairs, directed=True)
+    dag = random_dag()
     assert oracle.taylor_scaling(dag, 3.0)[0] >= 2  # full squarings run
     for g in (dag, directed_path(30)):
-        assert oracle.subgraph_diag(g, 3.0).tolist() == [0.0] * g.n
+        assert oracle.subgraph_diag(g, 3.0).scores.tolist() == [0.0] * g.n
 
 
 def test_subgraph_diag_no_edges():
     g = SparseGraph.from_edges(5, np.empty((0, 2), dtype=np.int64), directed=True)
     assert oracle.taylor_scaling(g, 1.0) == (0, 0.0)
-    assert oracle.subgraph_diag(g, 1.0).tolist() == [0.0] * 5
+    assert oracle.subgraph_diag(g, 1.0).scores.tolist() == [0.0] * 5
+
+
+# (graph, gammas giving 0, 1 and >= 2 squarings): n = 130, 150 and 200 are
+# not multiples of the panel width, n = 40 is below one panel (so two
+# workers get one panel), and the single node carries a self-loop so its
+# diagonal is not zero
+PANEL_PARITY_GRAPHS = {
+    "directed": (lambda: generate("er:n=130,p=0.05,seed=2"), (0.1, 0.5, 2.0)),
+    "undirected": (lambda: generate("pa:n=150,m=3,seed=1"), (0.1, 0.3, 2.0)),
+    "dag": (random_dag, (0.1, 1.0, 3.0)),
+    "below-one-panel": (lambda: generate("er:n=40,p=0.1,seed=1"), (0.5, 1.0, 2.0)),
+    "one-node": (
+        lambda: SparseGraph.from_edges(1, np.array([[0, 0]]), directed=True),
+        (1.0, 5.0, 20.0),
+    ),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", sorted(PANEL_PARITY_GRAPHS))
+def test_subgraph_diag_panels_match_the_whole_matrix_bitwise(name, workers, monkeypatch):
+    monkeypatch.setattr(oracle, "_available_cpus", lambda: workers)
+    build, gammas = PANEL_PARITY_GRAPHS[name]
+    g = build()
+    assert g.n % oracle._PANEL_COLUMNS
+    squarings = []
+    for gamma in gammas:
+        result = oracle.subgraph_diag(g, gamma)
+        assert np.array_equal(result.scores, whole_matrix_subgraph_diag(g, gamma))
+        assert (result.squarings, result.norm_bound) == oracle.taylor_scaling(g, gamma)
+        squarings.append(result.squarings)
+    assert squarings[:2] == [0, 1] and squarings[2] >= 2
+    # a DAG has no closed walks; every other graph has some
+    assert result.scores.any() == (name != "dag")
+
+
+def test_available_cpus_counts_the_affinity_mask():
+    cpus = oracle._available_cpus()
+    assert cpus >= 1
+    if hasattr(os, "sched_getaffinity"):
+        assert cpus == len(os.sched_getaffinity(0))
 
 
 @pytest.mark.parametrize("gamma", [0.0, -1.0, np.inf, np.nan])
