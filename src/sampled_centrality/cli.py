@@ -96,29 +96,56 @@ class ExperimentConfig:
 # -- synthetic generators -----------------------------------------------------
 
 
+# the keys each generator kind accepts; any other key is refused
+_GENERATOR_KEYS = {
+    "er": ("n", "p", "seed", "directed"),
+    "pa": ("n", "m", "seed"),
+    "star": ("leaves",),
+    "path": ("n",),
+    "cycle": ("n",),
+    "two-cluster-bridge": ("n", "intra_p", "seed"),
+}
+# the most rounds of preferential attachment drawn in one generator call
+_PA_MAX_RUN = 4096
+
+
 def generate(spec: str) -> SparseGraph:
     """Build a synthetic graph from a spec like ``er:n=60,p=0.1,seed=1``.
 
-    Kinds: er (directed by default; directed=0 for undirected; O(n + m)),
-    pa (preferential attachment, undirected, m edges per new node), star,
-    path, cycle, two-cluster-bridge (two intra-dense halves joined by one
-    edge).
+    Kinds and their keys are in ``_GENERATOR_KEYS``: er (directed by default;
+    directed=0 for undirected; O(n + m)), pa (preferential attachment,
+    undirected, m edges per new node), star, path, cycle, two-cluster-bridge
+    (two halves, each an undirected er graph of p = intra_p, joined by one
+    edge; O(n + m)).  A key the kind does not take, ``directed`` other than
+    0 or 1, or ``intra_p`` outside [0, 1] raises ``ValueError``.  The same
+    spec always gives the same graph.
     """
     name, _, rest = spec.partition(":")
+    if name not in _GENERATOR_KEYS:
+        raise ValueError(f"unknown generator {name!r}")
+    allowed = _GENERATOR_KEYS[name]
     params: dict[str, str] = {}
     if rest:
         for item in rest.split(","):
             key, _, value = item.partition("=")
+            key, value = key.strip(), value.strip()
             if not key or not value:
                 raise ValueError(f"bad generator parameter {item!r} in {spec!r}")
-            params[key.strip()] = value.strip()
+            if key not in allowed:
+                raise ValueError(
+                    f"generator {name!r} takes no parameter {key!r}; allowed: {', '.join(allowed)}"
+                )
+            params[key] = value
     try:
         if name == "er":
+            directed = int(params.get("directed", 1))
+            if directed not in (0, 1):
+                raise ValueError(f"er parameter 'directed' must be 0 or 1, got {directed}")
             return _gen_erdos_renyi(
                 n=int(params["n"]),
                 p=float(params["p"]),
                 seed=int(params.get("seed", 0)),
-                directed=bool(int(params.get("directed", 1))),
+                directed=bool(directed),
             )
         if name == "pa":
             return _gen_preferential_attachment(
@@ -132,29 +159,29 @@ def generate(spec: str) -> SparseGraph:
             return _gen_path(int(params["n"]))
         if name == "cycle":
             return _gen_cycle(int(params["n"]))
-        if name == "two-cluster-bridge":
-            return _gen_two_cluster_bridge(
-                n=int(params["n"]),
-                intra_p=float(params.get("intra_p", 0.3)),
-                seed=int(params.get("seed", 0)),
-            )
+        return _gen_two_cluster_bridge(
+            n=int(params["n"]),
+            intra_p=float(params.get("intra_p", 0.3)),
+            seed=int(params.get("seed", 0)),
+        )
     except KeyError as exc:
         raise ValueError(f"generator {name!r} is missing parameter {exc}") from None
-    raise ValueError(f"unknown generator {name!r}")
 
 
-def _gen_erdos_renyi(n: int, p: float, seed: int, directed: bool = True) -> SparseGraph:
-    """Each of the n(n - 1) off-diagonal entries independently with probability p.
+def _er_pairs(
+    rng: np.random.Generator, n: int, p: float, directed: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (row, col) pairs of an er graph: each of the n(n - 1) off-diagonal
+    slots independently with probability p, in row-major order; undirected
+    graphs keep the slots with i < j.
 
     Geometric skip sampling (Batagelj & Brandes, Phys. Rev. E 71, 036113,
-    2005) jumps from one edge to the next over the slots in row-major order,
-    so the cost is O(n + m) rather than O(n^2).  The batch sizes only bound
-    memory: the draws, and so the graph, depend on (n, p, seed) alone.
-    Undirected graphs keep the slots with i < j.
+    2005) jumps from one edge to the next over the slots, so the cost is
+    O(n + m) rather than O(n^2).  The batch sizes only bound memory: the
+    draws, and so the pairs, depend on (n, p) and the stream of ``rng`` alone.
     """
     if n < 1 or not 0.0 <= p <= 1.0:
         raise ValueError("need n >= 1 and p in [0, 1]")
-    rng = np.random.default_rng(seed)
     slots = n * (n - 1)
     found = []
     last = -1
@@ -171,36 +198,78 @@ def _gen_erdos_renyi(n: int, p: float, seed: int, directed: bool = True) -> Spar
     t = np.concatenate(found) if found else np.empty(0, dtype=np.int64)
     rows, cols = np.divmod(t, max(n - 1, 1))
     cols += cols >= rows
-    if not directed:
-        keep = rows < cols
-        rows, cols = rows[keep], cols[keep]
+    if directed:
+        return rows, cols
+    keep = rows < cols
+    return rows[keep], cols[keep]
+
+
+def _gen_erdos_renyi(n: int, p: float, seed: int, directed: bool = True) -> SparseGraph:
+    rows, cols = _er_pairs(np.random.default_rng(seed), n, p, directed)
     return SparseGraph.from_edges(n, np.column_stack([rows, cols]), directed=directed)
 
 
 def _gen_preferential_attachment(n: int, m: int, seed: int) -> SparseGraph:
     """Barabasi-Albert growth: each new node attaches to m distinct existing
-    nodes with probability proportional to degree (repeated-endpoint trick).
+    nodes with probability proportional to degree, by the repeated-endpoint
+    construction of Batagelj & Brandes (Phys. Rev. E 71, 036113, 2005).
 
     ``repeated`` is the flat list of (targets, m copies of source) blocks, one
-    per new node.  Each round draws its m picks in one generator call and
-    tops up only while some repeat; that gives the values of m one-at-a-time
-    calls, so the graph is that of the scalar loop.
+    per new node, so the round of node s picks from its first 2m(s - m + 1)
+    entries.  Those bounds are known before any pick is made, so one
+    ``integers`` call with an array of bounds draws the first m picks of a
+    whole run of rounds: the values of one call per bound in turn.  A round
+    whose picks repeat a node tops up with the stream's next draws, so the
+    run ends there; unless it was the run's last round, the generator goes
+    back to the run's saved state and redraws the rounds up to it.  The graph
+    is therefore that of one ``integers(size)`` call per pick, whatever the
+    run lengths, which set the speed only: a round runs alone until four
+    rounds in a row had no repeat, then a run is twice that clean streak, up
+    to ``_PA_MAX_RUN``.  Large m repeats often, and stays near one call per
+    round.
     """
     if n <= m or m < 1:
         raise ValueError("need n > m >= 1")
-    integers = np.random.default_rng(seed).integers
+    rng = np.random.default_rng(seed)
+    integers = rng.integers
     targets = list(range(m))
     repeated: list[int] = []
-    for source in range(m, n):
-        repeated += targets
-        repeated += [source] * m
-        if source == n - 1:
-            break
+    source, streak = m, 0
+    while source < n - 1:  # the last node's round draws nothing
+        run = min(2 * streak if streak >= 4 else 1, _PA_MAX_RUN, n - 1 - source)
+        if run == 1:
+            picks = integers(2 * m * (source - m + 1), size=m).tolist()
+        else:
+            listed = np.arange(source - m + 1, source - m + 1 + run, dtype=np.int64)
+            bounds = listed.repeat(m) * (2 * m)  # 2m entries per listed block
+            start = rng.bit_generator.state
+            picks = integers(bounds).tolist()
+        for k in range(run):
+            repeated += targets
+            repeated += [source + k] * m
+            picked = set(map(repeated.__getitem__, picks[k * m : (k + 1) * m]))
+            if len(picked) < m:
+                break
+            targets = sorted(picked)
+        else:  # no round repeated: the stream already stands after the run
+            source += run
+            streak += run
+            continue
+        # round k repeated a node: the draws after its picks are its top-ups
+        if k < run - 1:
+            rng.bit_generator.state = start
+            integers(bounds[: (k + 1) * m])
         size = len(repeated)
-        picked = {repeated[i] for i in integers(size, size=m).tolist()}
+        while len(picked) < m - 1:
+            picked.update(map(repeated.__getitem__, integers(size, size=m - len(picked)).tolist()))
+        # one pick short: a scalar draw is the same value at a fifth of the cost
         while len(picked) < m:
-            picked.update(repeated[i] for i in integers(size, size=m - len(picked)).tolist())
+            picked.add(repeated[integers(size)])
         targets = sorted(picked)
+        source += k + 1
+        streak = 0
+    repeated += targets
+    repeated += [n - 1] * m
     blocks = np.asarray(repeated, dtype=np.int64).reshape(-1, 2, m)
     edges = np.column_stack([blocks[:, 1].ravel(), blocks[:, 0].ravel()])
     return SparseGraph.from_edges(n, edges, directed=False)
@@ -228,15 +297,19 @@ def _gen_cycle(n: int) -> SparseGraph:
 
 
 def _gen_two_cluster_bridge(n: int, intra_p: float, seed: int) -> SparseGraph:
+    """Halves [0, n // 2) and [n // 2, n), each with every pair i < j an edge
+    independently with probability intra_p, joined by the one edge
+    (0, n // 2).  Both halves draw from one generator, one after the other,
+    with the er skip sampler (``_er_pairs``), so the cost is O(n + m)."""
     if n < 4:
         raise ValueError("two-cluster-bridge needs n >= 4")
+    if not 0.0 <= intra_p <= 1.0:
+        raise ValueError(f"two-cluster-bridge intra_p must be in [0, 1], got {intra_p}")
     rng = np.random.default_rng(seed)
     half = n // 2
     edges = []
     for lo, hi in ((0, half), (half, n)):
-        size = hi - lo
-        block = rng.random((size, size)) < intra_p
-        rows, cols = np.nonzero(np.triu(block, k=1))
+        rows, cols = _er_pairs(rng, hi - lo, intra_p, directed=False)
         edges.append(np.column_stack([rows + lo, cols + lo]))
     edges.append(np.array([[0, half]], dtype=np.int64))
     return SparseGraph.from_edges(n, np.vstack(edges), directed=False)

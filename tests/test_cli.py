@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from sampled_centrality import (
     sample_rows,
     write_edge_list,
 )
-from sampled_centrality import matfun, oracle
+from sampled_centrality import cli, matfun, oracle
 from sampled_centrality.cli import (
     ExperimentConfig,
     build_parser,
@@ -107,6 +108,7 @@ def _scalar_loop_pa(n: int, m: int, seed: int) -> SparseGraph:
     [
         (2, 1, 0), (50, 1, 3), (150, 2, 9), (120, 3, 4), (200, 3, 1),
         (200, 5, 2), (300, 4, 3), (2000, 5, 0), (2000, 5, 7), (5000, 5, 1),
+        (5000, 50, 1), (2000, 100, 2), (60, 25, 1), (30000, 1, 4),
     ],
 )
 def test_generate_pa_keeps_the_scalar_stream(n, m, seed):
@@ -114,6 +116,59 @@ def test_generate_pa_keeps_the_scalar_stream(n, m, seed):
     ref = _scalar_loop_pa(n, m, seed)
     assert np.array_equal(g.csr.indices, ref.csr.indices)
     assert np.array_equal(g.csr.indptr, ref.csr.indptr)
+
+
+class _CountingPCG64(np.random.PCG64):
+    """PCG64 that counts how often its state is set."""
+
+    restores = 0
+
+    @property
+    def state(self):
+        return np.random.PCG64.state.__get__(self)
+
+    @state.setter
+    def state(self, value):
+        type(self).restores += 1
+        np.random.PCG64.state.__set__(self, value)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_generate_pa_keeps_the_scalar_stream_at_any_run_cap(monkeypatch, cap):
+    # at caps 2 and 3 these shapes repeat a node both at a run's last round
+    # (no restore) and before it (restore and redraw)
+    monkeypatch.setattr(cli, "_PA_MAX_RUN", cap)
+    monkeypatch.setattr(_CountingPCG64, "restores", 0)
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda seed: np.random.Generator(_CountingPCG64(seed))
+    )
+    for n, m, seed in [(300, 4, 3), (600, 20, 1), (2000, 5, 7)]:
+        g = generate(f"pa:n={n},m={m},seed={seed}")
+        ref = _scalar_loop_pa(n, m, seed)
+        assert np.array_equal(g.csr.indices, ref.csr.indices)
+        assert np.array_equal(g.csr.indptr, ref.csr.indptr)
+    assert (_CountingPCG64.restores > 0) == (cap > 1)
+
+
+def test_generate_pa_bounded_draws_batch_and_restore_mid_stream():
+    # the pa generator relies on both: integers(bounds) gives the values of one
+    # call per bound in turn, and a state saved with half a 64-bit word
+    # buffered continues the stream exactly once set back
+    bounds = np.array([7, 100, 2**20, 3, 2**31 + 5, 10**9, 2**40, 2] * 4)
+    scalar = np.random.default_rng(11)
+    scalar.integers(5, size=3)
+    expected = [int(scalar.integers(b)) for b in bounds]
+    tail = scalar.integers(1000, size=9)
+
+    rng = np.random.default_rng(11)
+    rng.integers(5, size=3)
+    start = rng.bit_generator.state
+    assert start["has_uint32"] == 1
+    assert rng.integers(bounds).tolist() == expected
+    rng.bit_generator.state = start
+    assert rng.integers(bounds[:13]).tolist() == expected[:13]
+    assert rng.integers(bounds[13:]).tolist() == expected[13:]
+    assert np.array_equal(rng.integers(1000, size=9), tail)
 
 
 def test_generate_er_edge_cases():
@@ -168,6 +223,35 @@ def test_generate_two_cluster_bridge():
     assert len(cross) == 2  # one undirected bridge, stored both ways
 
 
+def test_generate_two_cluster_bridge_entry_frequencies():
+    # each pair inside a half appears with probability intra_p, independently
+    # of its slot and half; across the halves only the bridge (0, half) does
+    n, p, runs, half = 9, 0.3, 400, 4
+    counts = sum(
+        generate(f"two-cluster-bridge:n={n},intra_p={p},seed={seed}").dense()
+        for seed in range(runs)
+    )
+    assert np.array_equal(counts, counts.T)
+    assert np.all(np.diagonal(counts) == 0)
+    low = np.arange(n) < half
+    same_half = np.equal.outer(low, low)
+    inside = counts[same_half & ~np.eye(n, dtype=bool)]
+    assert np.all(np.abs(inside - runs * p) <= 5.0 * np.sqrt(runs * p * (1 - p)))
+    bridge = np.zeros((n, n))
+    bridge[0, half] = bridge[half, 0] = runs
+    assert np.array_equal(np.where(same_half, 0.0, counts), bridge)
+
+
+def test_generate_two_cluster_bridge_is_linear_time():
+    n, p = 100_000, 1e-4
+    start = time.perf_counter()
+    g = generate(f"two-cluster-bridge:n={n},intra_p={p},seed=1")
+    assert time.perf_counter() - start < 1.0
+    pairs = 2 * (n // 2) * (n // 2 - 1) // 2
+    inside = g.edge_count // 2 - 1
+    assert abs(inside - pairs * p) <= 6.0 * np.sqrt(pairs * p * (1 - p))
+
+
 def test_generate_rejects_bad_specs():
     with pytest.raises(ValueError):
         generate("er:n=10")  # missing p
@@ -175,6 +259,16 @@ def test_generate_rejects_bad_specs():
         generate("hypercube:n=8")
     with pytest.raises(ValueError):
         generate("er:n=10,p")
+    with pytest.raises(ValueError, match="'M'.*allowed: n, m, seed"):
+        generate("pa:n=50,M=3,seed=1")
+    with pytest.raises(ValueError, match="'leaves'.*allowed: n$"):
+        generate("cycle:n=5,leaves=2")
+    with pytest.raises(ValueError, match="'directed' must be 0 or 1"):
+        generate("er:n=10,p=0.1,directed=2")
+    with pytest.raises(ValueError, match="intra_p must be in"):
+        generate("two-cluster-bridge:n=100,intra_p=1.5")
+    with pytest.raises(ValueError, match="intra_p must be in"):
+        generate("two-cluster-bridge:n=100,intra_p=-0.1")
 
 
 def test_parse_ell_forms():
