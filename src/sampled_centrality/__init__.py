@@ -2,26 +2,16 @@
 
 __version__ = "0.1.0"
 
-from .graph import (
-    GraphParseError,
-    SparseGraph,
-    parse_edge_list,
-    remove_self_loops,
-    transpose,
-    write_edge_list,
-)
+from .graph import GraphParseError, SparseGraph, parse_edge_list, transpose
 from .matfun import (
     EvaluationError,
     MatfunResult,
     ScalarFunction,
-    arrow_core_evaluation,
-    direct_core_evaluation,
     evaluate_masked_function,
     exp_minus_one,
     resolvent_minus_one,
-    transpose_measures,
 )
-from .oracle import dense_left_perron, dense_matfun, expm_rowsum, katz_rowsum
+from .oracle import dense_left_perron, expm_rowsum, katz_rowsum
 from .perron import (
     PerronConfig,
     PerronResult,
@@ -29,19 +19,11 @@ from .perron import (
     left_perron,
     symmetric_perron,
 )
-from .ranking import (
-    CentralityVector,
-    Ranking,
-    RankingReport,
-    exact_matches,
-    rank_nodes,
-    topk_overlap,
-)
-from .sampling import SampleSet, draw_categorical, sample_columns, sample_rows
+from .ranking import Ranking, RankingReport, exact_matches, rank_nodes, topk_overlap
+from .sampling import SampleSet, sample_columns, sample_rows
 
 __all__ = [
     "__version__",
-    "CentralityVector",
     "EvaluationError",
     "GraphParseError",
     "MatfunResult",
@@ -53,11 +35,7 @@ __all__ = [
     "SampleSet",
     "ScalarFunction",
     "SparseGraph",
-    "arrow_core_evaluation",
     "dense_left_perron",
-    "dense_matfun",
-    "direct_core_evaluation",
-    "draw_categorical",
     "evaluate_masked_function",
     "exact_matches",
     "exp_minus_one",
@@ -66,13 +44,10 @@ __all__ = [
     "left_perron",
     "parse_edge_list",
     "rank_nodes",
-    "remove_self_loops",
     "resolvent_minus_one",
     "sample_columns",
     "sample_rows",
     "symmetric_perron",
     "topk_overlap",
     "transpose",
-    "transpose_measures",
-    "write_edge_list",
 ]

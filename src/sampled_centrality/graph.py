@@ -24,6 +24,9 @@ import scipy.sparse as sp
 
 # the largest node id the int64 store takes, since n = 1 + max id
 MAX_NODE_ID = 2**63 - 2
+# a parsed graph may have at most 2 * edges + NODE_SLACK nodes: the store
+# costs 16 bytes per node, so one stray large id must not size it
+NODE_SLACK = 2**20
 # characters (file) or lines (other iterables) per parsed block: bounds the
 # per-byte arrays of one vectorised pass
 _BLOCK_CHARS = 1 << 20
@@ -145,18 +148,8 @@ class SparseGraph:
     def nonzero_columns(self) -> np.ndarray:
         return np.flatnonzero(self.col_degrees > 0)
 
-    def nonzero_rows(self) -> np.ndarray:
-        return np.flatnonzero(self.row_degrees > 0)
-
     def label_of(self, i: int) -> int:
         return int(self.labels[i]) if self.labels is not None else int(i)
-
-    def dense(self) -> np.ndarray:
-        return self.csr.toarray()
-
-    def entry_set(self) -> set[tuple[int, int]]:
-        coo = self.csr.tocoo()
-        return set(zip(coo.row.tolist(), coo.col.tolist()))
 
 
 def parse_edge_list(
@@ -170,7 +163,9 @@ def parse_edge_list(
     comments, 0-based ids, n = 1 + max id) or ``"matrix-market"``
     (coordinate pattern/integer/real, values coerced to 1, 1-based indices,
     symmetric/general headers honoured, n = declared dimension; ``source``
-    must then be a seekable text stream).
+    must then be a seekable text stream).  Either way n may be at most
+    2 * edges + ``NODE_SLACK``, where edges counts the edge lines or the
+    declared entries; a larger n raises ``GraphParseError``.
     """
     if format == "edge-list":
         return _parse_plain_edges(source, directed)
@@ -195,8 +190,19 @@ def _parse_plain_edges(source, directed: bool) -> SparseGraph:
     edges = np.concatenate(ids).reshape(-1, 2) if ids else np.empty((0, 2), dtype=np.int64)
     if not edges.size:
         raise GraphParseError("graph has no edges")
-    n = int(edges.max()) + 1
-    return SparseGraph.from_edges(n, edges, directed=directed)
+    top = int(edges.max())
+    _check_node_count(top + 1, len(edges), f"node id {top}")
+    return SparseGraph.from_edges(top + 1, edges, directed=directed)
+
+
+def _check_node_count(n: int, edges: int, what: str) -> None:
+    """Refuse ``n`` nodes for ``edges`` edges above 2 * edges + ``NODE_SLACK``."""
+    bound = 2 * edges + NODE_SLACK
+    if n > bound:
+        raise GraphParseError(
+            f"{what} makes {n} nodes for {edges} edges, above the bound "
+            f"2 * edges + {NODE_SLACK} = {bound}"
+        )
 
 
 def _line_blocks(source) -> Iterator[str]:
@@ -311,6 +317,7 @@ def _parse_matrix_market(source, directed: bool) -> SparseGraph:
         raise GraphParseError(f"matrix is not square ({nrows}x{ncols})")
     if nnz == 0:
         raise GraphParseError("graph has no edges")
+    _check_node_count(nrows, nnz, f"dimension {nrows}")
     source.seek(0)
     coo = _read_mm(scipy.io.mmread, source)
     edges = np.column_stack([coo.row, coo.col])
@@ -334,28 +341,7 @@ def _read_mm(read, source):
         raise GraphParseError(found[2], line=int(found[1])) from exc
 
 
-def remove_self_loops(g: SparseGraph) -> tuple[SparseGraph, int]:
-    """Drop all (i, i) entries; returns the new graph and the removed count."""
-    loops = g.csr.diagonal()
-    removed = int(np.count_nonzero(loops))
-    if removed == 0:
-        return g, 0
-    # the difference drops the cancelled entries and keeps the layout canonical
-    a = g.csr - sp.diags(loops, format="csr")
-    return SparseGraph._of(a, g.directed, g.labels, g.duplicates_collapsed), removed
-
-
 def transpose(g: SparseGraph) -> SparseGraph:
     """The graph of A^T: the CSR and CSC layouts swap, as views with no copy."""
     return dataclasses.replace(g, csr=g.csc.T, csc=g.csr.T)
 
-
-def write_edge_list(g: SparseGraph, stream: TextIO) -> None:
-    """Serialize back to edge-list text (each undirected edge written once)."""
-    coo = g.csr.tocoo()
-    rows, cols = coo.row, coo.col
-    if not g.directed:
-        keep = rows <= cols
-        rows, cols = rows[keep], cols[keep]
-    for i, j in zip(rows.tolist(), cols.tolist()):
-        stream.write(f"{i} {j}\n")

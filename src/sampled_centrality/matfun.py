@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
-from .graph import SparseGraph, transpose
+from .graph import SparseGraph
 from .sampling import SampleSet
 
 EXP_MINUS_ONE = "exp_minus_one"
@@ -67,14 +67,6 @@ class ScalarFunction:
         if self.kind == EXP_MINUS_ONE:
             return np.expm1(w)
         return w / (1.0 - w)
-
-    def matrix_value(self, a: np.ndarray) -> np.ndarray:
-        """f evaluated at a small dense matrix."""
-        a = np.asarray(a, dtype=np.float64)
-        m = a.shape[0]
-        if self.kind == EXP_MINUS_ONE:
-            return sla.expm(self.gamma * a) - np.eye(m)
-        return self._resolvent(a) - np.eye(m)
 
     def matrix_value_and_quotient_sum(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """f(A) and g(A) @ 1 of a small dense matrix from one factorization.
@@ -319,15 +311,3 @@ def _row_quadratic_forms(a: sp.csr_matrix, K: np.ndarray) -> np.ndarray:
         out[start : start + step] = np.asarray(block.multiply(block @ K).sum(axis=1)).ravel()
     return out
 
-
-def transpose_measures(
-    g: SparseGraph,
-    rows: SampleSet,
-    f: ScalarFunction,
-    seed: int = 0,
-) -> MatfunResult:
-    """diag and rowsum of f(A^T) computed from sampled rows of A."""
-    if rows.kind != "row":
-        raise ValueError("transpose_measures expects a row mask")
-    as_columns = dataclasses.replace(rows, kind="column")
-    return evaluate_masked_function(transpose(g), as_columns, f, seed)

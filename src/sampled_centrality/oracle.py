@@ -1,13 +1,11 @@
-"""Ground-truth references: dense f(A), the subgraph diagonal, sparse exp and
-Katz row sums, Perron.
+"""Ground-truth references: the subgraph diagonal, sparse exp and Katz row
+sums, Perron.
 
-``dense_matfun`` is exact at desk scale; dense matrices are plain numpy
-arrays (row-major, square) and ``DENSE_CAP`` keeps huge inputs out.
 ``subgraph_diag`` gets diag exp(gamma*A) by Taylor scaling and squaring of
 the sparse matrix, one route for directed and undirected graphs, and refuses
-above the cap before it builds its n x n iterate.  Its Horner recurrence runs
-in column panels, one worker thread per available CPU; the output does not
-depend on the number of workers.  ``expm_rowsum`` gives
+above ``DENSE_CAP`` before it builds its n x n iterate.  Its Horner
+recurrence runs in column panels, one worker thread per available CPU; the
+output does not depend on the number of workers.  ``expm_rowsum`` gives
 communicability row sums at any size from the action of the sparse
 exponential on the ones vector, and ``katz_rowsum`` gives Katz row sums at
 any size from one sparse solve that certifies its own admissibility and
@@ -25,13 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import SparseGraph
-from .matfun import (
-    DENSE_CAP,
-    EXP_MINUS_ONE,
-    EvaluationError,
-    ScalarFunction,
-    _require_finite,
-)
+from .matfun import DENSE_CAP, EvaluationError, _require_finite
 from .perron import PerronConfig, PerronResult, power_iteration
 
 # Taylor degree of the subgraph reference, and theta_m for it in double
@@ -51,35 +43,6 @@ _KATZ_RESTART = 20
 _KATZ_MAX_STEPS = 2_000
 # restart cycles in a row that fail to halve |r|_inf before the solve gives up
 _KATZ_STALL_CYCLES = 10
-
-
-def dense_matfun(a: np.ndarray, f: ScalarFunction) -> np.ndarray:
-    """f evaluated at a dense square matrix.
-
-    The exponential uses scaling-and-squaring with the degree-13 Pade
-    approximant (scipy.linalg.expm); the resolvent is an LU solve of
-    (I - gamma*A) X = I.  Both subtract the identity afterwards.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("expected a square matrix")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
-    if a.shape[0] > DENSE_CAP:
-        raise EvaluationError(f"dense evaluation capped at n={DENSE_CAP}")
-    if f.kind != EXP_MINUS_ONE:
-        if a.shape[0]:
-            eigs = (
-                np.linalg.eigvalsh(a)
-                if np.array_equal(a, a.T)
-                else np.linalg.eigvals(a)
-            )
-            rho = float(np.max(np.abs(eigs)))
-            if f.gamma * rho >= 1.0:
-                raise EvaluationError(
-                    f"resolvent series diverges: gamma*rho = {f.gamma * rho:.6g} >= 1"
-                )
-    return f.matrix_value(a)
 
 
 def taylor_scaling(g: SparseGraph, gamma: float) -> tuple[int, float]:

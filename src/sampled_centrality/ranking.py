@@ -2,22 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class CentralityVector:
-    """Per-node scores labelled with the producing configuration."""
-
-    scores: np.ndarray
-    measure: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "scores", np.asarray(self.scores, dtype=np.float64))
 
 
 @dataclass(frozen=True)
@@ -39,13 +27,13 @@ class Ranking:
         return int(self.ordered_nodes.size)
 
 
-def rank_nodes(scores, k: int = 20) -> Ranking:
+def rank_nodes(scores: np.ndarray, k: int = 20) -> Ranking:
     """Deterministic descending sort with ascending-id tie-break.
 
     Refuses inf and nan scores, which overflowed estimates and references
     would otherwise rank silently.
     """
-    arr = scores.scores if isinstance(scores, CentralityVector) else np.asarray(scores, dtype=np.float64)
+    arr = np.asarray(scores, dtype=np.float64)
     n = arr.size
     if not 1 <= k <= n:
         raise ValueError(f"k={k} outside [1, {n}]")
@@ -83,26 +71,27 @@ class RankingReport:
     def exact_at_k(self) -> dict[str, int]:
         return {label: exact_matches(self.reference, r, self.k) for label, r in self.candidates}
 
-    def to_record(self, labels: np.ndarray | None = None) -> dict:
-        def ids(r: Ranking) -> list[int]:
-            nodes = r.ordered_nodes
-            if labels is not None:
-                nodes = labels[nodes]
-            return [int(i) for i in nodes]
+    def _top_ids(self, r: Ranking, labels: np.ndarray | None) -> list[int]:
+        """The first k nodes of ``r``, as raw input ids when ``labels`` is given."""
+        nodes = r.top(self.k)
+        if labels is not None:
+            nodes = labels[nodes]
+        return [int(i) for i in nodes]
 
+    def to_record(self, labels: np.ndarray | None = None) -> dict:
         overlaps = self.overlap_at_k()
         exacts = self.exact_at_k()
         return {
             "k": int(self.k),
             "tie_break": "ascending node id",
             "reference": {
-                "top": ids(self.reference)[: self.k],
+                "top": self._top_ids(self.reference, labels),
                 "scores": [float(s) for s in self.reference.scores],
             },
             "candidates": [
                 {
                     "label": label,
-                    "top": ids(r)[: self.k],
+                    "top": self._top_ids(r, labels),
                     "scores": [float(s) for s in r.scores],
                     "overlap_at_k": overlaps[label],
                     "exact_at_k": exacts[label],
@@ -113,15 +102,8 @@ class RankingReport:
 
     def write_csv(self, stream: TextIO, labels: np.ndarray | None = None) -> None:
         """Figure-style table: one column per configuration, one row per rank."""
-
-        def ids(r: Ranking) -> list[int]:
-            nodes = r.ordered_nodes[: self.k]
-            if labels is not None:
-                nodes = labels[nodes]
-            return [int(i) for i in nodes]
-
-        columns = [("reference", ids(self.reference))]
-        columns += [(label, ids(r)) for label, r in self.candidates]
+        columns = [("reference", self._top_ids(self.reference, labels))]
+        columns += [(label, self._top_ids(r, labels)) for label, r in self.candidates]
         stream.write("rank," + ",".join(label for label, _ in columns) + "\n")
         for pos in range(self.k):
             row = [str(col[pos]) for _, col in columns]

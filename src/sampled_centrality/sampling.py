@@ -50,28 +50,6 @@ class SampleSet:
         return int(self.indices.size)
 
 
-def draw_categorical(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """One index drawn with probability weights[i] / sum(weights).
-
-    The single-draw reference law of the guided sampler: inverse CDF over the
-    running prefix sum, O(n) per draw and reproducible for a given generator
-    state.  ``sample_columns`` no longer calls it; its blocked search returns
-    the same index for the same ``rng.random()``.  Zero-weight indices are
-    never returned.
-    """
-    w = np.asarray(weights, dtype=np.float64)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite")
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
-    cum = np.cumsum(w)
-    total = cum[-1] if cum.size else 0.0
-    if total <= 0:
-        raise ValueError("weights sum to zero")
-    u = rng.random() * total
-    return int(np.searchsorted(cum, u, side="right"))
-
-
 class _BlockSums:
     """n integer counts, starting at 0, in blocks of isqrt(n) with their sums.
 
@@ -128,9 +106,10 @@ def sample_columns(
 
     A draw costs O(sqrt(n) + degree), not O(n): weights and eligible columns
     live in ``_BlockSums``, and the eligible weight is an exact integer.  The
-    generator calls, and so the samples, are those of the O(n) loop over
-    ``draw_categorical``: ``rng.integers`` for the first pick and for each
-    fallback, one ``rng.random()`` per categorical draw.
+    generator calls, and so the samples, are those of an O(n) loop that
+    draws by inverse CDF over the running prefix sum of the weights:
+    ``rng.integers`` for the first pick and for each fallback, one
+    ``rng.random()`` per categorical draw.
     """
     nz = g.nonzero_columns()
     if not 1 <= ell <= nz.size:

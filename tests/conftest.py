@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sampled_centrality import SampleSet, SparseGraph
 
@@ -28,7 +29,30 @@ def full_column_sample(g: SparseGraph, strategy: str = "random", seed: int = 0) 
 
 
 def full_row_sample(g: SparseGraph, strategy: str = "random", seed: int = 0) -> SampleSet:
-    return SampleSet(g.nonzero_rows(), "row", strategy, seed, g.n)
+    return SampleSet(np.flatnonzero(g.row_degrees), "row", strategy, seed, g.n)
+
+
+def entries(g: SparseGraph) -> set[tuple[int, int]]:
+    """The (i, j) pairs with a[i, j] = 1."""
+    coo = g.csr.tocoo()
+    return set(zip(coo.row.tolist(), coo.col.tolist()))
+
+
+def edge_list_text(edges: np.ndarray) -> str:
+    """Edge-list text with one ``src dst`` line per row of ``edges``."""
+    return "".join(f"{i} {j}\n" for i, j in np.asarray(edges).tolist())
+
+
+def refuse_dense_copies(monkeypatch, n: int) -> None:
+    """Fail the test on any n x n ``toarray`` of a CSR or CSC matrix."""
+    for cls in (sp.csr_matrix, sp.csc_matrix):
+
+        def guarded(self, *args, _toarray=cls.toarray, **kwargs):
+            if self.shape == (n, n):
+                raise AssertionError("dense copy of the n x n adjacency matrix")
+            return _toarray(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "toarray", guarded)
 
 
 def undirected_edge() -> SparseGraph:

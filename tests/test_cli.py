@@ -16,13 +16,12 @@ import pytest
 
 from sampled_centrality import (
     SparseGraph,
-    dense_matfun,
+    evaluate_masked_function,
     exp_minus_one,
     parse_edge_list,
     resolvent_minus_one,
     sample_columns,
     sample_rows,
-    write_edge_list,
 )
 from sampled_centrality import cli, matfun, oracle
 from sampled_centrality.cli import (
@@ -35,7 +34,8 @@ from sampled_centrality.cli import (
     TIMING_KEYS,
     _parse_ell,
 )
-from conftest import rel_err
+from conftest import edge_list_text, entries, refuse_dense_copies, rel_err
+from dense_reference import dense_matfun
 
 
 def test_generate_star():
@@ -62,18 +62,18 @@ def test_generate_path():
 def test_generate_er_deterministic_and_simple():
     a = generate("er:n=50,p=0.1,seed=3")
     b = generate("er:n=50,p=0.1,seed=3")
-    assert a.entry_set() == b.entry_set()
+    assert entries(a) == entries(b)
     assert a.directed
-    assert all(i != j for i, j in a.entry_set())
+    assert all(i != j for i, j in entries(a))
     c = generate("er:n=50,p=0.1,seed=4")
-    assert a.entry_set() != c.entry_set()
+    assert entries(a) != entries(c)
 
 
 def test_generate_er_undirected():
     g = generate("er:n=40,p=0.15,seed=1,directed=0")
     assert not g.directed
-    entries = g.entry_set()
-    assert all((j, i) in entries for i, j in entries)
+    pairs = entries(g)
+    assert all((j, i) in pairs for i, j in pairs)
 
 
 def test_generate_preferential_attachment():
@@ -175,13 +175,13 @@ def test_generate_er_edge_cases():
     assert generate("er:n=30,p=0,seed=1").edge_count == 0
     full = generate("er:n=30,p=1,seed=1")
     assert full.edge_count == 30 * 29
-    assert np.array_equal(full.dense(), 1.0 - np.eye(30))
+    assert np.array_equal(full.csr.toarray(), 1.0 - np.eye(30))
     assert generate("er:n=30,p=1,seed=1,directed=0").edge_count == 30 * 29
     for directed in (0, 1):
         one = generate(f"er:n=1,p=1,seed=0,directed={directed}")
         assert one.n == 1 and one.edge_count == 0
         two = generate(f"er:n=2,p=1,seed=0,directed={directed}")
-        assert two.entry_set() == {(0, 1), (1, 0)}
+        assert entries(two) == {(0, 1), (1, 0)}
     assert generate("er:n=2,p=0.5,seed=3").n == 2
     with pytest.raises(ValueError):
         generate("er:n=0,p=0.5")
@@ -210,7 +210,7 @@ def test_generate_er_entry_frequencies():
     # every off-diagonal entry appears with probability p, independently of
     # its slot; the diagonal never does
     n, p, runs = 6, 0.3, 400
-    counts = sum(generate(f"er:n={n},p={p},seed={seed}").dense() for seed in range(runs))
+    counts = sum(generate(f"er:n={n},p={p},seed={seed}").csr.toarray() for seed in range(runs))
     assert np.all(np.diagonal(counts) == 0)
     off = counts[~np.eye(n, dtype=bool)]
     assert np.all(np.abs(off - runs * p) <= 5.0 * np.sqrt(runs * p * (1 - p)))
@@ -219,7 +219,7 @@ def test_generate_er_entry_frequencies():
 def test_generate_two_cluster_bridge():
     g = generate("two-cluster-bridge:n=100,intra_p=0.3,seed=5")
     half = 50
-    cross = [(i, j) for i, j in g.entry_set() if (i < half) != (j < half)]
+    cross = [(i, j) for i, j in entries(g) if (i < half) != (j < half)]
     assert len(cross) == 2  # one undirected bridge, stored both ways
 
 
@@ -228,7 +228,7 @@ def test_generate_two_cluster_bridge_entry_frequencies():
     # of its slot and half; across the halves only the bridge (0, half) does
     n, p, runs, half = 9, 0.3, 400, 4
     counts = sum(
-        generate(f"two-cluster-bridge:n={n},intra_p={p},seed={seed}").dense()
+        generate(f"two-cluster-bridge:n={n},intra_p={p},seed={seed}").csr.toarray()
         for seed in range(runs)
     )
     assert np.array_equal(counts, counts.T)
@@ -511,6 +511,89 @@ def test_import_loads_neither_scipy_io_nor_sparse_linalg():
     assert done.stdout.strip() == "[]"
 
 
+PUBLIC_NAMES = [
+    "__version__",
+    "EvaluationError",
+    "GraphParseError",
+    "MatfunResult",
+    "PerronConfig",
+    "PerronResult",
+    "RankDeficientProductError",
+    "Ranking",
+    "RankingReport",
+    "SampleSet",
+    "ScalarFunction",
+    "SparseGraph",
+    "dense_left_perron",
+    "evaluate_masked_function",
+    "exact_matches",
+    "exp_minus_one",
+    "expm_rowsum",
+    "katz_rowsum",
+    "left_perron",
+    "parse_edge_list",
+    "rank_nodes",
+    "resolvent_minus_one",
+    "sample_columns",
+    "sample_rows",
+    "symmetric_perron",
+    "topk_overlap",
+    "transpose",
+]
+# (owner, name) pairs that left the package: the tests' dense and sampling
+# oracles moved to tests/, the rest had no pipeline caller
+REMOVED = [
+    ("graph", "remove_self_loops"),
+    ("graph", "write_edge_list"),
+    ("graph.SparseGraph", "dense"),
+    ("graph.SparseGraph", "entry_set"),
+    ("graph.SparseGraph", "nonzero_rows"),
+    ("matfun", "transpose_measures"),
+    ("matfun.ScalarFunction", "matrix_value"),
+    ("oracle", "dense_matfun"),
+    ("ranking", "CentralityVector"),
+    ("sampling", "draw_categorical"),
+]
+
+
+def test_public_surface_is_the_pipeline():
+    import sampled_centrality
+
+    assert sampled_centrality.__all__ == PUBLIC_NAMES
+    assert all(hasattr(sampled_centrality, name) for name in PUBLIC_NAMES)
+    for path, name in REMOVED:
+        module, _, cls = path.partition(".")
+        owner = importlib.import_module(f"sampled_centrality.{module}")
+        if cls:
+            owner = getattr(owner, cls)
+        assert not hasattr(owner, name), f"{path}.{name}"
+        assert not hasattr(sampled_centrality, name), name
+    # the two core routes stay in matfun, where evaluate_masked_function picks one
+    for name in ("direct_core_evaluation", "arrow_core_evaluation"):
+        assert not hasattr(sampled_centrality, name)
+        assert callable(getattr(matfun, name))
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    # a symmetric digraph on 2000 nodes: every column and row is nonzero,
+    # enough for the example's ell = 500
+    a = generate("pa:n=2000,m=5,seed=0").csr.tocoo()
+    (tmp_path / "graph.txt").write_text(edge_list_text(np.column_stack([a.row, a.col])))
+    monkeypatch.chdir(tmp_path)
+    namespace: dict = {}
+    exec(block, namespace)
+    assert namespace["g"].n == 2000 and len(namespace["top"]) == 20
+    assert namespace["res"].method == "direct_core" and len(namespace["J"]) == 500
+    # A is symmetric, so the rows I of A give what the columns I give
+    g, rows = namespace["g"], namespace["I"]
+    columns = dataclasses.replace(rows, kind="column")
+    direct = evaluate_masked_function(g, columns, exp_minus_one(1.0))
+    assert rel_err(namespace["res_t"].diag, direct.diag) <= 1e-12
+    assert rel_err(namespace["res_t"].rowsum, direct.rowsum) <= 1e-12
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig(measure="degree")
@@ -587,8 +670,9 @@ def test_reference_above_dense_cap(tmp_path, monkeypatch):
     # and must fail; communicability and Katz stay exact
     spec = "er:n=300,p=0.01,seed=2"
     g = generate(spec)
-    exact_exp = np.sort(dense_matfun(g.dense(), exp_minus_one(1.0)).sum(axis=1))[::-1]
-    exact_katz = np.sort(dense_matfun(g.dense(), resolvent_minus_one(0.05)).sum(axis=1))[::-1]
+    a = g.csr.toarray()
+    exact_exp = np.sort(dense_matfun(a, exp_minus_one(1.0)).sum(axis=1))[::-1]
+    exact_katz = np.sort(dense_matfun(a, resolvent_minus_one(0.05)).sum(axis=1))[::-1]
     monkeypatch.setattr(oracle, "DENSE_CAP", 40)
     monkeypatch.setattr(matfun, "DENSE_CAP", 40)
     argv = ["--generate", spec, "--ell", "20"]
@@ -652,10 +736,7 @@ def test_report_records_reference_provenance(tmp_path):
 
 
 def test_katz_reference_never_densifies(tmp_path, monkeypatch):
-    def refuse(self):
-        raise AssertionError("dense copy of the adjacency matrix")
-
-    monkeypatch.setattr(SparseGraph, "dense", refuse)
+    refuse_dense_copies(monkeypatch, 300)
     out = tmp_path / "katz"
     argv = ["--generate", "er:n=300,p=0.01,seed=2", "--measure", "katz", "--gamma", "0.05"]
     assert main(argv + ["--ell", "20", "--out", str(out)]) == 0
@@ -691,8 +772,9 @@ def test_overflowed_scores_fail_the_run(tmp_path, spec, measure):
 
 def test_undirected_edge_list_takes_the_arrow_route(tmp_path):
     path = tmp_path / "pa.txt"
-    with path.open("w") as handle:
-        write_edge_list(generate("pa:n=200,m=3,seed=1"), handle)
+    a = generate("pa:n=200,m=3,seed=1").csr.tocoo()
+    once = a.row <= a.col  # each undirected edge on one line
+    path.write_text(edge_list_text(np.column_stack([a.row[once], a.col[once]])))
     argv = ["--input", str(path), "--measure", "katz", "--gamma", "0.02", "--ell", "10,20"]
 
     out = tmp_path / "undirected"
@@ -702,7 +784,7 @@ def test_undirected_edge_list_takes_the_arrow_route(tmp_path):
     assert [row["method"] for row in report["results"]] == ["arrow_core", "arrow_core"]
     with path.open() as handle:
         g = parse_edge_list(handle, directed=False)
-    exact = np.sort(dense_matfun(g.dense(), resolvent_minus_one(0.02)).sum(axis=1))[::-1]
+    exact = np.sort(dense_matfun(g.csr.toarray(), resolvent_minus_one(0.02)).sum(axis=1))[::-1]
     assert rel_err(np.array(report["report"]["reference"]["scores"]), exact) <= 1e-12
 
     # without the flag an edge list stays directed, as before

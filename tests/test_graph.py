@@ -14,12 +14,17 @@ from sampled_centrality import (
     SampleSet,
     SparseGraph,
     parse_edge_list,
-    remove_self_loops,
     transpose,
-    write_edge_list,
 )
 from sampled_centrality import graph as graph_module
-from conftest import dataset_dir, directed_edge, requires_datasets, undirected_edge
+from conftest import (
+    dataset_dir,
+    directed_edge,
+    edge_list_text,
+    entries,
+    requires_datasets,
+    undirected_edge,
+)
 from krylov_reference import ColumnMaskedOperator
 
 
@@ -214,17 +219,32 @@ def test_parse_rejects_ids_beyond_int64_with_a_line_number():
             parse_edge_list(io.StringIO(f"0 1\n{ids}\n"))
     # leading zeros make a long token, not a large id
     g = parse_edge_list(["0 1", "00000000000000000000002 1"])
-    assert g.n == 3 and g.entry_set() == {(0, 1), (2, 1)}
+    assert g.n == 3 and entries(g) == {(0, 1), (2, 1)}
+
+
+def test_parse_refuses_ids_far_beyond_the_edge_count():
+    # n = 1 + max id, and the store costs 16 bytes per node: this id would
+    # ask for over a TiB of index arrays
+    message = "node id 81111927405 makes 81111927406 nodes for 2 edges"
+    for source in (["0 1", "0 81111927405"], io.StringIO("0 1\n0 81111927405\n")):
+        with pytest.raises(GraphParseError, match=message):
+            parse_edge_list(source)
+
+
+def test_parse_accepts_ids_up_to_the_node_bound():
+    bound = 2 * 2 + graph_module.NODE_SLACK
+    g = parse_edge_list(["0 1", f"0 {bound - 1}"])
+    assert g.n == bound and g.edge_count == 2
+    with pytest.raises(GraphParseError, match=rf"above the bound 2 \* edges \+ \d+ = {bound}$"):
+        parse_edge_list(["0 1", f"0 {bound}"])
 
 
 def test_edge_list_round_trip_at_scale():
     rng = np.random.default_rng(12)
     for directed in (True, False):
-        g = SparseGraph.from_edges(3000, rng.integers(0, 3000, size=(10_000, 2)), directed=directed)
-        buf = io.StringIO()
-        write_edge_list(g, buf)
-        buf.seek(0)
-        h = parse_edge_list(buf, directed=directed)
+        edges = rng.integers(0, 3000, size=(10_000, 2))
+        g = SparseGraph.from_edges(3000, edges, directed=directed)
+        h = parse_edge_list(io.StringIO(edge_list_text(edges)), directed=directed)
         assert np.array_equal(h.csr.indptr, g.csr.indptr)
         assert np.array_equal(h.csr.indices, g.csr.indices)
 
@@ -276,7 +296,7 @@ def test_parse_matrix_market_rejects_nonsquare():
 def test_parse_matrix_market_coerces_values_to_one():
     text = "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 3.5\n"
     g = parse_edge_list(io.StringIO(text), format="matrix-market")
-    assert g.dense()[0, 1] == 1.0
+    assert g.csr.toarray()[0, 1] == 1.0
 
 
 # (text, n, directed, csr.indptr, csr.indices); labels are always 1..n
@@ -379,7 +399,27 @@ def test_parse_matrix_market_comment_between_entries_is_refused():
 def test_parse_matrix_market_tokens_after_the_last_field_are_accepted():
     text = "%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 3.5 9\n"
     g = parse_edge_list(io.StringIO(text), format="matrix-market")
-    assert g.entry_set() == {(0, 1)}
+    assert entries(g) == {(0, 1)}
+
+
+def test_parse_matrix_market_refuses_a_dimension_far_beyond_its_entries(monkeypatch):
+    def never(source):
+        raise AssertionError("entries read after a refused header")
+
+    monkeypatch.setattr("scipy.io.mmread", never)
+    text = MM_HEAD + "100000000000 100000000000 1\n1 2\n"
+    with pytest.raises(GraphParseError, match="dimension 100000000000 makes"):
+        parse_edge_list(io.StringIO(text), format="matrix-market")
+
+
+def test_parse_matrix_market_accepts_a_dimension_at_the_node_bound():
+    bound = 2 * 1 + graph_module.NODE_SLACK
+    text = MM_HEAD + f"{bound} {bound} 1\n1 {bound}\n"
+    g = parse_edge_list(io.StringIO(text), format="matrix-market")
+    assert g.n == bound and entries(g) == {(0, bound - 1)}
+    text = MM_HEAD + f"{bound + 1} {bound + 1} 1\n1 2\n"
+    with pytest.raises(GraphParseError, match=f"dimension {bound + 1} makes"):
+        parse_edge_list(io.StringIO(text), format="matrix-market")
 
 
 @pytest.mark.parametrize("alias", ["edgelist", "edges", "mtx", "mm", "matrix-market-pattern"])
@@ -388,48 +428,29 @@ def test_parse_accepts_only_the_two_format_names(alias):
         parse_edge_list(["0 1"], format=alias)
 
 
-def test_remove_self_loops():
-    g = parse_edge_list(["0 0", "0 1", "1 1"], directed=True)
-    clean, removed = remove_self_loops(g)
-    assert removed == 2
-    assert clean.edge_count == 1
-    assert clean.column(0).tolist() == []
-    again, removed2 = remove_self_loops(clean)
-    assert removed2 == 0
-    assert again.entry_set() == clean.entry_set()
-
-
-def test_remove_self_loops_keeps_undirected_flag():
-    g = parse_edge_list(["0 0", "0 1"], directed=False)
-    clean, removed = remove_self_loops(g)
-    assert removed == 1
-    assert not clean.directed
-    assert clean.entry_set() == {(0, 1), (1, 0)}
-
-
 def test_transpose_single_edge():
     g = directed_edge()
     t = transpose(g)
-    assert t.entry_set() == {(1, 0)}
-    assert transpose(t).entry_set() == g.entry_set()
+    assert entries(t) == {(1, 0)}
+    assert entries(transpose(t)) == entries(g)
 
 
 def test_transpose_undirected_identity():
     g = undirected_edge()
-    assert transpose(g).entry_set() == g.entry_set()
+    assert entries(transpose(g)) == entries(g)
 
 
 def test_transpose_directed_cycle():
     g = SparseGraph.from_edges(3, np.array([[0, 1], [1, 2], [2, 0]]), directed=True)
     t = transpose(g)
-    assert t.entry_set() == {(1, 0), (2, 1), (0, 2)}
+    assert entries(t) == {(1, 0), (2, 1), (0, 2)}
 
 
 def test_row_column_stores_consistent():
     rng = np.random.default_rng(7)
     edges = rng.integers(0, 25, size=(80, 2))
     g = SparseGraph.from_edges(25, edges, directed=True)
-    from_rows = g.entry_set()
+    from_rows = entries(g)
     from_cols = set()
     for j in range(g.n):
         for i in g.column(j):
@@ -457,9 +478,9 @@ def test_masked_matvec_full_mask_matches_dense():
     x_int = rng.integers(-5, 6, size=30).astype(np.float64)
     full = SampleSet(np.arange(30), "column", "random", 0, 30)
     op = ColumnMaskedOperator(g, full.indices)
-    assert np.array_equal(op(x_int), g.dense() @ x_int)
+    assert np.array_equal(op(x_int), g.csr.toarray() @ x_int)
     x = rng.standard_normal(30)
-    assert np.allclose(op(x), g.dense() @ x, rtol=1e-13, atol=1e-13)
+    assert np.allclose(op(x), g.csr.toarray() @ x, rtol=1e-13, atol=1e-13)
 
 
 def test_masked_matvec_dimension_mismatch():
@@ -473,11 +494,8 @@ def test_edge_list_round_trip():
     for directed in (True, False):
         edges = rng.integers(0, 15, size=(40, 2))
         g = SparseGraph.from_edges(15, edges, directed=directed)
-        buf = io.StringIO()
-        write_edge_list(g, buf)
-        buf.seek(0)
-        g2 = parse_edge_list(buf, directed=directed)
-        assert g2.entry_set() == g.entry_set()
+        g2 = parse_edge_list(io.StringIO(edge_list_text(edges)), directed=directed)
+        assert entries(g2) == entries(g)
 
 
 def test_graph_arrays_immutable():
@@ -485,7 +503,7 @@ def test_graph_arrays_immutable():
     with pytest.raises(ValueError):
         g.csc.indices[0] = 5
     loops = SparseGraph.from_edges(3, np.array([[0, 0], [0, 1], [2, 1]]), directed=False)
-    for h in (g, transpose(g), loops, remove_self_loops(loops)[0]):
+    for h in (g, transpose(g), loops):
         for arr in (h.csr.data, h.csr.indices, h.csr.indptr, h.csc.data, h.csc.indices, h.csc.indptr):
             with pytest.raises(ValueError):
                 arr[0] = 5
@@ -499,7 +517,7 @@ def test_transpose_shares_memory():
         assert np.shares_memory(a.indices, b.indices)
         assert np.shares_memory(a.indptr, b.indptr)
         assert np.shares_memory(a.data, b.data)
-    assert t.entry_set() == {(j, i) for i, j in g.entry_set()}
+    assert entries(t) == {(j, i) for i, j in entries(g)}
 
 
 def test_from_edges_matches_set_reference():
@@ -511,16 +529,16 @@ def test_from_edges_matches_set_reference():
             g = SparseGraph.from_edges(n, edges, directed=directed)
             pairs = {(int(i), int(j)) for i, j in edges}
             if directed:
-                entries, distinct = pairs, len(pairs)
+                expected, distinct = pairs, len(pairs)
             else:
-                entries = pairs | {(j, i) for i, j in pairs}
+                expected = pairs | {(j, i) for i, j in pairs}
                 distinct = len({frozenset(p) for p in pairs})
             assert g.n == n
-            assert g.entry_set() == entries
-            assert g.edge_count == len(entries)
+            assert entries(g) == expected
+            assert g.edge_count == len(expected)
             assert g.duplicates_collapsed == len(edges) - distinct
             for j in range(n):
-                assert g.column(j).tolist() == sorted(i for i, jj in entries if jj == j)
+                assert g.column(j).tolist() == sorted(i for i, jj in expected if jj == j)
             assert np.all(g.csr.data == 1.0) and np.all(g.csc.data == 1.0)
 
 
@@ -548,8 +566,7 @@ def test_paper_dataset_enron_counts():
         g = parse_edge_list(handle, directed=True)
     assert g.n == 69_244
     assert g.edge_count == 276_143
-    clean, removed = remove_self_loops(g)
-    assert removed == 1_535
+    assert np.count_nonzero(g.csr.diagonal()) == 1_535
 
 
 @requires_datasets
@@ -561,5 +578,4 @@ def test_paper_dataset_ca_condmat_counts():
         g = parse_edge_list(handle, format="matrix-market")
     assert g.n == 23_133
     assert g.edge_count == 186_936
-    clean, removed = remove_self_loops(g)
-    assert removed == 58
+    assert np.count_nonzero(g.csr.diagonal()) == 58

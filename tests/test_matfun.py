@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -12,18 +13,19 @@ from sampled_centrality import (
     EvaluationError,
     SampleSet,
     SparseGraph,
-    arrow_core_evaluation,
-    dense_matfun,
-    direct_core_evaluation,
     evaluate_masked_function,
     exp_minus_one,
     resolvent_minus_one,
     sample_columns,
-    transpose_measures,
+    transpose,
 )
 from sampled_centrality import matfun
 from sampled_centrality.cli import generate
-from sampled_centrality.matfun import ScalarFunction
+from sampled_centrality.matfun import (
+    ScalarFunction,
+    arrow_core_evaluation,
+    direct_core_evaluation,
+)
 from conftest import (
     directed_edge,
     directed_two_cycle,
@@ -34,6 +36,7 @@ from conftest import (
     triangle,
     undirected_edge,
 )
+from dense_reference import dense_matfun, matrix_value
 from krylov_reference import (
     ColumnMaskedOperator,
     KrylovDecomposition,
@@ -53,7 +56,7 @@ def _er_digraph(n, p, seed):
 
 
 def _masked_dense(g, mask):
-    a = g.dense()
+    a = g.csr.toarray()
     keep = np.zeros(g.n)
     keep[mask.indices] = 1.0
     return a * keep[np.newaxis, :]
@@ -67,7 +70,7 @@ def _arrow_dense(g, mask):
     """The dense arrow mask: entries whose row or column is sampled."""
     keep = np.zeros(g.n, dtype=bool)
     keep[mask.indices] = True
-    return g.dense() * (keep[:, None] | keep[None, :])
+    return g.csr.toarray() * (keep[:, None] | keep[None, :])
 
 
 def _assert_arrow_matches_dense(g, mask, f):
@@ -130,7 +133,7 @@ def test_augmented_exponential_matches_matrix_quotient():
         for gamma in (1.0, 0.3):
             f = exp_minus_one(gamma)
             f11, g1 = f.matrix_value_and_quotient_sum(a)
-            assert rel_err(f11, f.matrix_value(a)) <= 1e-12
+            assert rel_err(f11, matrix_value(f, a)) <= 1e-12
             assert rel_err(g1, _phi1_rowsum(a, gamma)) <= 1e-12
     # the nilpotent series terminates: g(A) 1 = sum_k A^k 1 / (k + 1)!
     f11, g1 = exp_minus_one(1.0).matrix_value_and_quotient_sum(nilpotent)
@@ -144,7 +147,7 @@ def test_augmented_exponential_matches_matrix_quotient():
     assert np.max(np.abs(g1 - series)) <= 1e-13
     r = resolvent_minus_one(0.02)
     f11, g1 = r.matrix_value_and_quotient_sum(dense_random)
-    assert rel_err(f11, r.matrix_value(dense_random)) <= 1e-12
+    assert rel_err(f11, matrix_value(r, dense_random)) <= 1e-12
     katz = 0.02 * np.linalg.solve(np.eye(30) - 0.02 * dense_random, np.ones(30))
     assert rel_err(g1, katz) <= 1e-12
 
@@ -223,7 +226,7 @@ def test_arrow_core_star_masks():
         _assert_arrow_matches_dense(g, mask, resolvent_minus_one(0.5 / rho))
     # the centre alone keeps every edge
     res = evaluate_masked_function(g, _column_mask(4, [0]), exp_minus_one(1.0), seed=2)
-    exact = dense_matfun(g.dense(), exp_minus_one(1.0))
+    exact = dense_matfun(g.csr.toarray(), exp_minus_one(1.0))
     assert rel_err(res.diag, np.diagonal(exact)) <= 1e-10
     assert rel_err(res.rowsum, exact @ np.ones(4)) <= 1e-10
 
@@ -269,7 +272,7 @@ def test_arrow_core_rank_deficient_trailing_block():
     for g, indices in ((tail, [0, 1, 2]), (tail, [1, 0]), (twins, [0, 1, 4]), (twins, [1, 0])):
         mask = _column_mask(g.n, indices)
         rest = np.setdiff1d(np.arange(g.n), mask.indices)
-        assert np.linalg.matrix_rank(g.dense()[np.ix_(rest, mask.indices)]) < len(indices)
+        assert np.linalg.matrix_rank(g.csr.toarray()[np.ix_(rest, mask.indices)]) < len(indices)
         rho = float(np.max(np.abs(np.linalg.eigvalsh(_arrow_dense(g, mask)))))
         _assert_arrow_matches_dense(g, mask, exp_minus_one(1.0))
         _assert_arrow_matches_dense(g, mask, resolvent_minus_one(0.5 / rho))
@@ -388,7 +391,7 @@ def test_evaluate_full_sampling_exactness_directed():
         g = _er_digraph(40, 0.12, seed=seed)
         mask = full_column_sample(g)
         res = evaluate_masked_function(g, mask, f, seed=seed)
-        exact = dense_matfun(g.dense(), f)
+        exact = dense_matfun(g.csr.toarray(), f)
         assert rel_err(res.diag, np.diagonal(exact)) <= 1e-6
         assert rel_err(res.rowsum, exact @ np.ones(g.n)) <= 1e-6
 
@@ -402,7 +405,7 @@ def test_evaluate_full_sampling_exactness_symmetric():
         edges = rng.integers(0, 24, size=(60, 2))
         g = SparseGraph.from_edges(24, edges, directed=False)
         res = evaluate_masked_function(g, full_column_sample(g), f, seed=seed)
-        exact = dense_matfun(g.dense(), f)
+        exact = dense_matfun(g.csr.toarray(), f)
         assert rel_err(res.diag, np.diagonal(exact)) <= 1e-10
         assert rel_err(res.rowsum, exact @ np.ones(g.n)) <= 1e-10
 
@@ -450,7 +453,7 @@ def test_direct_core_small_gamma_first_order():
     res = direct_core_evaluation(g, mask, exp_minus_one(gamma))
     keep = np.zeros(g.n)
     keep[mask.indices] = 1.0
-    degrees_into_mask = g.dense() @ keep
+    degrees_into_mask = g.csr.toarray() @ keep
     assert np.max(np.abs(res.diag)) <= 1e-12
     assert np.allclose(res.rowsum / gamma, degrees_into_mask, atol=1e-6)
 
@@ -568,42 +571,42 @@ def test_nilpotent_series_termination():
     assert np.max(np.abs(res.rowsum - series @ np.ones(n))) <= 1e-12
 
 
-# -- transpose measures -------------------------------------------------------
+# -- row sampling: f(A^T) from sampled rows of A ------------------------------
 
 
-def test_transpose_measures_undirected_equals_direct():
+def _from_rows(g, rows, f, seed):
+    """README's row-sampling recipe: the rows of A are the columns of A^T."""
+    return evaluate_masked_function(
+        transpose(g), dataclasses.replace(rows, kind="column"), f, seed=seed
+    )
+
+
+def test_row_recipe_undirected_equals_direct():
     g = triangle()
     rows = full_row_sample(g)
     cols = full_column_sample(g)
     f = exp_minus_one(1.0)
-    a = transpose_measures(g, rows, f, seed=3)
+    a = _from_rows(g, rows, f, seed=3)
     b = evaluate_masked_function(g, cols, f, seed=3)
     assert np.allclose(a.diag, b.diag, atol=1e-10)
     assert np.allclose(a.rowsum, b.rowsum, atol=1e-10)
 
 
-def test_transpose_measures_nilpotent_edge():
+def test_row_recipe_nilpotent_edge():
     g = directed_edge()
     rows = SampleSet(np.array([0]), "row", "guided", 0, 2)
-    res = transpose_measures(g, rows, exp_minus_one(1.0), seed=0)
+    res = _from_rows(g, rows, exp_minus_one(1.0), seed=0)
     assert res.diag.tolist() == [0.0, 0.0]
     assert res.rowsum.tolist() == [0.0, 1.0]
 
 
-def test_transpose_measures_diag_identity_full_sampling():
+def test_row_recipe_diag_identity_full_sampling():
     g = _er_digraph(40, 0.15, seed=21)
     f = exp_minus_one(1.0)
     rows = full_row_sample(g)
-    res_t = transpose_measures(g, rows, f, seed=2)
+    res_t = _from_rows(g, rows, f, seed=2)
     res = evaluate_masked_function(g, full_column_sample(g), f, seed=2)
     assert rel_err(res_t.diag, res.diag) <= 1e-8
-
-
-def test_transpose_measures_requires_row_mask():
-    g = directed_edge()
-    cols = SampleSet(np.array([1]), "column", "guided", 0, 2)
-    with pytest.raises(ValueError, match="row"):
-        transpose_measures(g, cols, exp_minus_one(1.0))
 
 
 # -- serialization ------------------------------------------------------------

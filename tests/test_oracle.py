@@ -13,7 +13,6 @@ from sampled_centrality import (
     EvaluationError,
     SparseGraph,
     dense_left_perron,
-    dense_matfun,
     exp_minus_one,
     expm_rowsum,
     katz_rowsum,
@@ -26,10 +25,13 @@ from conftest import (
     directed_path,
     directed_two_cycle,
     path3,
+    refuse_dense_copies,
     rel_err,
     star,
     triangle,
 )
+import dense_reference
+from dense_reference import dense_matfun
 from taylor_reference import whole_matrix_subgraph_diag
 
 
@@ -47,7 +49,7 @@ def test_dense_matfun_two_cycle_closed_form():
 
 def test_dense_matfun_nilpotent_terminates():
     g = directed_path(3)
-    a = g.dense()
+    a = g.csr.toarray()
     out = dense_matfun(a, exp_minus_one(1.0))
     assert np.allclose(out, a + a @ a / 2.0, atol=1e-15)
 
@@ -61,7 +63,7 @@ def test_dense_matfun_resolvent_requires_convergent_gamma():
 
 
 def test_dense_matfun_cap(monkeypatch):
-    monkeypatch.setattr(oracle, "DENSE_CAP", 10)
+    monkeypatch.setattr(dense_reference, "DENSE_CAP", 10)
     with pytest.raises(EvaluationError, match="capped"):
         dense_matfun(np.zeros((11, 11)), exp_minus_one(1.0))
 
@@ -112,7 +114,7 @@ def random_dag(n: int = 200) -> SparseGraph:
 @pytest.mark.parametrize("spec, gamma", SUBGRAPH_CASES)
 def test_subgraph_diag_matches_dense(spec, gamma):
     g = generate(spec)
-    exact = np.diagonal(dense_matfun(g.dense(), exp_minus_one(gamma)))
+    exact = np.diagonal(dense_matfun(g.csr.toarray(), exp_minus_one(gamma)))
     assert floored_rel_err(oracle.subgraph_diag(g, gamma).scores, exact) <= 1e-12
 
 
@@ -130,7 +132,7 @@ def test_subgraph_diag_scaling_meets_theta():
 
 def test_subgraph_diag_norm_bound_is_exact_for_nonnegative_powers():
     g = generate("er:n=300,p=0.02,seed=5")
-    b = 0.7 * g.dense()
+    b = 0.7 * g.csr.toarray()
     d = [np.linalg.norm(np.linalg.matrix_power(b, p), 1) ** (1.0 / p) for p in range(2, 8)]
     alpha = min(max(d[i], d[i + 1]) for i in range(5))
     assert oracle.taylor_scaling(g, 0.7)[1] == pytest.approx(alpha, rel=1e-13)
@@ -220,11 +222,7 @@ def test_subgraph_diag_cap_refuses_before_dense_allocation(monkeypatch):
 
     g = generate("er:n=2000,p=0.001,seed=1")
     monkeypatch.setattr(oracle, "DENSE_CAP", 10)
-
-    def no_dense(self):
-        raise AssertionError("dense copy built above the cap")
-
-    monkeypatch.setattr(SparseGraph, "dense", no_dense)
+    refuse_dense_copies(monkeypatch, g.n)
     tracemalloc.start()
     try:
         with pytest.raises(EvaluationError, match="dense cap 10"):
@@ -242,7 +240,7 @@ def test_subgraph_diag_cap_refuses_before_dense_allocation(monkeypatch):
 def test_expm_rowsum_matches_dense(spec, gamma):
     g = generate(spec)
     f = exp_minus_one(gamma)
-    exact = dense_matfun(g.dense(), f).sum(axis=1)
+    exact = dense_matfun(g.csr.toarray(), f).sum(axis=1)
     assert rel_err(expm_rowsum(g, gamma), exact) <= 1e-12
 
 
@@ -251,7 +249,7 @@ def test_expm_rowsum_nilpotent_edge():
     g = directed_edge()
     got = expm_rowsum(g, 0.7)
     assert np.allclose(got, [0.7, 0.0], rtol=1e-14, atol=1e-15)
-    exact = dense_matfun(g.dense(), exp_minus_one(0.7)).sum(axis=1)
+    exact = dense_matfun(g.csr.toarray(), exp_minus_one(0.7)).sum(axis=1)
     assert rel_err(got, exact) <= 1e-12
 
 
@@ -262,7 +260,7 @@ def test_expm_rowsum_nilpotent_edge():
 def test_katz_rowsum_matches_dense(spec, gamma):
     g = generate(spec)
     ref = katz_rowsum(g, gamma)
-    exact = dense_matfun(g.dense(), resolvent_minus_one(gamma)).sum(axis=1)
+    exact = dense_matfun(g.csr.toarray(), resolvent_minus_one(gamma)).sum(axis=1)
     assert rel_err(ref.scores, exact) <= 1e-12
     assert ref.residual_inf <= oracle.KATZ_RESIDUAL_TOL
     # |x - x*| <= bound * x entrywise, with x = 1 + scores
@@ -276,7 +274,7 @@ def test_katz_rowsum_certifies_gamma_rho():
         4, np.array([(0, 3), (1, 2), (2, 0), (2, 1), (3, 0), (3, 1)]), True
     )
     for g in (period3, non_normal, generate("er:n=60,p=0.1,seed=1")):
-        rho = float(np.max(np.abs(np.linalg.eigvals(g.dense()))))
+        rho = float(np.max(np.abs(np.linalg.eigvals(g.csr.toarray()))))
         for gamma in (0.5 / rho, 0.9 / rho, 0.99 / rho):
             bound = katz_rowsum(g, gamma).gamma_rho_bound
             assert gamma * rho * (1 - 1e-12) <= bound < 1
@@ -285,7 +283,7 @@ def test_katz_rowsum_certifies_gamma_rho():
 def test_katz_rowsum_refuses_an_unfinished_solve(monkeypatch):
     # a solve stopped after one short restart cycle leaves a large residual
     g = generate("er:n=60,p=0.1,seed=1")
-    rho = float(np.max(np.abs(np.linalg.eigvals(g.dense()))))
+    rho = float(np.max(np.abs(np.linalg.eigvals(g.csr.toarray()))))
     monkeypatch.setattr(oracle, "_KATZ_MAX_STEPS", 4)
     monkeypatch.setattr(oracle, "_KATZ_RESTART", 4)
     with pytest.raises(EvaluationError, match=r"\|r\|_inf = .* after 4 GMRES steps, above"):
@@ -366,7 +364,7 @@ def test_dense_left_perron_period_three_exact_eigenvector():
     assert res.note is None
     lam = res.eigenvalue_estimate
     assert abs(lam - 2.0 ** (1.0 / 3.0)) <= 1e-12
-    assert np.linalg.norm(g.dense().T @ res.vector - lam * res.vector) <= 1e-12
+    assert np.linalg.norm(g.csr.toarray().T @ res.vector - lam * res.vector) <= 1e-12
     assert np.all(res.vector >= 0.0)
     assert res.residual <= 1e-8
 

@@ -305,10 +305,10 @@ def test_implicit_product_matches_dense_product():
     g = _strongly_connected_digraph(25, 0.2, seed=9)
     rng = np.random.default_rng(4)
     Jidx = np.sort(rng.choice(g.nonzero_columns(), size=8, replace=False))
-    Iidx = np.sort(rng.choice(g.nonzero_rows(), size=8, replace=False))
+    Iidx = np.sort(rng.choice(np.flatnonzero(g.row_degrees), size=8, replace=False))
     J = SampleSet(Jidx, "column", "random", 0, g.n)
     I = SampleSet(Iidx, "row", "random", 0, g.n)
-    a = g.dense()
+    a = g.csr.toarray()
     keep_j = np.zeros(g.n)
     keep_j[Jidx] = 1.0
     keep_i = np.zeros(g.n)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from sampled_centrality import (
-    CentralityVector,
     EvaluationError,
     RankingReport,
     evaluate_masked_function,
@@ -33,9 +32,8 @@ def test_rank_nodes_all_equal():
     assert r.ordered_nodes.tolist() == [0, 1, 2, 3, 4]
 
 
-def test_rank_nodes_accepts_centrality_vector():
-    cv = CentralityVector(np.array([3.0, 1.0, 2.0]), "subgraph", {"ell": 2})
-    r = rank_nodes(cv, k=2)
+def test_rank_nodes_top_defaults_to_the_report_depth():
+    r = rank_nodes(np.array([3.0, 1.0, 2.0]), k=2)
     assert r.ordered_nodes.tolist()[:2] == [0, 2]
     assert r.top().tolist() == [0, 2]
 
