@@ -52,7 +52,7 @@ MATFUN_ROW_KEYS = (
 # config fields that choose where and how the report is written, not echoed
 OUTPUT_FIELDS = ("out", "write_json", "write_csv")
 # the report keys that hold wall-clock seconds; the rest is deterministic
-TIMING_KEYS = ("timing", "load_s", "reference_s")
+TIMING_KEYS = ("timing", "load_s", "reference_s", "rank_s")
 
 
 @dataclass
@@ -397,7 +397,9 @@ def run(cfg: ExperimentConfig) -> int:
         t0 = time.perf_counter()
         reference, report["reference"] = _reference_scores(g, cfg)
         report["reference_s"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
         ref_ranking = rank_nodes(reference, cfg.k)
+        rank_s = time.perf_counter() - t0
         candidates: list[tuple[str, Ranking]] = []
         seeds = range(cfg.seed, cfg.seed + cfg.trials)
         row_keys = PERRON_ROW_KEYS if cfg.measure == "perron" else MATFUN_ROW_KEYS
@@ -407,7 +409,9 @@ def run(cfg: ExperimentConfig) -> int:
                 scores, params, sample_s, score_s = _measure_scores(g, cfg, ell, seed)
                 sample_times.append(sample_s)
                 score_times.append(score_s)
+                t0 = time.perf_counter()
                 ranking = rank_nodes(scores, cfg.k)
+                rank_s += time.perf_counter() - t0
                 if run_index == 0:
                     candidates.append((f"l={ell}", ranking))
                 report["results"].append(
@@ -433,6 +437,7 @@ def run(cfg: ExperimentConfig) -> int:
                     "score_mean": float(np.mean(score_times)),
                 }
             )
+        report["rank_s"] = rank_s
         full = RankingReport(ref_ranking, candidates, k=cfg.k)
         report["report"] = full.to_record(labels)
         _write_outputs(report, full, out_base, cfg, labels)

@@ -41,7 +41,7 @@ _ROW_BLOCK_ENTRIES = 1 << 22
 
 # numerical thresholds of the evaluation routes
 ZERO_EIG_TOL = 1e-10    # relative level of vanishing Gram eigenvalues
-KATZ_SAFETY = 0.95      # require gamma * rho_hat <= this for the resolvent
+KATZ_SAFETY = 0.95      # bound on gamma * rho for the resolvent
 
 
 class EvaluationError(RuntimeError):
@@ -116,8 +116,8 @@ def resolvent_minus_one(gamma: float) -> ScalarFunction:
 class MatfunResult:
     """Per-node diagonal entries and row sums of f(A_masked).
 
-    ``spectral_radius_estimate`` is None for the exponential on the column
-    mask, where no admissibility gate needs it.
+    ``spectral_radius_estimate`` is None on the column mask, whose Katz
+    gate needs no eigenvalue; the arrow mask gives the exact one.
     """
 
     diag: np.ndarray
@@ -154,6 +154,30 @@ def _check_katz_bound(f: ScalarFunction, rho: float) -> None:
             f"resolvent parameter inadmissible: gamma*rho_hat = {f.gamma * rho:.6g} "
             f"> {KATZ_SAFETY}"
         )
+
+
+def _check_katz_m_matrix(f: ScalarFunction, a11: np.ndarray) -> None:
+    """Refuse gamma*rho(A11) >= ``KATZ_SAFETY`` without an eigenvalue.
+
+    A_masked is block lower triangular, so its spectrum is that of A11.  For
+    A11 >= 0, Z = I - (gamma/KATZ_SAFETY)*A11 is a nonsingular M-matrix, that
+    is gamma*rho(A11) < KATZ_SAFETY, exactly when some y > 0 has Z y > 0
+    (Berman and Plemmons, Nonnegative Matrices in the Mathematical Sciences,
+    SIAM 1994, Ch. 6), and then y = Z^-1 1 is one: one LU factorization of Z
+    decides the gate.
+    """
+    z = np.eye(a11.shape[0]) - (f.gamma / KATZ_SAFETY) * a11
+    lu, piv, info = sla.lapack.dgetrf(z)
+    if info == 0:
+        # a nearly singular Z may overflow y or Z y; inf and nan fail the test
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = sla.lu_solve((lu, piv), np.ones(z.shape[0]), check_finite=False)
+            if np.all(y > 0) and np.all(z @ y > 0):
+                return
+    raise EvaluationError(
+        f"resolvent parameter inadmissible: I - gamma/{KATZ_SAFETY}*A11 is not a "
+        f"nonsingular M-matrix, so gamma*rho(A11) >= {KATZ_SAFETY} at gamma={f.gamma:g}"
+    )
 
 
 # -- exact small-core evaluation ----------------------------------------------
@@ -220,6 +244,8 @@ def direct_core_evaluation(g: SparseGraph, mask: SampleSet, f: ScalarFunction) -
     block they equal f(A11) stacked on A21 @ g(A11) with g(t) = f(t)/t, so
     f(A11) and g(A11) @ 1 from one factorization of the ell-by-ell core give
     diag and rowsum exactly (up to the dense kernel), defective cores included.
+    The resolvent's admissibility gate is one more LU factorization of the
+    core (``_check_katz_m_matrix``), so no eigenvalue is computed.
     """
     J, rest, a11, a21 = _core_blocks(g, mask)
     ell = len(mask)
@@ -232,17 +258,13 @@ def direct_core_evaluation(g: SparseGraph, mask: SampleSet, f: ScalarFunction) -
         rowsum[J] = f11.sum(axis=1)
         rowsum[rest] = a21 @ g1
 
-    # A_masked is block lower triangular, so its spectrum is that of A11;
-    # only the resolvent's admissibility gate needs it
-    rho = None
-    if f.kind == RESOLVENT_MINUS_ONE:
-        rho = float(np.max(np.abs(np.linalg.eigvals(a11)))) if ell else 0.0
-        _check_katz_bound(f, rho)
+    if f.kind == RESOLVENT_MINUS_ONE and ell:
+        _check_katz_m_matrix(f, a11)
     return MatfunResult(
         diag=diag,
         rowsum=rowsum,
         method="direct_core",
-        spectral_radius_estimate=rho,
+        spectral_radius_estimate=None,
         ell=ell,
         gamma=f.gamma,
         function=f.kind,

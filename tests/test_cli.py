@@ -386,7 +386,7 @@ def test_report_times_each_stage(tmp_path):
     )
     assert run(cfg) == 0
     report = json.loads(out.with_suffix(".json").read_text())
-    assert report["load_s"] > 0 and report["reference_s"] > 0
+    assert report["load_s"] > 0 and report["reference_s"] > 0 and report["rank_s"] > 0
     for entry in report["timing"]:
         assert entry["sample_mean"] > 0 and entry["score_mean"] > 0
         # each run's time is its sampling plus its scoring
@@ -711,10 +711,10 @@ def test_report_records_reference_provenance(tmp_path):
         assert main(argv + ["--ell", "10", "--k", "5", "--out", str(out)]) == 0
         return json.loads(out.with_suffix(".json").read_text())
 
-    squarings, norm_bound = oracle.taylor_scaling(generate("er:n=80,p=0.08,seed=3"), 1.0)
+    degree, squarings, norm_bound = oracle.taylor_plan(generate("er:n=80,p=0.08,seed=3"), 1.0)
     assert reference("subgraph")["reference"] == {
         "method": "taylor_squaring",
-        "degree": 30,
+        "degree": degree,
         "squarings": squarings,
         "norm_bound": norm_bound,
     }

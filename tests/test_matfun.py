@@ -369,12 +369,40 @@ def test_direct_core_spectral_radius_only_for_katz():
     res = evaluate_masked_function(g, mask, exp_minus_one(1.0))
     assert res.spectral_radius_estimate is None
     assert res.metadata()["spectral_radius_estimate"] is None
-    # the directed Katz gate still reads it: the two-cycle has rho = 1
+    # the directed Katz gate needs none either: the two-cycle has rho = 1
     two_cycle = directed_two_cycle()
     with pytest.raises(EvaluationError, match="inadmissible"):
         evaluate_masked_function(two_cycle, full_column_sample(two_cycle), resolvent_minus_one(0.99))
     res = evaluate_masked_function(two_cycle, full_column_sample(two_cycle), resolvent_minus_one(0.5))
-    assert res.spectral_radius_estimate == pytest.approx(1.0, abs=1e-12)
+    assert res.spectral_radius_estimate is None
+
+
+def test_direct_core_katz_gate_matches_the_spectral_radius():
+    # gamma*rho(A11) within 20 % of KATZ_SAFETY on each side, rho from eigvals
+    rng = np.random.default_rng(44)
+    refused = 0
+    for seed in range(300):
+        n = int(rng.integers(2, 41))
+        g = _er_digraph(n, float(rng.uniform(0.05, 0.4)), seed)
+        J = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        rho = float(np.max(np.abs(np.linalg.eigvals(g.csr.toarray()[np.ix_(J, J)]))))
+        ratio = float(rng.uniform(0.8, 1.2))
+        if rho < 1e-12 or abs(ratio - 1.0) < 1e-9:
+            continue
+        f = resolvent_minus_one(ratio * matfun.KATZ_SAFETY / rho)
+        if ratio > 1.0:
+            refused += 1
+            with pytest.raises(EvaluationError, match="inadmissible"):
+                evaluate_masked_function(g, _column_mask(n, J), f)
+        else:
+            evaluate_masked_function(g, _column_mask(n, J), f)
+    assert 50 <= refused <= 200
+    # on the boundary Z is singular (its LU has a zero pivot): refused
+    two_cycle = directed_two_cycle()
+    with pytest.raises(EvaluationError, match="inadmissible"):
+        evaluate_masked_function(
+            two_cycle, full_column_sample(two_cycle), resolvent_minus_one(matfun.KATZ_SAFETY)
+        )
 
 
 def test_evaluate_diag_zero_outside_mask():

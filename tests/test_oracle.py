@@ -97,6 +97,7 @@ SUBGRAPH_CASES = [
     ("pa:n=300,m=4,seed=3", 1.0),
     ("star:leaves=500", 2.0),
     ("path:n=50", 2.0),
+    ("er:n=300,p=0.02,seed=5", 0.3),
 ]
 
 
@@ -118,37 +119,74 @@ def test_subgraph_diag_matches_dense(spec, gamma):
     assert floored_rel_err(oracle.subgraph_diag(g, gamma).scores, exact) <= 1e-12
 
 
+def dense_norm_bounds(g: SparseGraph, gamma: float) -> dict[int, float]:
+    """alpha_m of every degree in the theta table, from dense powers of gamma*A."""
+    b = gamma * g.csr.toarray()
+    power, d = np.eye(g.n), [0.0]
+    for p in range(1, 10):
+        power = power @ b
+        d.append(np.linalg.norm(power, 1) ** (1.0 / p))
+    return {
+        m: min(max(d[p], d[p + 1]) for p in range(2, m) if p * (p - 1) <= m + 1)
+        for m in oracle.TAYLOR_THETA
+    }
+
+
 def test_subgraph_diag_scaling_meets_theta():
     squarings_seen = set()
     for spec, gamma in SUBGRAPH_CASES:
-        squarings, alpha = oracle.taylor_scaling(generate(spec), gamma)
+        g = generate(spec)
+        degree, squarings, alpha = oracle.taylor_plan(g, gamma)
         squarings_seen.add(squarings)
-        assert alpha / 2.0**squarings <= oracle.TAYLOR_THETA
+        theta = oracle.TAYLOR_THETA[degree]
+        assert alpha / 2.0**squarings <= theta
         # the fewest squarings that meet the bound
-        assert squarings == 0 or alpha / 2.0 ** (squarings - 1) > oracle.TAYLOR_THETA
+        assert squarings == 0 or alpha / 2.0 ** (squarings - 1) > theta
+
+        def cost(m: int, alpha_m: float) -> float:
+            s = 0
+            while alpha_m / 2.0**s > oracle.TAYLOR_THETA[m]:
+                s += 1
+            return (m - 1) * g.csr.nnz * g.n + oracle.SQUARING_COST * max(s - 1, 0) * g.n**3
+
+        # no degree of the table costs less
+        alphas = dense_norm_bounds(g, gamma)
+        assert alpha == pytest.approx(alphas[degree], rel=1e-13)
+        assert cost(degree, alpha) <= min(cost(m, alphas[m]) for m in alphas)
     # no squaring, the diagonal-only squaring, and full squarings before it
-    assert {0, 1} < squarings_seen
+    assert {0, 1, 2} <= squarings_seen
 
 
 def test_subgraph_diag_norm_bound_is_exact_for_nonnegative_powers():
     g = generate("er:n=300,p=0.02,seed=5")
-    b = 0.7 * g.csr.toarray()
-    d = [np.linalg.norm(np.linalg.matrix_power(b, p), 1) ** (1.0 / p) for p in range(2, 8)]
-    alpha = min(max(d[i], d[i + 1]) for i in range(5))
-    assert oracle.taylor_scaling(g, 0.7)[1] == pytest.approx(alpha, rel=1e-13)
+    degree, _, alpha = oracle.taylor_plan(g, 0.7)
+    assert alpha == pytest.approx(dense_norm_bounds(g, 0.7)[degree], rel=1e-13)
 
 
 def test_subgraph_diag_dag_is_exactly_zero():
     dag = random_dag()
-    assert oracle.taylor_scaling(dag, 3.0)[0] >= 2  # full squarings run
+    assert oracle.taylor_plan(dag, 3.0)[1] >= 2  # full squarings run
     for g in (dag, directed_path(30)):
         assert oracle.subgraph_diag(g, 3.0).scores.tolist() == [0.0] * g.n
 
 
 def test_subgraph_diag_no_edges():
     g = SparseGraph.from_edges(5, np.empty((0, 2), dtype=np.int64), directed=True)
-    assert oracle.taylor_scaling(g, 1.0) == (0, 0.0)
+    assert oracle.taylor_plan(g, 1.0) == (min(oracle.TAYLOR_THETA), 0, 0.0)
     assert oracle.subgraph_diag(g, 1.0).scores.tolist() == [0.0] * 5
+
+
+def test_subgraph_diag_matches_blocked_expm_multiply():
+    from scipy.sparse.linalg import expm_multiply
+
+    g = generate("er:n=2000,p=0.005,seed=1")
+    assert oracle.taylor_plan(g, 1.0)[:2] == (40, 1)  # a plan with no full squaring
+    nodes = np.random.default_rng(0).choice(g.n, size=200, replace=False)
+    units = np.zeros((g.n, nodes.size))
+    units[nodes, np.arange(nodes.size)] = 1.0
+    exact = expm_multiply(g.csc, units)[nodes, np.arange(nodes.size)] - 1.0
+    scores = oracle.subgraph_diag(g, 1.0).scores[nodes]
+    assert np.max(np.abs(scores - exact)) <= 1e-14 * np.max(np.abs(exact))
 
 
 # (graph, gammas giving 0, 1 and >= 2 squarings): n = 130, 150 and 200 are
@@ -156,13 +194,13 @@ def test_subgraph_diag_no_edges():
 # workers get one panel), and the single node carries a self-loop so its
 # diagonal is not zero
 PANEL_PARITY_GRAPHS = {
-    "directed": (lambda: generate("er:n=130,p=0.05,seed=2"), (0.1, 0.5, 2.0)),
-    "undirected": (lambda: generate("pa:n=150,m=3,seed=1"), (0.1, 0.3, 2.0)),
+    "directed": (lambda: generate("er:n=130,p=0.05,seed=2"), (0.1, 0.3, 2.0)),
+    "undirected": (lambda: generate("pa:n=150,m=3,seed=1"), (0.1, 0.2, 2.0)),
     "dag": (random_dag, (0.1, 1.0, 3.0)),
-    "below-one-panel": (lambda: generate("er:n=40,p=0.1,seed=1"), (0.5, 1.0, 2.0)),
+    "below-one-panel": (lambda: generate("er:n=40,p=0.1,seed=1"), (0.25, 0.5, 2.0)),
     "one-node": (
         lambda: SparseGraph.from_edges(1, np.array([[0, 0]]), directed=True),
-        (1.0, 5.0, 20.0),
+        (1.0, 2.5, 20.0),
     ),
 }
 
@@ -178,7 +216,8 @@ def test_subgraph_diag_panels_match_the_whole_matrix_bitwise(name, workers, monk
     for gamma in gammas:
         result = oracle.subgraph_diag(g, gamma)
         assert np.array_equal(result.scores, whole_matrix_subgraph_diag(g, gamma))
-        assert (result.squarings, result.norm_bound) == oracle.taylor_scaling(g, gamma)
+        plan = (result.degree, result.squarings, result.norm_bound)
+        assert plan == oracle.taylor_plan(g, gamma)
         squarings.append(result.squarings)
     assert squarings[:2] == [0, 1] and squarings[2] >= 2
     # a DAG has no closed walks; every other graph has some
@@ -215,6 +254,14 @@ def test_overflowed_references_are_refused(spec):
             message = f"{route} returned inf or nan scores at gamma=1000"
             with pytest.raises(EvaluationError, match=message):
                 reference(g, 1000.0)
+
+
+def test_subgraph_diag_stops_at_the_first_overflow():
+    # no errstate here: a RuntimeWarning from the squarings fails the suite
+    g = generate("er:n=50,p=0.1,seed=1")
+    assert oracle.taylor_plan(g, 1000.0)[1] >= 2
+    with pytest.raises(EvaluationError, match="subgraph_diag returned inf or nan scores"):
+        oracle.subgraph_diag(g, 1000.0)
 
 
 def test_subgraph_diag_cap_refuses_before_dense_allocation(monkeypatch):
