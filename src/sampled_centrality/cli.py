@@ -39,9 +39,10 @@ from .matfun import (
 from .oracle import dense_left_perron, expm_rowsum, katz_rowsum, subgraph_diag
 from .perron import PerronConfig, left_perron, symmetric_perron
 from .ranking import Ranking, RankingReport, exact_matches, rank_nodes, topk_overlap
-from .sampling import sample_columns, sample_rows
+from .sampling import GUIDED, RANDOM, sample_columns, sample_rows
 
 MEASURES = ("subgraph", "communicability", "katz", "perron")
+STRATEGIES = (GUIDED, RANDOM)
 # estimate metadata copied into each report["results"] row
 PERRON_ROW_KEYS = (
     "fallback_draws", "sample_overlap", "iterations", "converged", "note", "residual"
@@ -62,7 +63,7 @@ class ExperimentConfig:
     generate: str | None = None
     measure: str = "subgraph"
     ell_list: list[int] = field(default_factory=lambda: [20])
-    strategy: str = "guided"
+    strategy: str = GUIDED
     gamma: float = 1.0
     epsilon: float = 0.0
     seed: int = 0
@@ -75,6 +76,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.measure not in MEASURES:
             raise ValueError(f"measure must be one of {MEASURES}")
+        if self.strategy not in STRATEGIES:
+            raise ValueError(f"strategy must be one of {STRATEGIES}")
         if any(ell < 1 for ell in self.ell_list):
             raise ValueError("ell values must be at least 1")
         if self.trials < 1:
@@ -517,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--ell", dest="ell_list", help="sample sizes: '200', '500,1000', '500..3000'"
     )
-    parser.add_argument("--strategy", choices=["guided", "random"])
+    parser.add_argument("--strategy", choices=STRATEGIES)
     parser.add_argument("--seed", type=int, help="seed of the first run of each ell")
     parser.add_argument("--trials", type=int, help="runs per ell: seed, seed+1, ...")
     parser.add_argument("--k", type=int, help="report depth")

@@ -13,9 +13,10 @@ iteration; that is the one route for each mask.  A result with an inf or
 nan entry raises ``EvaluationError`` where it is computed: each core's dense
 kernel stops at its first overflow or invalid value, with no RuntimeWarning.
 
-The permutation that would move sampled columns first is never materialized:
-everything is indexed in original node order, with the selection order of J
-defining the leading block.
+Neither the permutation that would move sampled columns first nor the
+complement of J is materialized: both routes work on all n rows of A[:, J] in
+node order, the trailing block included, and write the J entries last, so an
+evaluation costs O(nnz(A[:, J]) + n) plus the dense core.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ RESOLVENT_MINUS_ONE = "resolvent_minus_one"
 
 # largest dense order: the sampled core, and the graph of a dense reference
 DENSE_CAP = 4000
-# entries of the dense row block of A21 @ K held at once in the arrow diagonal
+# entries of the dense row block of A[:, J] @ K held at once in the arrow diagonal
 _ROW_BLOCK_ENTRIES = 1 << 22
 
 # numerical thresholds of the evaluation routes
@@ -224,17 +225,17 @@ def _stop_at_overflow(route: str, gamma: float):
 
 
 def _core_blocks(g: SparseGraph, mask: SampleSet):
-    """Dense leading core A[J, J] and the sparse trailing block A[rest, J]."""
+    """J, A[:, J] as CSR in node order (its rows outside J are the trailing
+    block A[rest, J]), and the core A[J, J] as CSR and dense."""
     if mask.kind != "column":
         raise ValueError("masked evaluation expects a column mask")
+    if mask.n != g.n:
+        raise ValueError("sample dimension does not match the graph")
     if len(mask) > DENSE_CAP:
         raise EvaluationError(f"core size {len(mask)} exceeds the dense cap {DENSE_CAP}")
-    J = np.asarray(mask.indices, dtype=np.int64)
-    rest = np.setdiff1d(np.arange(g.n), J, assume_unique=False)
-    cols = g.csc[:, J].tocsr()
-    a11 = cols[J, :].toarray()
-    a21 = cols[rest, :]
-    return J, rest, a11, a21
+    cols = g.csc[:, mask.indices].tocsr()
+    c11 = cols[mask.indices]
+    return mask.indices, cols, c11, c11.toarray()
 
 
 def direct_core_evaluation(g: SparseGraph, mask: SampleSet, f: ScalarFunction) -> MatfunResult:
@@ -247,16 +248,15 @@ def direct_core_evaluation(g: SparseGraph, mask: SampleSet, f: ScalarFunction) -
     The resolvent's admissibility gate is one more LU factorization of the
     core (``_check_katz_m_matrix``), so no eigenvalue is computed.
     """
-    J, rest, a11, a21 = _core_blocks(g, mask)
+    J, cols, _, a11 = _core_blocks(g, mask)
     ell = len(mask)
     with _stop_at_overflow("direct_core", f.gamma):
         f11, g1 = f.matrix_value_and_quotient_sum(a11)
 
         diag = np.zeros(g.n)
         diag[J] = np.diagonal(f11)
-        rowsum = np.zeros(g.n)
+        rowsum = cols @ g1
         rowsum[J] = f11.sum(axis=1)
-        rowsum[rest] = a21 @ g1
 
     if f.kind == RESOLVENT_MINUS_ONE and ell:
         _check_katz_m_matrix(f, a11)
@@ -279,15 +279,16 @@ def arrow_core_evaluation(g: SparseGraph, mask: SampleSet, f: ScalarFunction) ->
     Q = A21 V S^{-1}.  Then A_arrow = U C U^T with U = [E_J, E_rest Q] and
     C = [[A11, R^T], [R, 0]], and since f(0) = 0, f(A_arrow) = U f(C) U^T.
     One symmetric eigendecomposition of C (order ell + r <= 2*ell) and
-    sparse products with A21 give every diagonal entry and row sum; Q is
-    never formed.
+    sparse products with the sampled columns give every diagonal entry and
+    row sum, those of J written last; Q is never formed.
     """
     if g.directed:
         raise ValueError("arrow_core_evaluation requires an undirected graph")
-    J, rest, a11, a21 = _core_blocks(g, mask)
+    J, cols, c11, a11 = _core_blocks(g, mask)
     ell = len(mask)
 
-    s2, V = np.linalg.eigh((a21.T @ a21).toarray())
+    # A21 is cols without its J rows; the 0/1 entries make these differences exact
+    s2, V = np.linalg.eigh((cols.T @ cols - c11.T @ c11).toarray())
     keep = s2 > ZERO_EIG_TOL * max(1.0, np.max(s2, initial=0.0))
     s = np.sqrt(s2[keep])
     P = V[:, keep] / s  # Q = A21 @ P
@@ -300,18 +301,17 @@ def arrow_core_evaluation(g: SparseGraph, mask: SampleSet, f: ScalarFunction) ->
         fmu = f.value(mu)
 
         # U^T 1 = [1_J; Q^T 1_rest], and U maps the core back to node order
-        z = np.concatenate([np.ones(ell), P.T @ np.asarray(a21.sum(axis=0)).ravel()])
+        colsum = np.asarray(cols.sum(axis=0) - c11.sum(axis=0)).ravel()
+        z = np.concatenate([np.ones(ell), P.T @ colsum])
         fz = W @ (fmu * (W.T @ z))
-        rowsum = np.empty(g.n)
+        rowsum = cols @ (P @ fz[ell:])
         rowsum[J] = fz[:ell]
-        rowsum[rest] = a21 @ (P @ fz[ell:])
 
         # diag over rest is a_i^T K a_i with K = P F22 P^T, F22 = f(C)[ell:, ell:]
         PW2 = P @ W[ell:]
         K = (PW2 * fmu) @ PW2.T
-        diag = np.empty(g.n)
+        diag = _row_quadratic_forms(cols, K)
         diag[J] = (W[:ell] ** 2) @ fmu
-        diag[rest] = _row_quadratic_forms(a21, K)
     return MatfunResult(
         diag=diag,
         rowsum=rowsum,

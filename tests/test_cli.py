@@ -611,6 +611,15 @@ def test_config_validation():
         ExperimentConfig(k=0)
 
 
+def test_unknown_strategy_is_refused_before_any_load(monkeypatch):
+    def no_load(cfg):
+        raise AssertionError("the graph was loaded")
+
+    monkeypatch.setattr(cli, "_load_graph", no_load)
+    with pytest.raises(ValueError, match="strategy must be one of"):
+        run(ExperimentConfig(generate="er:n=3000,p=0.003,seed=1", strategy="bogus"))
+
+
 @pytest.mark.parametrize(
     "flags",
     [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import time
 import warnings
 
 import numpy as np
@@ -535,13 +536,35 @@ def test_row_quadratic_forms_over_several_row_blocks(monkeypatch):
     mask = sample_columns(g, 12, seed=1)
     f = exp_minus_one(0.5)
     single = arrow_core_evaluation(g, mask, f)
-    rest = g.n - len(mask)
-    # a row block holds _ROW_BLOCK_ENTRIES // ell rows of A21 @ K
-    monkeypatch.setattr(matfun, "_ROW_BLOCK_ENTRIES", len(mask) * (rest // 3 - 1))
+    # a row block holds _ROW_BLOCK_ENTRIES // ell of the n rows of A[:, J] @ K
+    monkeypatch.setattr(matfun, "_ROW_BLOCK_ENTRIES", len(mask) * (g.n // 3 - 1))
     step = matfun._ROW_BLOCK_ENTRIES // len(mask)
-    assert -(-rest // step) >= 3
+    assert -(-g.n // step) >= 3
     blocked = arrow_core_evaluation(g, mask, f)
     assert rel_err(blocked.diag, single.diag) <= 1e-14
+
+
+@pytest.mark.parametrize("directed", [1, 0])
+@pytest.mark.parametrize("mask_n, graph_n", [(50, 80), (80, 50)])
+def test_masked_evaluation_refuses_a_mask_of_another_size(directed, mask_n, graph_n):
+    other = generate(f"er:n={mask_n},p=0.1,seed=1,directed={directed}")
+    g = generate(f"er:n={graph_n},p=0.1,seed=2,directed={directed}")
+    mask = sample_columns(other, 5, seed=1)
+    with pytest.raises(ValueError, match="sample dimension does not match the graph"):
+        evaluate_masked_function(g, mask, exp_minus_one(1.0))
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_masked_evaluation_scales_with_the_sampled_columns(directed):
+    # 2*10^6 nodes, edges among 300 of them: an evaluation costs O(nnz(A[:, J]) + n)
+    # plus the ell-order core, so no step may sort or gather the n rows
+    small = generate(f"er:n=300,p=0.05,seed=1,directed={int(directed)}")
+    g = SparseGraph.from_edges(2_000_000, np.column_stack(small.csr.nonzero()), directed)
+    mask = sample_columns(g, 20, seed=1)
+    start = time.perf_counter()
+    res = evaluate_masked_function(g, mask, exp_minus_one(1.0))
+    assert time.perf_counter() - start < 0.5
+    assert res.method == ("direct_core" if directed else "arrow_core")
 
 
 @pytest.mark.parametrize("directed", [True, False])
