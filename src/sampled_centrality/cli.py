@@ -47,9 +47,7 @@ STRATEGIES = (GUIDED, RANDOM)
 PERRON_ROW_KEYS = (
     "fallback_draws", "sample_overlap", "iterations", "converged", "note", "residual"
 )
-MATFUN_ROW_KEYS = (
-    "fallback_draws", "method", "condition_estimate", "spectral_radius_estimate"
-)
+MATFUN_ROW_KEYS = ("fallback_draws", "method", "spectral_radius_estimate")
 # config fields that choose where and how the report is written, not echoed
 OUTPUT_FIELDS = ("out", "write_json", "write_csv")
 # the report keys that hold wall-clock seconds; the rest is deterministic

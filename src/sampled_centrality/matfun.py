@@ -7,22 +7,26 @@ Two scalar functions are supported, both with f(0) = 0:
 
 Directed graphs use the column mask (``direct_core_evaluation``), undirected
 graphs the "arrow" mask that keeps entries with a sampled row or column
-(``arrow_core_evaluation``).  Each reduces f(A_masked) to one dense
-computation on a core of order at most 2*ell plus sparse products, with no
-iteration; that is the one route for each mask.  A result with an inf or
-nan entry raises ``EvaluationError`` where it is computed: each core's dense
-kernel stops at its first overflow or invalid value, with no RuntimeWarning.
+(``arrow_core_evaluation``).  Each reduces f(A_masked) to one computation on
+a core of order at most 2*ell plus sparse products, with no iteration; that
+is the one route for each mask.  ``taylor_exp`` is the package's one
+exponential of a sparse nonnegative matrix, run by the column core and the
+subgraph reference.  A result with an inf or nan entry raises
+``EvaluationError`` where it is computed: each core's kernel stops at its
+first overflow or invalid value, with no RuntimeWarning.
 
 Neither the permutation that would move sampled columns first nor the
 complement of J is materialized: both routes work on all n rows of A[:, J] in
 node order, the trailing block included, and write the J entries last, so an
-evaluation costs O(nnz(A[:, J]) + n) plus the dense core.
+evaluation costs O(nnz(A[:, J]) + n) plus the core.
 """
 
 from __future__ import annotations
 
 import contextlib
 import dataclasses
+import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,7 +39,7 @@ from .sampling import SampleSet
 EXP_MINUS_ONE = "exp_minus_one"
 RESOLVENT_MINUS_ONE = "resolvent_minus_one"
 
-# largest dense order: the sampled core, and the graph of a dense reference
+# largest dense order: a sampled core (its taylor_exp iterate has one more) and a subgraph graph
 DENSE_CAP = 4000
 # entries of the dense row block of A[:, J] @ K held at once in the arrow diagonal
 _ROW_BLOCK_ENTRIES = 1 << 22
@@ -43,6 +47,22 @@ _ROW_BLOCK_ENTRIES = 1 << 22
 # numerical thresholds of the evaluation routes
 ZERO_EIG_TOL = 1e-10    # relative level of vanishing Gram eigenvalues
 KATZ_SAFETY = 0.95      # bound on gamma * rho for the resolvent
+
+# theta_m for each Taylor degree m ``taylor_exp`` may run: the largest norm
+# bound with a backward error below the unit roundoff in double precision
+# (Al-Mohy and Higham, SIAM J. Sci. Comput. 33(2), 2011, Table 3.1; the values
+# in scipy's private expm_multiply table)
+TAYLOR_THETA = {
+    20: 1.44, 21: 1.62, 22: 1.82, 23: 2.01, 24: 2.22, 25: 2.43, 26: 2.64,
+    27: 2.86, 28: 3.08, 29: 3.31, 30: 3.54, 35: 4.7, 40: 6.0, 45: 7.2,
+    50: 8.5, 55: 9.9,
+}  # fmt: skip
+# R: one dense n x n squaring costs R * n^3 in units of one multiply-add of a
+# sparse-by-dense product (see ``taylor_plan``)
+SQUARING_COST = 0.1
+# entries of one Horner panel: 2^17 doubles (1 MB, 65 columns at n = 2000)
+# stay in cache through every product
+_PANEL_ENTRIES = 1 << 17
 
 
 class EvaluationError(RuntimeError):
@@ -68,27 +88,6 @@ class ScalarFunction:
         if self.kind == EXP_MINUS_ONE:
             return np.expm1(w)
         return w / (1.0 - w)
-
-    def matrix_value_and_quotient_sum(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """f(A) and g(A) @ 1 of a small dense matrix from one factorization.
-
-        For exp both come from one augmented exponential of order m + 1,
-        expm([[gamma*A, c*1], [0, 0]]) = [[exp(gamma*A), c*phi1(gamma*A) @ 1], [0, 1]]
-        (Higham, Functions of Matrices, SIAM 2008), exact for singular A;
-        c = 1/m keeps the added column's 1-norm at 1.  For the resolvent both
-        come from one LU solve with I - gamma*A.
-        """
-        a = np.asarray(a, dtype=np.float64)
-        m = a.shape[0]
-        if self.kind == EXP_MINUS_ONE:
-            c = 1.0 / max(m, 1)
-            aug = np.zeros((m + 1, m + 1))
-            aug[:m, :m] = self.gamma * a
-            aug[:m, m] = c
-            e = sla.expm(aug)
-            return e[:m, :m] - np.eye(m), (self.gamma / c) * e[:m, m]
-        x = self._resolvent(a)
-        return x - np.eye(m), self.gamma * x.sum(axis=1)
 
     def _resolvent(self, a: np.ndarray) -> np.ndarray:
         """(I - gamma*A)^-1 from one LU factorization, refused when LAPACK's
@@ -129,7 +128,6 @@ class MatfunResult:
     gamma: float
     function: str
     seed: int | None = None
-    condition_estimate: float | None = None
     fallback_reason: str | None = None
 
     def metadata(self) -> dict:
@@ -139,12 +137,7 @@ class MatfunResult:
             "gamma": float(self.gamma),
             "function": self.function,
             "seed": None if self.seed is None else int(self.seed),
-            "spectral_radius_estimate": None
-            if self.spectral_radius_estimate is None
-            else float(self.spectral_radius_estimate),
-            "condition_estimate": None
-            if self.condition_estimate is None or not np.isfinite(self.condition_estimate)
-            else float(self.condition_estimate),
+            "spectral_radius_estimate": self.spectral_radius_estimate,
             "fallback_reason": self.fallback_reason,
         }
 
@@ -181,6 +174,121 @@ def _check_katz_m_matrix(f: ScalarFunction, a11: np.ndarray) -> None:
     )
 
 
+def taylor_plan(b: sp.csr_matrix) -> tuple[int, int, float]:
+    """Taylor degree m, squarings s and norm bound alpha_m of ``taylor_exp``
+    for a sparse B >= 0 of order n.
+
+    |B^p|_1 = max(1^T B^p) exactly, so p products with B^T give
+    d_p = |B^p|_1^(1/p) with no estimate.  For each degree m of
+    ``TAYLOR_THETA``, alpha_m = min over 2 <= p, p(p - 1) <= m + 1, of
+    max(d_p, d_{p+1}) bounds the Taylor remainder, and s_m is the fewest
+    halvings with alpha_m / 2^s <= theta_m (Al-Mohy and Higham, SIAM J. Sci.
+    Comput. 33(2), 2011, Sec. 3).  The plan is the (m, s_m) of least cost
+    (m - 1)*nnz*n + R*max(s_m - 1, 0)*n^3, the m - 1 sparse Horner products
+    on all n columns plus the full dense squarings, with
+    R = ``SQUARING_COST``; ties go to the smaller m.  R was measured on a
+    2-core Intel Xeon with one OpenBLAS thread: one GEMM of order 2000 took
+    0.278 s, as long as 19 of this kernel's sparse products of 2000 columns
+    at nnz = 19,935 on two panel workers (0.0148 s each), so
+    R = 19*nnz/n^2 = 0.09.  The plan depends on B alone, never on a timing
+    or the number of workers, so reports stay reproducible.
+    """
+    n = b.shape[0]
+    bt = b.T
+    m_max = max(TAYLOR_THETA)
+    p_max = max(p for p in range(2, m_max) if p * (p - 1) <= m_max + 1)
+    v = np.ones(n)
+    d = [0.0]  # d[p] = |B^p|_1^(1/p); d[0] is unused
+    for p in range(1, p_max + 2):
+        v = bt @ v
+        d.append(float(np.max(v, initial=0.0)) ** (1.0 / p))
+    plans = []
+    for m, theta in TAYLOR_THETA.items():
+        alpha = min(max(d[p], d[p + 1]) for p in range(2, m) if p * (p - 1) <= m + 1)
+        if alpha == np.inf:
+            raise EvaluationError("the norm bound of gamma*A overflows")
+        s = max(0, math.ceil(math.log2(alpha / theta))) if alpha > 0 else 0
+        cost = (m - 1) * b.nnz * n + SQUARING_COST * max(s - 1, 0) * n**3
+        plans.append((cost, m, s, alpha))
+    _, degree, squarings, alpha = min(plans)
+    return degree, squarings, alpha
+
+
+def taylor_exp(b: sp.csr_matrix, vectors: np.ndarray):
+    """(m, s, alpha), diag(E - I) and (E - I) @ vectors for E = exp(B) of a
+    sparse B >= 0, by Taylor scaling and squaring.
+
+    With (m, s, alpha) from ``taylor_plan``, alpha / 2^s <= theta_m makes
+    T_m(2^-s * B)^(2^s) the exponential of B plus a backward error below the
+    unit roundoff relative to its norm (Al-Mohy and Higham, SIAM J. Sci.
+    Comput. 33(2), 2011, Sec. 3); because B >= 0, no term cancels (Shao, Gao
+    and Xue, Math. Comp. 83, 2014).  Y = T_m(C) - I, C = 2^-s * B, comes by
+    Horner from Y = C/m as Y <- (C/k)(I + Y) for k = m - 1, ..., 1, one
+    sparse-by-dense product per degree.  Each squaring maps Y to 2Y + Y^2,
+    and the last is never formed: E - I = 2Y + Y^2 gives the diagonal
+    2 Y_ii + sum_j Y_ij Y_ji and the action 2 Y V + Y (Y V).  Every step
+    sums products of nonnegative numbers, and working with Y rather than
+    T_m(C) also spares the final subtraction of the identity.  Callers
+    check the order against ``DENSE_CAP`` and run the kernel under
+    ``_stop_at_overflow``.
+
+    The columns of Y do not depend on each other, so the Horner recurrence
+    runs in panels of at most ``_PANEL_ENTRIES`` entries that stay in cache
+    through all its products, one worker thread per CPU the process may run
+    on (the calling thread alone for one panel or one CPU).  The sparse
+    product sums each entry in the same order whatever the panel, so the
+    result does not depend on the panels or the workers.
+    """
+    n = b.shape[0]
+    degree, squarings, norm_bound = taylor_plan(b)
+    c = math.ldexp(1.0, -squarings) * b
+    y = sp.csr_matrix((c.data / degree, c.indices, c.indptr), shape=c.shape).toarray()
+
+    def horner(cols: slice) -> None:
+        # Y[:, cols] <- T_m(C) - I on a panel holding C/m; column j of I is the
+        # unit vector at row cols.start + j.  Worker threads run this, so it calls
+        # only numpy and scipy: wrapped public functions see the calling thread alone.
+        step = sp.csr_matrix((c.data.copy(), c.indices, c.indptr), shape=c.shape)
+        panel = y[:, cols].copy()
+        unit = (np.arange(n)[cols], np.arange(panel.shape[1]))
+        for k in range(degree - 1, 0, -1):
+            panel[unit] += 1.0
+            np.divide(c.data, k, out=step.data)
+            panel = step @ panel
+        y[:, cols] = panel
+
+    width = max(1, _PANEL_ENTRIES // n)
+    panels = [slice(start, start + width) for start in range(0, n, width)]
+    workers = min(_available_cpus(), len(panels))
+    if workers <= 1:
+        list(map(horner, panels))
+    else:
+        # imported here: the thread pool module adds 10 ms to importing the package
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            # list() waits for every panel and re-raises a worker's exception here
+            list(pool.map(horner, panels))
+    for _ in range(squarings - 1):
+        square = y @ y
+        square += y
+        square += y
+        y = square
+    if squarings == 0:
+        return (degree, squarings, norm_bound), np.diagonal(y).copy(), y @ vectors
+    action = y @ vectors
+    diag = np.einsum("ij,ji->i", y, y) + 2.0 * np.diagonal(y)
+    return (degree, squarings, norm_bound), diag, y @ action + 2.0 * action
+
+
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 # -- exact small-core evaluation ----------------------------------------------
 
 
@@ -215,7 +323,7 @@ def _non_finite(route: str, gamma: float) -> EvaluationError:
 
 @contextlib.contextmanager
 def _stop_at_overflow(route: str, gamma: float):
-    """Run a dense kernel so its first overflow or invalid value raises
+    """Run a kernel so its first overflow or invalid value raises
     ``EvaluationError`` instead of a RuntimeWarning and inf or nan scores."""
     try:
         with np.errstate(over="raise", invalid="raise"):
@@ -226,7 +334,7 @@ def _stop_at_overflow(route: str, gamma: float):
 
 def _core_blocks(g: SparseGraph, mask: SampleSet):
     """J, A[:, J] as CSR in node order (its rows outside J are the trailing
-    block A[rest, J]), and the core A[J, J] as CSR and dense."""
+    block A[rest, J]), and the core A[J, J] as CSR."""
     if mask.kind != "column":
         raise ValueError("masked evaluation expects a column mask")
     if mask.n != g.n:
@@ -234,38 +342,63 @@ def _core_blocks(g: SparseGraph, mask: SampleSet):
     if len(mask) > DENSE_CAP:
         raise EvaluationError(f"core size {len(mask)} exceeds the dense cap {DENSE_CAP}")
     cols = g.csc[:, mask.indices].tocsr()
-    c11 = cols[mask.indices]
-    return mask.indices, cols, c11, c11.toarray()
+    return mask.indices, cols, cols[mask.indices]
+
+
+def core_diag_and_sums(f: ScalarFunction, a11: sp.csr_matrix):
+    """diag f(A11), f(A11) @ 1 and g(A11) @ 1, g(t) = f(t)/t, of a sparse core A11 >= 0.
+
+    For exp all three come from one ``taylor_exp`` of B = [[gamma*A11, c*1],
+    [0, 0]], whose exponential is [[exp(gamma*A11), c*phi1(gamma*A11) @ 1],
+    [0, 1]] (Higham, Functions of Matrices, SIAM 2008), exact for singular
+    A11: its diagonal and its action on [1; 0] and on the last unit vector,
+    with c = 1/m keeping the added column's 1-norm at 1.  For the resolvent
+    they come from one LU solve with I - gamma*A11; one more LU factorization
+    (``_check_katz_m_matrix``) decides admissibility with no eigenvalue.
+    """
+    m = a11.shape[0]
+    if f.kind == RESOLVENT_MINUS_ONE:
+        dense = a11.toarray()
+        x = f._resolvent(dense)
+        if m:
+            _check_katz_m_matrix(f, dense)
+        f11 = x - np.eye(m)
+        return np.diagonal(f11), f11.sum(axis=1), f.gamma * x.sum(axis=1)
+    c = 1.0 / max(m, 1)
+    # each row of gamma*A11 ends with the entry c in column m; row m is empty
+    ends = a11.indptr[1:]
+    data, indices = np.insert(f.gamma * a11.data, ends, c), np.insert(a11.indices, ends, m)
+    indptr = np.append(a11.indptr + np.arange(m + 1), a11.nnz + m)
+    b = sp.csr_matrix((data, indices, indptr), shape=(m + 1, m + 1))
+    vectors = np.zeros((m + 1, 2))
+    vectors[:m, 0] = vectors[m, 1] = 1.0
+    _, diag, action = taylor_exp(b, vectors)
+    return diag[:m], action[:m, 0], (f.gamma / c) * action[:m, 1]
 
 
 def direct_core_evaluation(g: SparseGraph, mask: SampleSet, f: ScalarFunction) -> MatfunResult:
-    """Exact dense evaluation of the column mask.
+    """Exact evaluation of the column mask.
 
     Only the sampled columns of f(A_masked) are nonzero, and in the leading
     block they equal f(A11) stacked on A21 @ g(A11) with g(t) = f(t)/t, so
-    f(A11) and g(A11) @ 1 from one factorization of the ell-by-ell core give
-    diag and rowsum exactly (up to the dense kernel), defective cores included.
-    The resolvent's admissibility gate is one more LU factorization of the
-    core (``_check_katz_m_matrix``), so no eigenvalue is computed.
+    diag f(A11), f(A11) @ 1 and g(A11) @ 1 from the ell-by-ell core
+    (``core_diag_and_sums``) give diag and rowsum exactly (up to the
+    kernel), defective cores included.
     """
-    J, cols, _, a11 = _core_blocks(g, mask)
-    ell = len(mask)
+    J, cols, c11 = _core_blocks(g, mask)
     with _stop_at_overflow("direct_core", f.gamma):
-        f11, g1 = f.matrix_value_and_quotient_sum(a11)
+        d11, f1, g1 = core_diag_and_sums(f, c11)
 
         diag = np.zeros(g.n)
-        diag[J] = np.diagonal(f11)
+        diag[J] = d11
         rowsum = cols @ g1
-        rowsum[J] = f11.sum(axis=1)
-
-    if f.kind == RESOLVENT_MINUS_ONE and ell:
-        _check_katz_m_matrix(f, a11)
+        rowsum[J] = f1
     return MatfunResult(
         diag=diag,
         rowsum=rowsum,
         method="direct_core",
         spectral_radius_estimate=None,
-        ell=ell,
+        ell=len(mask),
         gamma=f.gamma,
         function=f.kind,
     )
@@ -284,7 +417,7 @@ def arrow_core_evaluation(g: SparseGraph, mask: SampleSet, f: ScalarFunction) ->
     """
     if g.directed:
         raise ValueError("arrow_core_evaluation requires an undirected graph")
-    J, cols, c11, a11 = _core_blocks(g, mask)
+    J, cols, c11 = _core_blocks(g, mask)
     ell = len(mask)
 
     # A21 is cols without its J rows; the 0/1 entries make these differences exact
@@ -293,7 +426,7 @@ def arrow_core_evaluation(g: SparseGraph, mask: SampleSet, f: ScalarFunction) ->
     s = np.sqrt(s2[keep])
     P = V[:, keep] / s  # Q = A21 @ P
     R = s[:, np.newaxis] * V[:, keep].T
-    core = np.block([[a11, R.T], [R, np.zeros((s.size, s.size))]])
+    core = np.block([[c11.toarray(), R.T], [R, np.zeros((s.size, s.size))]])
     mu, W = np.linalg.eigh(core)
     rho = float(np.max(np.abs(mu), initial=0.0))
     _check_katz_bound(f, rho)
@@ -320,16 +453,16 @@ def arrow_core_evaluation(g: SparseGraph, mask: SampleSet, f: ScalarFunction) ->
         ell=ell,
         gamma=f.gamma,
         function=f.kind,
-        condition_estimate=1.0,
     )
 
 
 def _row_quadratic_forms(a: sp.csr_matrix, K: np.ndarray) -> np.ndarray:
-    """a_i^T K a_i for every row a_i of a, in row blocks of bounded size."""
-    out = np.empty(a.shape[0])
+    """a_i^T K a_i for every row a_i of a: 0 on the empty rows, the others in
+    row blocks of bounded size."""
+    out = np.zeros(a.shape[0])
+    rows = np.flatnonzero(np.diff(a.indptr))
     step = max(1, _ROW_BLOCK_ENTRIES // max(1, K.shape[0]))
-    for start in range(0, a.shape[0], step):
-        block = a[start : start + step]
-        out[start : start + step] = np.asarray(block.multiply(block @ K).sum(axis=1)).ravel()
+    for start in range(0, rows.size, step):
+        block = a[rows[start : start + step]]
+        out[rows[start : start + step]] = np.asarray(block.multiply(block @ K).sum(axis=1)).ravel()
     return out
-

@@ -18,7 +18,6 @@ from sampled_centrality import SampleSet, SparseGraph
 from sampled_centrality.matfun import (
     ZERO_EIG_TOL,
     EvaluationError,
-    MatfunResult,
     ScalarFunction,
     _check_katz_bound,
 )
@@ -176,12 +175,24 @@ def _realize(values: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(real)
 
 
+@dataclass(frozen=True)
+class KrylovResult:
+    """diag and rowsum of f on the column mask, with the spectral radius of
+    the Ritz values and the worse of the eigenbasis and sampled-row
+    condition numbers."""
+
+    diag: np.ndarray
+    rowsum: np.ndarray
+    spectral_radius_estimate: float
+    condition_estimate: float
+
+
 def krylov_spectral_evaluation(
     g: SparseGraph,
     mask: SampleSet,
     f: ScalarFunction,
     seed: int = 0,
-) -> MatfunResult:
+) -> KrylovResult:
     """diag and rowsum of f on the column mask by Arnoldi spectral reconstruction.
 
     An independent cross-check of ``direct_core_evaluation``: once the
@@ -227,14 +238,9 @@ def krylov_spectral_evaluation(
     diag_c = np.zeros(g.n, dtype=complex)
     diag_c[mask.indices] = np.diagonal(X)
 
-    return MatfunResult(
+    return KrylovResult(
         diag=_realize(diag_c),
         rowsum=_realize(rowsum_c),
-        method="krylov_spectral",
         spectral_radius_estimate=rho,
-        ell=ell,
-        gamma=f.gamma,
-        function=f.kind,
-        seed=seed,
         condition_estimate=max(sd.condition_estimate, cond_wj),
     )

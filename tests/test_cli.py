@@ -656,7 +656,6 @@ def test_run_rows_carry_estimate_metadata(tmp_path):
     assert len(rows) == 2
     for row in rows:
         assert row["method"] == "arrow_core"
-        assert row["condition_estimate"] == 1.0
         assert 0 < row["spectral_radius_estimate"] * 0.02 <= 0.95
 
     cfg = ExperimentConfig(
@@ -720,7 +719,7 @@ def test_report_records_reference_provenance(tmp_path):
         assert main(argv + ["--ell", "10", "--k", "5", "--out", str(out)]) == 0
         return json.loads(out.with_suffix(".json").read_text())
 
-    degree, squarings, norm_bound = oracle.taylor_plan(generate("er:n=80,p=0.08,seed=3"), 1.0)
+    degree, squarings, norm_bound = matfun.taylor_plan(generate("er:n=80,p=0.08,seed=3").csr)
     assert reference("subgraph")["reference"] == {
         "method": "taylor_squaring",
         "degree": degree,

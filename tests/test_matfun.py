@@ -9,6 +9,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from sampled_centrality import (
     EvaluationError,
@@ -25,6 +26,7 @@ from sampled_centrality.cli import generate
 from sampled_centrality.matfun import (
     ScalarFunction,
     arrow_core_evaluation,
+    core_diag_and_sums,
     direct_core_evaluation,
 )
 from conftest import (
@@ -106,13 +108,13 @@ def test_scalar_function_validation():
 
 def test_quotient_sum_handles_singular_core():
     f = exp_minus_one(1.0)
-    _, g1 = f.matrix_value_and_quotient_sum(np.zeros((1, 1)))
+    _, _, g1 = core_diag_and_sums(f, sp.csr_matrix(np.zeros((1, 1))))
     assert np.allclose(g1, [1.0])
     # agreement with eigenvalue evaluation on a diagonalizable core
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     lam, q = np.linalg.eigh(a)
     expected = q @ ((np.expm1(lam) / lam) * (q.T @ np.ones(2)))
-    _, g1 = f.matrix_value_and_quotient_sum(a)
+    _, _, g1 = core_diag_and_sums(f, sp.csr_matrix(a))
     assert np.allclose(g1, expected, atol=1e-13)
 
 
@@ -133,11 +135,13 @@ def test_augmented_exponential_matches_matrix_quotient():
     for a in (nilpotent, dense_random):
         for gamma in (1.0, 0.3):
             f = exp_minus_one(gamma)
-            f11, g1 = f.matrix_value_and_quotient_sum(a)
-            assert rel_err(f11, matrix_value(f, a)) <= 1e-12
+            d11, f1, g1 = core_diag_and_sums(f, sp.csr_matrix(a))
+            f11 = matrix_value(f, a)
+            assert rel_err(d11, np.diagonal(f11)) <= 1e-12
+            assert rel_err(f1, f11.sum(axis=1)) <= 1e-12
             assert rel_err(g1, _phi1_rowsum(a, gamma)) <= 1e-12
     # the nilpotent series terminates: g(A) 1 = sum_k A^k 1 / (k + 1)!
-    f11, g1 = exp_minus_one(1.0).matrix_value_and_quotient_sum(nilpotent)
+    _, _, g1 = core_diag_and_sums(exp_minus_one(1.0), sp.csr_matrix(nilpotent))
     series = np.zeros(6)
     power = np.ones(6)
     factorial = 1.0
@@ -147,16 +151,43 @@ def test_augmented_exponential_matches_matrix_quotient():
         power = nilpotent @ power
     assert np.max(np.abs(g1 - series)) <= 1e-13
     r = resolvent_minus_one(0.02)
-    f11, g1 = r.matrix_value_and_quotient_sum(dense_random)
-    assert rel_err(f11, matrix_value(r, dense_random)) <= 1e-12
+    d11, f1, g1 = core_diag_and_sums(r, sp.csr_matrix(dense_random))
+    f11 = matrix_value(r, dense_random)
+    assert rel_err(d11, np.diagonal(f11)) <= 1e-12
+    assert rel_err(f1, f11.sum(axis=1)) <= 1e-12
     katz = 0.02 * np.linalg.solve(np.eye(30) - 0.02 * dense_random, np.ones(30))
     assert rel_err(g1, katz) <= 1e-12
 
 
-# -- Arnoldi ------------------------------------------------------------------
+def test_column_core_exp_matches_blocked_expm_multiply():
+    from scipy.sparse.linalg import expm_multiply
+
+    g = generate("er:n=600,p=0.05,seed=1")
+    mask = sample_columns(g, 200, seed=1, strategy="guided")
+    J, gamma = mask.indices, 3.0
+    res = direct_core_evaluation(g, mask, exp_minus_one(gamma))
+    keep = np.zeros(g.n)
+    keep[J] = 1.0
+    masked = (g.csr @ sp.diags(keep)).tocsc()
+    # exp(gamma*A_masked) on the unit vectors of J and on the ones vector
+    block = np.zeros((g.n, len(J) + 1))
+    block[J, np.arange(len(J))] = 1.0
+    block[:, -1] = 1.0
+    e = expm_multiply(gamma * masked, block)
+    exact_diag = e[J, np.arange(len(J))] - 1.0
+    exact_rowsum = e[:, -1] - 1.0
+
+    def err(x, y):
+        return np.max(np.abs(x - y)) / max(1.0, np.max(np.abs(y)))
+
+    assert err(res.diag[J], exact_diag) <= 1e-14
+    assert err(res.rowsum, exact_rowsum) <= 1e-14
 
 
-def test_arnoldi_two_cycle_closed_form():
+# -- the Arnoldi reference of tests/krylov_reference.py ------------------------
+
+
+def test_arnoldi_reference_recovers_the_two_cycle():
     g = undirected_edge()
     mask = full_column_sample(g)
     d = arnoldi(g, mask, v1=np.array([1.0, 0.0]))
@@ -240,7 +271,6 @@ def test_arrow_core_triangle():
         _assert_arrow_matches_dense(g, mask, resolvent_minus_one(0.2))
     res = arrow_core_evaluation(g, full_column_sample(g), exp_minus_one(1.0))
     assert res.spectral_radius_estimate == pytest.approx(2.0, abs=1e-12)
-    assert res.condition_estimate == 1.0
 
 
 def test_arrow_core_rejects_directed():
@@ -536,12 +566,27 @@ def test_row_quadratic_forms_over_several_row_blocks(monkeypatch):
     mask = sample_columns(g, 12, seed=1)
     f = exp_minus_one(0.5)
     single = arrow_core_evaluation(g, mask, f)
-    # a row block holds _ROW_BLOCK_ENTRIES // ell of the n rows of A[:, J] @ K
-    monkeypatch.setattr(matfun, "_ROW_BLOCK_ENTRIES", len(mask) * (g.n // 3 - 1))
+    # a row block holds _ROW_BLOCK_ENTRIES // ell of the rows of A[:, J] @ K,
+    # taken over the rows of A[:, J] with a stored entry
+    stored = np.count_nonzero(np.diff(g.csc[:, mask.indices].tocsr().indptr))
+    monkeypatch.setattr(matfun, "_ROW_BLOCK_ENTRIES", len(mask) * (stored // 3 - 1))
     step = matfun._ROW_BLOCK_ENTRIES // len(mask)
-    assert -(-g.n // step) >= 3
+    assert -(-stored // step) >= 3
     blocked = arrow_core_evaluation(g, mask, f)
     assert rel_err(blocked.diag, single.diag) <= 1e-14
+
+
+def test_row_quadratic_forms_skip_the_empty_rows_bitwise():
+    # edges among 300 of 20000 nodes: nearly every row of A[:, J] is empty
+    small = generate("pa:n=300,m=3,seed=1")
+    g = SparseGraph.from_edges(20_000, np.column_stack(small.csr.nonzero()), directed=False)
+    mask = sample_columns(g, 20, seed=1)
+    cols = g.csc[:, mask.indices].tocsr()
+    assert np.count_nonzero(np.diff(cols.indptr)) < g.n // 50
+    K = np.random.default_rng(0).random((len(mask), len(mask)))
+    K += K.T
+    every_row = np.asarray(cols.multiply(cols @ K).sum(axis=1)).ravel()
+    assert np.array_equal(matfun._row_quadratic_forms(cols, K), every_row)
 
 
 @pytest.mark.parametrize("directed", [1, 0])

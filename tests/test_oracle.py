@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from sampled_centrality import (
     EvaluationError,
@@ -17,8 +18,10 @@ from sampled_centrality import (
     expm_rowsum,
     katz_rowsum,
     resolvent_minus_one,
+    sample_columns,
 )
-from sampled_centrality import oracle
+from sampled_centrality import matfun, oracle
+from sampled_centrality.matfun import direct_core_evaluation
 from sampled_centrality.cli import generate
 from conftest import (
     directed_edge,
@@ -32,7 +35,7 @@ from conftest import (
 )
 import dense_reference
 from dense_reference import dense_matfun
-from taylor_reference import whole_matrix_subgraph_diag
+from taylor_reference import whole_matrix_subgraph_diag, whole_matrix_taylor_exp
 
 
 def test_dense_matfun_zero_matrix():
@@ -119,6 +122,11 @@ def test_subgraph_diag_matches_dense(spec, gamma):
     assert floored_rel_err(oracle.subgraph_diag(g, gamma).scores, exact) <= 1e-12
 
 
+def _plan(g: SparseGraph, gamma: float) -> tuple[int, int, float]:
+    """The exponential kernel's plan for exp(gamma*A)."""
+    return matfun.taylor_plan(gamma * g.csr)
+
+
 def dense_norm_bounds(g: SparseGraph, gamma: float) -> dict[int, float]:
     """alpha_m of every degree in the theta table, from dense powers of gamma*A."""
     b = gamma * g.csr.toarray()
@@ -128,7 +136,7 @@ def dense_norm_bounds(g: SparseGraph, gamma: float) -> dict[int, float]:
         d.append(np.linalg.norm(power, 1) ** (1.0 / p))
     return {
         m: min(max(d[p], d[p + 1]) for p in range(2, m) if p * (p - 1) <= m + 1)
-        for m in oracle.TAYLOR_THETA
+        for m in matfun.TAYLOR_THETA
     }
 
 
@@ -136,18 +144,18 @@ def test_subgraph_diag_scaling_meets_theta():
     squarings_seen = set()
     for spec, gamma in SUBGRAPH_CASES:
         g = generate(spec)
-        degree, squarings, alpha = oracle.taylor_plan(g, gamma)
+        degree, squarings, alpha = _plan(g, gamma)
         squarings_seen.add(squarings)
-        theta = oracle.TAYLOR_THETA[degree]
+        theta = matfun.TAYLOR_THETA[degree]
         assert alpha / 2.0**squarings <= theta
         # the fewest squarings that meet the bound
         assert squarings == 0 or alpha / 2.0 ** (squarings - 1) > theta
 
         def cost(m: int, alpha_m: float) -> float:
             s = 0
-            while alpha_m / 2.0**s > oracle.TAYLOR_THETA[m]:
+            while alpha_m / 2.0**s > matfun.TAYLOR_THETA[m]:
                 s += 1
-            return (m - 1) * g.csr.nnz * g.n + oracle.SQUARING_COST * max(s - 1, 0) * g.n**3
+            return (m - 1) * g.csr.nnz * g.n + matfun.SQUARING_COST * max(s - 1, 0) * g.n**3
 
         # no degree of the table costs less
         alphas = dense_norm_bounds(g, gamma)
@@ -159,20 +167,20 @@ def test_subgraph_diag_scaling_meets_theta():
 
 def test_subgraph_diag_norm_bound_is_exact_for_nonnegative_powers():
     g = generate("er:n=300,p=0.02,seed=5")
-    degree, _, alpha = oracle.taylor_plan(g, 0.7)
+    degree, _, alpha = _plan(g, 0.7)
     assert alpha == pytest.approx(dense_norm_bounds(g, 0.7)[degree], rel=1e-13)
 
 
 def test_subgraph_diag_dag_is_exactly_zero():
     dag = random_dag()
-    assert oracle.taylor_plan(dag, 3.0)[1] >= 2  # full squarings run
+    assert _plan(dag, 3.0)[1] >= 2  # full squarings run
     for g in (dag, directed_path(30)):
         assert oracle.subgraph_diag(g, 3.0).scores.tolist() == [0.0] * g.n
 
 
 def test_subgraph_diag_no_edges():
     g = SparseGraph.from_edges(5, np.empty((0, 2), dtype=np.int64), directed=True)
-    assert oracle.taylor_plan(g, 1.0) == (min(oracle.TAYLOR_THETA), 0, 0.0)
+    assert _plan(g, 1.0) == (min(matfun.TAYLOR_THETA), 0, 0.0)
     assert oracle.subgraph_diag(g, 1.0).scores.tolist() == [0.0] * 5
 
 
@@ -180,7 +188,7 @@ def test_subgraph_diag_matches_blocked_expm_multiply():
     from scipy.sparse.linalg import expm_multiply
 
     g = generate("er:n=2000,p=0.005,seed=1")
-    assert oracle.taylor_plan(g, 1.0)[:2] == (40, 1)  # a plan with no full squaring
+    assert _plan(g, 1.0)[:2] == (40, 1)  # a plan with no full squaring
     nodes = np.random.default_rng(0).choice(g.n, size=200, replace=False)
     units = np.zeros((g.n, nodes.size))
     units[nodes, np.arange(nodes.size)] = 1.0
@@ -189,10 +197,11 @@ def test_subgraph_diag_matches_blocked_expm_multiply():
     assert np.max(np.abs(scores - exact)) <= 1e-14 * np.max(np.abs(exact))
 
 
-# (graph, gammas giving 0, 1 and >= 2 squarings): n = 130, 150 and 200 are
-# not multiples of the panel width, n = 40 is below one panel (so two
-# workers get one panel), and the single node carries a self-loop so its
-# diagonal is not zero
+# (graph, gammas giving 0, 1 and >= 2 squarings): with panels of
+# ``PANEL_COLUMNS`` columns, n = 130, 150 and 200 are not multiples of the
+# panel width, n = 40 is below one panel (so two workers get one panel), and
+# the single node carries a self-loop so its diagonal is not zero; the
+# column core of ell = min(n, 100) sampled columns has order ell + 1
 PANEL_PARITY_GRAPHS = {
     "directed": (lambda: generate("er:n=130,p=0.05,seed=2"), (0.1, 0.3, 2.0)),
     "undirected": (lambda: generate("pa:n=150,m=3,seed=1"), (0.1, 0.2, 2.0)),
@@ -203,29 +212,55 @@ PANEL_PARITY_GRAPHS = {
         (1.0, 2.5, 20.0),
     ),
 }
+PANEL_COLUMNS = 64
+
+
+def whole_matrix_column_core(g: SparseGraph, mask, gamma: float):
+    """diag and rowsum of exp(gamma*A_masked) - I on the column mask from
+    the whole-matrix Horner of the augmented core [[gamma*A11, 1/ell], [0, 0]]."""
+    J, ell = mask.indices, len(mask)
+    cols = g.csc[:, J].tocsr()
+    aug = np.zeros((ell + 1, ell + 1))
+    aug[:ell, :ell] = gamma * cols[J].toarray()
+    aug[:ell, ell] = 1.0 / ell
+    vectors = np.zeros((ell + 1, 2))
+    vectors[:ell, 0] = vectors[ell, 1] = 1.0
+    core_diag, action = whole_matrix_taylor_exp(sp.csr_matrix(aug), vectors)
+    diag = np.zeros(g.n)
+    diag[J] = core_diag[:ell]
+    rowsum = cols @ ((gamma / (1.0 / ell)) * action[:ell, 1])
+    rowsum[J] = action[:ell, 0]
+    return diag, rowsum
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("name", sorted(PANEL_PARITY_GRAPHS))
 def test_subgraph_diag_panels_match_the_whole_matrix_bitwise(name, workers, monkeypatch):
-    monkeypatch.setattr(oracle, "_available_cpus", lambda: workers)
+    monkeypatch.setattr(matfun, "_available_cpus", lambda: workers)
     build, gammas = PANEL_PARITY_GRAPHS[name]
     g = build()
-    assert g.n % oracle._PANEL_COLUMNS
+    mask = sample_columns(g, min(g.n, 100), seed=1)
+    assert g.n % PANEL_COLUMNS and (len(mask) + 1) % PANEL_COLUMNS
     squarings = []
     for gamma in gammas:
+        monkeypatch.setattr(matfun, "_PANEL_ENTRIES", PANEL_COLUMNS * g.n)
         result = oracle.subgraph_diag(g, gamma)
         assert np.array_equal(result.scores, whole_matrix_subgraph_diag(g, gamma))
         plan = (result.degree, result.squarings, result.norm_bound)
-        assert plan == oracle.taylor_plan(g, gamma)
+        assert plan == _plan(g, gamma)
         squarings.append(result.squarings)
+        # the column core's exponential runs the same kernel
+        monkeypatch.setattr(matfun, "_PANEL_ENTRIES", PANEL_COLUMNS * (len(mask) + 1))
+        core = direct_core_evaluation(g, mask, exp_minus_one(gamma))
+        diag, rowsum = whole_matrix_column_core(g, mask, gamma)
+        assert np.array_equal(core.diag, diag) and np.array_equal(core.rowsum, rowsum)
     assert squarings[:2] == [0, 1] and squarings[2] >= 2
     # a DAG has no closed walks; every other graph has some
     assert result.scores.any() == (name != "dag")
 
 
 def test_available_cpus_counts_the_affinity_mask():
-    cpus = oracle._available_cpus()
+    cpus = matfun._available_cpus()
     assert cpus >= 1
     if hasattr(os, "sched_getaffinity"):
         assert cpus == len(os.sched_getaffinity(0))
@@ -259,7 +294,7 @@ def test_overflowed_references_are_refused(spec):
 def test_subgraph_diag_stops_at_the_first_overflow():
     # no errstate here: a RuntimeWarning from the squarings fails the suite
     g = generate("er:n=50,p=0.1,seed=1")
-    assert oracle.taylor_plan(g, 1000.0)[1] >= 2
+    assert _plan(g, 1000.0)[1] >= 2
     with pytest.raises(EvaluationError, match="subgraph_diag returned inf or nan scores"):
         oracle.subgraph_diag(g, 1000.0)
 
