@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import sys
 import time
@@ -30,12 +31,7 @@ import numpy as np
 
 from . import __version__
 from .graph import SparseGraph, parse_edge_list
-from .matfun import (
-    EXP_MINUS_ONE,
-    RESOLVENT_MINUS_ONE,
-    ScalarFunction,
-    evaluate_masked_function,
-)
+from .matfun import ScalarFunction, evaluate_masked_function, exp_minus_one, resolvent_minus_one
 from .oracle import dense_left_perron, expm_rowsum, katz_rowsum, subgraph_diag
 from .perron import PerronConfig, left_perron, symmetric_perron
 from .ranking import Ranking, RankingReport, exact_matches, rank_nodes, topk_overlap
@@ -43,11 +39,6 @@ from .sampling import GUIDED, RANDOM, sample_columns, sample_rows
 
 MEASURES = ("subgraph", "communicability", "katz", "perron")
 STRATEGIES = (GUIDED, RANDOM)
-# estimate metadata copied into each report["results"] row
-PERRON_ROW_KEYS = (
-    "fallback_draws", "sample_overlap", "iterations", "converged", "note", "residual"
-)
-MATFUN_ROW_KEYS = ("fallback_draws", "method", "spectral_radius_estimate")
 # config fields that choose where and how the report is written, not echoed
 OUTPUT_FIELDS = ("out", "write_json", "write_csv")
 # the report keys that hold wall-clock seconds; the rest is deterministic
@@ -83,22 +74,13 @@ class ExperimentConfig:
         if self.k < 1:
             raise ValueError("k must be at least 1")
         # the two parameter types refuse a gamma or epsilon they cannot use
-        ScalarFunction(EXP_MINUS_ONE, self.gamma)
+        exp_minus_one(self.gamma)
         PerronConfig(epsilon=self.epsilon)
 
 
 # -- synthetic generators -----------------------------------------------------
 
 
-# the keys each generator kind accepts; any other key is refused
-_GENERATOR_KEYS = {
-    "er": ("n", "p", "seed", "directed"),
-    "pa": ("n", "m", "seed"),
-    "star": ("leaves",),
-    "path": ("n",),
-    "cycle": ("n",),
-    "two-cluster-bridge": ("n", "intra_p", "seed"),
-}
 # the most rounds of preferential attachment drawn in one generator call
 _PA_MAX_RUN = 4096
 
@@ -106,18 +88,20 @@ _PA_MAX_RUN = 4096
 def generate(spec: str) -> SparseGraph:
     """Build a synthetic graph from a spec like ``er:n=60,p=0.1,seed=1``.
 
-    Kinds and their keys are in ``_GENERATOR_KEYS``: er (directed by default;
-    directed=0 for undirected; O(n + m)), pa (preferential attachment,
-    undirected, m edges per new node), star, path, cycle, two-cluster-bridge
-    (two halves, each an undirected er graph of p = intra_p, joined by one
-    edge; O(n + m)).  A key the kind does not take, ``directed`` other than
-    0 or 1, or ``intra_p`` outside [0, 1] raises ``ValueError``.  The same
-    spec always gives the same graph.
+    ``_GENERATORS`` maps each kind to its function and the type of each key
+    it takes; a key left out takes the function's default.  Kinds: er
+    (directed by default; directed=0 for undirected; O(n + m)), pa
+    (preferential attachment, undirected, m edges per new node), star, path,
+    cycle, two-cluster-bridge (two halves, each an undirected er graph of
+    p = intra_p, joined by one edge; O(n + m)).  A key the kind does not
+    take, a key without a default left out, ``directed`` other than 0 or 1,
+    or ``intra_p`` outside [0, 1] raises ``ValueError``.  The same spec
+    always gives the same graph.
     """
     name, _, rest = spec.partition(":")
-    if name not in _GENERATOR_KEYS:
+    if name not in _GENERATORS:
         raise ValueError(f"unknown generator {name!r}")
-    allowed = _GENERATOR_KEYS[name]
+    build, types = _GENERATORS[name]
     params: dict[str, str] = {}
     if rest:
         for item in rest.split(","):
@@ -125,41 +109,15 @@ def generate(spec: str) -> SparseGraph:
             key, value = key.strip(), value.strip()
             if not key or not value:
                 raise ValueError(f"bad generator parameter {item!r} in {spec!r}")
-            if key not in allowed:
+            if key not in types:
                 raise ValueError(
-                    f"generator {name!r} takes no parameter {key!r}; allowed: {', '.join(allowed)}"
+                    f"generator {name!r} takes no parameter {key!r}; allowed: {', '.join(types)}"
                 )
             params[key] = value
-    try:
-        if name == "er":
-            directed = int(params.get("directed", 1))
-            if directed not in (0, 1):
-                raise ValueError(f"er parameter 'directed' must be 0 or 1, got {directed}")
-            return _gen_erdos_renyi(
-                n=int(params["n"]),
-                p=float(params["p"]),
-                seed=int(params.get("seed", 0)),
-                directed=bool(directed),
-            )
-        if name == "pa":
-            return _gen_preferential_attachment(
-                n=int(params["n"]),
-                m=int(params.get("m", 5)),
-                seed=int(params.get("seed", 0)),
-            )
-        if name == "star":
-            return _gen_star(int(params["leaves"]))
-        if name == "path":
-            return _gen_path(int(params["n"]))
-        if name == "cycle":
-            return _gen_cycle(int(params["n"]))
-        return _gen_two_cluster_bridge(
-            n=int(params["n"]),
-            intra_p=float(params.get("intra_p", 0.3)),
-            seed=int(params.get("seed", 0)),
-        )
-    except KeyError as exc:
-        raise ValueError(f"generator {name!r} is missing parameter {exc}") from None
+    for key, parameter in inspect.signature(build).parameters.items():
+        if parameter.default is parameter.empty and key not in params:
+            raise ValueError(f"generator {name!r} is missing parameter {key!r}")
+    return build(**{key: types[key](value) for key, value in params.items()})
 
 
 def _er_pairs(
@@ -198,12 +156,12 @@ def _er_pairs(
     return rows[keep], cols[keep]
 
 
-def _gen_erdos_renyi(n: int, p: float, seed: int, directed: bool = True) -> SparseGraph:
+def _gen_erdos_renyi(n: int, p: float, seed: int = 0, directed: bool = True) -> SparseGraph:
     rows, cols = _er_pairs(np.random.default_rng(seed), n, p, directed)
     return SparseGraph.from_edges(n, np.column_stack([rows, cols]), directed=directed)
 
 
-def _gen_preferential_attachment(n: int, m: int, seed: int) -> SparseGraph:
+def _gen_preferential_attachment(n: int, m: int = 5, seed: int = 0) -> SparseGraph:
     """Barabasi-Albert growth: each new node attaches to m distinct existing
     nodes with probability proportional to degree, by the repeated-endpoint
     construction of Batagelj & Brandes (Phys. Rev. E 71, 036113, 2005).
@@ -290,7 +248,7 @@ def _gen_cycle(n: int) -> SparseGraph:
     return SparseGraph.from_edges(n, np.column_stack([idx, (idx + 1) % n]), directed=False)
 
 
-def _gen_two_cluster_bridge(n: int, intra_p: float, seed: int) -> SparseGraph:
+def _gen_two_cluster_bridge(n: int, intra_p: float = 0.3, seed: int = 0) -> SparseGraph:
     """Halves [0, n // 2) and [n // 2, n), each with every pair i < j an edge
     independently with probability intra_p, joined by the one edge
     (0, n // 2).  Both halves draw from one generator, one after the other,
@@ -309,6 +267,24 @@ def _gen_two_cluster_bridge(n: int, intra_p: float, seed: int) -> SparseGraph:
     return SparseGraph.from_edges(n, np.vstack(edges), directed=False)
 
 
+def _zero_or_one(text: str) -> bool:
+    value = int(text)
+    if value not in (0, 1):
+        raise ValueError(f"er parameter 'directed' must be 0 or 1, got {value}")
+    return bool(value)
+
+
+# each generator kind: its function and the type of each key it takes
+_GENERATORS = {
+    "er": (_gen_erdos_renyi, {"n": int, "p": float, "seed": int, "directed": _zero_or_one}),
+    "pa": (_gen_preferential_attachment, {"n": int, "m": int, "seed": int}),
+    "star": (_gen_star, {"leaves": int}),
+    "path": (_gen_path, {"n": int}),
+    "cycle": (_gen_cycle, {"n": int}),
+    "two-cluster-bridge": (_gen_two_cluster_bridge, {"n": int, "intra_p": float, "seed": int}),
+}
+
+
 # -- experiment driver --------------------------------------------------------
 
 
@@ -324,15 +300,15 @@ def _load_graph(cfg: ExperimentConfig) -> SparseGraph:
 
 
 def _scalar_function(cfg: ExperimentConfig) -> ScalarFunction:
-    kind = RESOLVENT_MINUS_ONE if cfg.measure == "katz" else EXP_MINUS_ONE
-    return ScalarFunction(kind, cfg.gamma)
+    return (resolvent_minus_one if cfg.measure == "katz" else exp_minus_one)(cfg.gamma)
 
 
 def _measure_scores(
     g: SparseGraph, cfg: ExperimentConfig, ell: int, seed: int
 ) -> tuple[np.ndarray, dict, float, float]:
-    """The scores of one run's estimate, its metadata, and its sampling and
-    scoring seconds."""
+    """The scores of one run's estimate, what its report row says about the
+    run (the sampler's fallback draws, |J & I| for Perron, and the estimate's
+    ``metadata()``), and its sampling and scoring seconds."""
     t0 = time.perf_counter()
     J = sample_columns(g, ell, seed, cfg.strategy)
     draws = J.fallback_draws
@@ -343,29 +319,24 @@ def _measure_scores(
         # A_cols(J) @ A_rows(I) has rank at most |J & I|, and is zero without it
         overlap = int(np.intersect1d(J.indices, I.indices).size)
     t1 = time.perf_counter()
+    row = {"fallback_draws": draws}
     if cfg.measure == "perron":
         pcfg = PerronConfig(epsilon=cfg.epsilon)
         result = left_perron(g, J, I, pcfg) if g.directed else symmetric_perron(g, J, pcfg)
         scores = result.vector
+        row["sample_overlap"] = overlap
     else:
-        result = evaluate_masked_function(g, J, _scalar_function(cfg), seed=seed)
+        result = evaluate_masked_function(g, J, _scalar_function(cfg))
         scores = result.diag if cfg.measure == "subgraph" else result.rowsum
     t2 = time.perf_counter()
-    params = {
-        "ell": ell,
-        "seed": seed,
-        "strategy": cfg.strategy,
-        "fallback_draws": draws,
-        "sample_overlap": overlap,
-    }
-    return scores, params | result.metadata(), t1 - t0, t2 - t1
+    return scores, row | result.metadata(), t1 - t0, t2 - t1
 
 
 def _reference_scores(g: SparseGraph, cfg: ExperimentConfig) -> tuple[np.ndarray, dict]:
     """The reference scores and how they were computed."""
     if cfg.measure == "perron":
         ref = dense_left_perron(g)
-        return ref.vector, {"method": "power_iteration"} | ref.metadata()
+        return ref.vector, ref.metadata()
     if cfg.measure == "communicability":
         return expm_rowsum(g, cfg.gamma), {"method": "expm_multiply"}
     ref = katz_rowsum(g, cfg.gamma) if cfg.measure == "katz" else subgraph_diag(g, cfg.gamma)
@@ -403,11 +374,10 @@ def run(cfg: ExperimentConfig) -> int:
         rank_s = time.perf_counter() - t0
         candidates: list[tuple[str, Ranking]] = []
         seeds = range(cfg.seed, cfg.seed + cfg.trials)
-        row_keys = PERRON_ROW_KEYS if cfg.measure == "perron" else MATFUN_ROW_KEYS
         for ell in cfg.ell_list:
             sample_times, score_times = [], []
             for run_index, seed in enumerate(seeds):
-                scores, params, sample_s, score_s = _measure_scores(g, cfg, ell, seed)
+                scores, row, sample_s, score_s = _measure_scores(g, cfg, ell, seed)
                 sample_times.append(sample_s)
                 score_times.append(score_s)
                 t0 = time.perf_counter()
@@ -424,7 +394,7 @@ def run(cfg: ExperimentConfig) -> int:
                         "overlap_at_k": topk_overlap(ref_ranking, ranking, cfg.k),
                         "exact_at_k": exact_matches(ref_ranking, ranking, cfg.k),
                     }
-                    | {key: params[key] for key in row_keys}
+                    | row
                 )
             times = np.add(sample_times, score_times)
             report["timing"].append(

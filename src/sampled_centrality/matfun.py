@@ -24,7 +24,6 @@ evaluation costs O(nnz(A[:, J]) + n) plus the core.
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import math
 import os
 from dataclasses import dataclass
@@ -116,30 +115,20 @@ def resolvent_minus_one(gamma: float) -> ScalarFunction:
 class MatfunResult:
     """Per-node diagonal entries and row sums of f(A_masked).
 
-    ``spectral_radius_estimate`` is None on the column mask, whose Katz
-    gate needs no eigenvalue; the arrow mask gives the exact one.
+    ``metadata()`` is what a report row says about the route: ``method``
+    and ``spectral_radius_estimate``, None on the column mask, whose Katz
+    gate needs no eigenvalue; the arrow mask gives the exact one.  Both
+    routes are exact, so ``fallback_reason`` is always None.
     """
 
     diag: np.ndarray
     rowsum: np.ndarray
     method: str
     spectral_radius_estimate: float | None
-    ell: int
-    gamma: float
-    function: str
-    seed: int | None = None
     fallback_reason: str | None = None
 
     def metadata(self) -> dict:
-        return {
-            "method": self.method,
-            "ell": int(self.ell),
-            "gamma": float(self.gamma),
-            "function": self.function,
-            "seed": None if self.seed is None else int(self.seed),
-            "spectral_radius_estimate": self.spectral_radius_estimate,
-            "fallback_reason": self.fallback_reason,
-        }
+        return {"method": self.method, "spectral_radius_estimate": self.spectral_radius_estimate}
 
 
 def _check_katz_bound(f: ScalarFunction, rho: float) -> None:
@@ -302,13 +291,14 @@ def evaluate_masked_function(
 
     Directed graphs use the column mask (``direct_core_evaluation``) and
     undirected graphs the arrow mask (``arrow_core_evaluation``).  Both are
-    exact and deterministic; ``seed`` is only recorded in the metadata.
+    exact and deterministic, so ``seed`` is read by nothing; it is kept only
+    because ``bench/workloads.py`` still passes it.
     """
     core = direct_core_evaluation if g.directed else arrow_core_evaluation
     result = core(g, mask, f)
     for values in (result.diag, result.rowsum):
         _require_finite(values, result.method, f.gamma)
-    return dataclasses.replace(result, seed=seed)
+    return result
 
 
 def _require_finite(values: np.ndarray, route: str, gamma: float) -> None:
@@ -398,9 +388,6 @@ def direct_core_evaluation(g: SparseGraph, mask: SampleSet, f: ScalarFunction) -
         rowsum=rowsum,
         method="direct_core",
         spectral_radius_estimate=None,
-        ell=len(mask),
-        gamma=f.gamma,
-        function=f.kind,
     )
 
 
@@ -450,9 +437,6 @@ def arrow_core_evaluation(g: SparseGraph, mask: SampleSet, f: ScalarFunction) ->
         rowsum=rowsum,
         method="arrow_core",
         spectral_radius_estimate=rho,
-        ell=ell,
-        gamma=f.gamma,
-        function=f.kind,
     )
 
 

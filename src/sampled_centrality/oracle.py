@@ -9,8 +9,9 @@ before the kernel builds its n x n iterate.  ``expm_rowsum`` gives
 communicability row sums at any size from the action of the sparse
 exponential on the ones vector, and ``katz_rowsum`` gives Katz row sums at
 any size from one sparse solve that certifies its own admissibility and
-error; neither forms a dense matrix.  An inf or nan score raises
-``EvaluationError``.
+error; neither forms a dense matrix.  Each builds the ``ScalarFunction``
+it evaluates, so a gamma that is not positive and finite raises its
+``ValueError``.  An inf or nan score raises ``EvaluationError``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from .graph import SparseGraph
-from .matfun import DENSE_CAP, EvaluationError, _require_finite, _stop_at_overflow, taylor_exp
+from .matfun import (
+    DENSE_CAP,
+    EvaluationError,
+    _require_finite,
+    _stop_at_overflow,
+    exp_minus_one,
+    resolvent_minus_one,
+    taylor_exp,
+)
 from .perron import PerronConfig, PerronResult, power_iteration
 
 # a certified Katz solve has |x - x*| <= this * x* entrywise
@@ -56,15 +65,14 @@ class SubgraphDiag:
 def subgraph_diag(g: SparseGraph, gamma: float) -> SubgraphDiag:
     """Diagonal of exp(gamma*A) - I from ``matfun.taylor_exp``, with its plan;
     refused above ``DENSE_CAP`` before any n x n array is built."""
+    f = exp_minus_one(gamma)
     if g.n > DENSE_CAP:
         raise EvaluationError(
             f"no exact subgraph reference for n={g.n} above the dense cap {DENSE_CAP}"
         )
-    if not (gamma > 0 and np.isfinite(gamma)):
-        raise ValueError("gamma must be positive and finite")
-    with _stop_at_overflow("subgraph_diag", gamma):
-        (degree, squarings, norm_bound), diag, _ = taylor_exp(gamma * g.csr, np.zeros((g.n, 0)))
-    _require_finite(diag, "subgraph_diag", gamma)
+    with _stop_at_overflow("subgraph_diag", f.gamma):
+        (degree, squarings, norm_bound), diag, _ = taylor_exp(f.gamma * g.csr, np.zeros((g.n, 0)))
+    _require_finite(diag, "subgraph_diag", f.gamma)
     return SubgraphDiag(scores=diag, degree=degree, squarings=squarings, norm_bound=norm_bound)
 
 
@@ -79,9 +87,10 @@ def expm_rowsum(g: SparseGraph, gamma: float) -> np.ndarray:
     # imported here: scipy.sparse.linalg adds 15-40 ms to importing the package
     from scipy.sparse.linalg import expm_multiply
 
+    f = exp_minus_one(gamma)
     ones = np.ones(g.n)
-    rowsum = expm_multiply(gamma * g.csc, ones) - ones
-    _require_finite(rowsum, "expm_rowsum", gamma)
+    rowsum = expm_multiply(f.gamma * g.csc, ones) - ones
+    _require_finite(rowsum, "expm_rowsum", f.gamma)
     return rowsum
 
 
@@ -130,9 +139,8 @@ def katz_rowsum(g: SparseGraph, gamma: float) -> KatzRowsum:
     # imported here: scipy.sparse.linalg adds 15-40 ms to importing the package
     from scipy.sparse.linalg import gmres
 
-    if not gamma > 0:
-        raise ValueError("gamma must be positive")
-    shifted = sp.identity(g.n, format="csr") - gamma * g.csr
+    f = resolvent_minus_one(gamma)
+    shifted = sp.identity(g.n, format="csr") - f.gamma * g.csr
     ones = np.ones(g.n)
     steps = 0
 

@@ -71,6 +71,7 @@ class PerronResult:
 
     def metadata(self) -> dict:
         return {
+            "method": "power_iteration",
             "eigenvalue_estimate": float(self.eigenvalue_estimate),
             "iterations": int(self.iterations),
             "converged": bool(self.converged),

@@ -12,8 +12,10 @@ import numpy as np
 class Ranking:
     """Full node order by descending score, ties broken by ascending id.
 
-    ``k`` is the report depth; the stored order covers every node so any
-    depth up to n can be compared.
+    Only bitwise-equal scores tie: scores equal in exact arithmetic but one
+    ulp apart are ordered by value, whatever their ids.  ``k`` is the report
+    depth; the stored order covers every node so any depth up to n can be
+    compared.
     """
 
     ordered_nodes: np.ndarray
@@ -28,7 +30,8 @@ class Ranking:
 
 
 def rank_nodes(scores: np.ndarray, k: int = 20) -> Ranking:
-    """Deterministic descending sort with ascending-id tie-break.
+    """Deterministic descending sort with ascending-id tie-break among
+    bitwise-equal scores; scores one ulp apart are ordered by value.
 
     Refuses inf and nan scores, which overflowed estimates and references
     would otherwise rank silently.

@@ -6,6 +6,7 @@ import dataclasses
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -15,13 +16,16 @@ import numpy as np
 import pytest
 
 from sampled_centrality import (
+    PerronConfig,
     SparseGraph,
     evaluate_masked_function,
     exp_minus_one,
+    left_perron,
     parse_edge_list,
     resolvent_minus_one,
     sample_columns,
     sample_rows,
+    symmetric_perron,
 )
 from sampled_centrality import cli, matfun, oracle
 from sampled_centrality.cli import (
@@ -269,6 +273,54 @@ def test_generate_rejects_bad_specs():
         generate("two-cluster-bridge:n=100,intra_p=1.5")
     with pytest.raises(ValueError, match="intra_p must be in"):
         generate("two-cluster-bridge:n=100,intra_p=-0.1")
+
+
+# one complete spec per kind, and the keys it cannot leave out
+_FULL_SPECS = {
+    "er": ("n=20,p=0.1,seed=0,directed=1", ("n", "p")),
+    "pa": ("n=50,m=5,seed=0", ("n",)),
+    "star": ("leaves=3", ("leaves",)),
+    "path": ("n=4", ("n",)),
+    "cycle": ("n=5", ("n",)),
+    "two-cluster-bridge": ("n=20,intra_p=0.3,seed=0", ("n",)),
+}
+
+
+def _same_graph(a: SparseGraph, b: SparseGraph) -> bool:
+    return (a.n, a.directed) == (b.n, b.directed) and all(
+        np.array_equal(x, y)
+        for x, y in zip(
+            (a.csr.indptr, a.csr.indices, a.csr.data), (b.csr.indptr, b.csr.indices, b.csr.data)
+        )
+    )
+
+
+def test_generate_names_each_missing_parameter():
+    for kind, (full, required) in _FULL_SPECS.items():
+        items = full.split(",")
+        generate(f"{kind}:{full}")
+        for key in required:
+            rest = ",".join(item for item in items if item.split("=")[0] != key)
+            message = re.escape(f"generator '{kind}' is missing parameter '{key}'")
+            with pytest.raises(ValueError, match=message):
+                generate(f"{kind}:{rest}")
+
+
+def test_generate_defaults_match_the_spelled_out_specs():
+    assert _same_graph(generate("pa:n=50"), generate("pa:n=50,m=5,seed=0"))
+    assert _same_graph(generate("er:n=20,p=0.1"), generate("er:n=20,p=0.1,seed=0,directed=1"))
+    assert _same_graph(
+        generate("two-cluster-bridge:n=20"), generate("two-cluster-bridge:n=20,intra_p=0.3,seed=0")
+    )
+
+
+def test_generate_reads_directed_as_an_integer():
+    assert _same_graph(generate("er:n=30,p=0.2,directed=01"), generate("er:n=30,p=0.2"))
+    assert not generate("er:n=30,p=0.2,directed=00").directed
+    with pytest.raises(ValueError, match="er parameter 'directed' must be 0 or 1, got 2"):
+        generate("er:n=30,p=0.2,directed=2")
+    with pytest.raises(ValueError, match=re.escape("invalid literal for int() with base 10: '1.0'")):
+        generate("er:n=30,p=0.2,directed=1.0")
 
 
 def test_parse_ell_forms():
@@ -843,6 +895,44 @@ def test_perron_rows_record_the_sample_overlap(tmp_path):
     assert main(["--generate", spec, *argv, "--seed", "5", "--out", str(tmp_path / "u")]) == 0
     rows = json.loads((tmp_path / "u.json").read_text())["results"]
     assert [row["sample_overlap"] for row in rows] == [None] * 6
+
+
+@pytest.mark.parametrize("spec", ["er:n=80,p=0.08,seed=2", "pa:n=120,m=3,seed=4"])
+def test_results_rows_are_the_estimates_own_records(tmp_path, spec):
+    # a row is the run's base keys, the sampler's fallback draws, |J & I| for
+    # Perron, and the estimate's metadata() whole, for every measure
+    g = generate(spec)
+    base = {"ell", "seed", "strategy", "top", "overlap_at_k", "exact_at_k", "fallback_draws"}
+    functions = {
+        "subgraph": exp_minus_one(1.0),
+        "communicability": exp_minus_one(1.0),
+        "katz": resolvent_minus_one(0.05),
+    }
+    for measure in cli.MEASURES:
+        out = tmp_path / measure
+        gamma, epsilon = (0.05, 0.0) if measure == "katz" else (1.0, 1e-3)
+        cfg = ExperimentConfig(
+            generate=spec, measure=measure, gamma=gamma, epsilon=epsilon,
+            ell_list=[20, 40], trials=2, seed=3, out=str(out),
+        )  # fmt: skip
+        assert run(cfg) == 0
+        rows = json.loads(out.with_suffix(".json").read_text())["results"]
+        assert len(rows) == 4
+        for row in rows:
+            J = sample_columns(g, row["ell"], row["seed"])
+            keys = base
+            if measure != "perron":
+                estimate = evaluate_masked_function(g, J, functions[measure])
+            elif g.directed:
+                I = sample_rows(g, row["ell"], row["seed"] + 1)
+                estimate = left_perron(g, J, I, PerronConfig(epsilon=epsilon))
+                keys = base | {"sample_overlap"}
+            else:
+                estimate = symmetric_perron(g, J, PerronConfig(epsilon=epsilon))
+                keys = base | {"sample_overlap"}
+            record = json.loads(json.dumps(estimate.metadata()))
+            assert set(row) == keys | set(record)
+            assert {key: row[key] for key in record} == record
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"

@@ -715,5 +715,4 @@ def test_matfun_result_serialization():
     res = evaluate_masked_function(g, full_column_sample(g), exp_minus_one(1.0), seed=0)
     record = json.loads(json.dumps(res.metadata()))
     assert record["method"] == "arrow_core"
-    assert record["ell"] == 2
     assert res.diag.shape == res.rowsum.shape == (2,)

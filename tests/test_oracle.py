@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -270,6 +271,18 @@ def test_available_cpus_counts_the_affinity_mask():
 def test_subgraph_diag_refuses_gamma(gamma):
     with pytest.raises(ValueError, match="gamma"):
         oracle.subgraph_diag(triangle(), gamma)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -0.5, np.nan, np.inf])
+@pytest.mark.parametrize("reference", [oracle.subgraph_diag, expm_rowsum, katz_rowsum])
+def test_references_refuse_gamma_by_the_scalar_function_rule(reference, gamma):
+    # each reference builds the ScalarFunction it evaluates, so a gamma that
+    # is not positive and finite is refused before any arithmetic, unwarned
+    g = generate("er:n=50,p=0.1,seed=1")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^gamma must be positive and finite$"):
+            reference(g, gamma)
 
 
 def test_subgraph_diag_refuses_an_overflowing_norm_bound():

@@ -27,6 +27,14 @@ def test_rank_nodes_tie_break_by_id():
     assert r.scores.tolist() == [0.9, 0.5, 0.5]
 
 
+def test_rank_nodes_orders_scores_one_ulp_apart_by_value():
+    # only bitwise-equal scores are ties: one ulp outranks a smaller id
+    low = 0.5
+    high = np.nextafter(low, 1.0)
+    assert rank_nodes(np.array([low, high]), k=2).ordered_nodes.tolist() == [1, 0]
+    assert rank_nodes(np.array([high, low]), k=2).ordered_nodes.tolist() == [0, 1]
+
+
 def test_rank_nodes_all_equal():
     r = rank_nodes(np.zeros(5), k=5)
     assert r.ordered_nodes.tolist() == [0, 1, 2, 3, 4]
