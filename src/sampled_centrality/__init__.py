@@ -19,7 +19,7 @@ from .perron import (
     left_perron,
     symmetric_perron,
 )
-from .ranking import Ranking, RankingReport, exact_matches, rank_nodes, topk_overlap
+from .ranking import Ranking, exact_matches, rank_nodes, topk_overlap
 from .sampling import SampleSet, sample_columns, sample_rows
 
 __all__ = [
@@ -31,7 +31,6 @@ __all__ = [
     "PerronResult",
     "RankDeficientProductError",
     "Ranking",
-    "RankingReport",
     "SampleSet",
     "ScalarFunction",
     "SparseGraph",

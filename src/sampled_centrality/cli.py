@@ -30,11 +30,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .graph import SparseGraph, parse_edge_list
+from .graph import SparseGraph, parse_edge_list, transpose
 from .matfun import ScalarFunction, evaluate_masked_function, exp_minus_one, resolvent_minus_one
 from .oracle import dense_left_perron, expm_rowsum, katz_rowsum, subgraph_diag
 from .perron import PerronConfig, left_perron, symmetric_perron
-from .ranking import Ranking, RankingReport, exact_matches, rank_nodes, topk_overlap
+from .ranking import exact_matches, rank_nodes, topk_overlap
 from .sampling import GUIDED, RANDOM, sample_columns, sample_rows
 
 MEASURES = ("subgraph", "communicability", "katz", "perron")
@@ -67,8 +67,12 @@ class ExperimentConfig:
             raise ValueError(f"measure must be one of {MEASURES}")
         if self.strategy not in STRATEGIES:
             raise ValueError(f"strategy must be one of {STRATEGIES}")
+        if not self.ell_list:
+            raise ValueError("empty ell list")
         if any(ell < 1 for ell in self.ell_list):
             raise ValueError("ell values must be at least 1")
+        if len(set(self.ell_list)) < len(self.ell_list):
+            raise ValueError("ell values must be distinct")
         if self.trials < 1:
             raise ValueError("trials must be at least 1")
         if self.k < 1:
@@ -299,6 +303,20 @@ def _load_graph(cfg: ExperimentConfig) -> SparseGraph:
         return parse_edge_list(handle, format=fmt, directed=not cfg.undirected)
 
 
+def _check_sizes(g: SparseGraph, cfg: ExperimentConfig) -> None:
+    """Refuse a report depth or sample size the graph cannot give before the
+    reference is computed, with the messages of ``rank_nodes`` and
+    ``sample_columns``; ``sample_rows`` samples the columns of A^T."""
+    if cfg.k > g.n:
+        raise ValueError(f"k={cfg.k} outside [1, {g.n}]")
+    sides = [g, transpose(g)] if cfg.measure == "perron" and g.directed else [g]
+    counts = [side.nonzero_columns().size for side in sides]
+    for ell in cfg.ell_list:
+        for nz in counts:
+            if ell > nz:
+                raise ValueError(f"ell={ell} outside [1, {nz}] (nonzero columns)")
+
+
 def _scalar_function(cfg: ExperimentConfig) -> ScalarFunction:
     return (resolvent_minus_one if cfg.measure == "katz" else exp_minus_one)(cfg.gamma)
 
@@ -360,19 +378,27 @@ def run(cfg: ExperimentConfig) -> int:
         "results": [],
         "timing": [],
     }
-    labels = None
     try:
         t0 = time.perf_counter()
         g = _load_graph(cfg)
         report["load_s"] = time.perf_counter() - t0
-        labels = g.labels
+        _check_sizes(g, cfg)
         t0 = time.perf_counter()
         reference, report["reference"] = _reference_scores(g, cfg)
         report["reference_s"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         ref_ranking = rank_nodes(reference, cfg.k)
         rank_s = time.perf_counter() - t0
-        candidates: list[tuple[str, Ranking]] = []
+        # the reference against the first run of each ell: the CSV's columns
+        table: dict = {
+            "k": cfg.k,
+            "tie_break": "ascending node id",
+            "reference": {
+                "top": [g.label_of(i) for i in ref_ranking.top()],
+                "scores": ref_ranking.scores.tolist(),
+            },
+            "candidates": [],
+        }
         seeds = range(cfg.seed, cfg.seed + cfg.trials)
         for ell in cfg.ell_list:
             sample_times, score_times = [], []
@@ -383,18 +409,17 @@ def run(cfg: ExperimentConfig) -> int:
                 t0 = time.perf_counter()
                 ranking = rank_nodes(scores, cfg.k)
                 rank_s += time.perf_counter() - t0
+                stats = {
+                    "top": [g.label_of(i) for i in ranking.top()],
+                    "overlap_at_k": topk_overlap(ref_ranking, ranking, cfg.k),
+                    "exact_at_k": exact_matches(ref_ranking, ranking, cfg.k),
+                }
                 if run_index == 0:
-                    candidates.append((f"l={ell}", ranking))
+                    table["candidates"].append(
+                        {"label": f"l={ell}", "scores": ranking.scores.tolist()} | stats
+                    )
                 report["results"].append(
-                    {
-                        "ell": int(ell),
-                        "seed": int(seed),
-                        "strategy": cfg.strategy,
-                        "top": [g.label_of(i) for i in ranking.top(cfg.k)],
-                        "overlap_at_k": topk_overlap(ref_ranking, ranking, cfg.k),
-                        "exact_at_k": exact_matches(ref_ranking, ranking, cfg.k),
-                    }
-                    | row
+                    {"ell": int(ell), "seed": int(seed), "strategy": cfg.strategy} | stats | row
                 )
             times = np.add(sample_times, score_times)
             report["timing"].append(
@@ -409,9 +434,8 @@ def run(cfg: ExperimentConfig) -> int:
                 }
             )
         report["rank_s"] = rank_s
-        full = RankingReport(ref_ranking, candidates, k=cfg.k)
-        report["report"] = full.to_record(labels)
-        _write_outputs(report, full, out_base, cfg, labels)
+        report["report"] = table
+        _write_outputs(report, table, out_base, cfg)
         return 0
     except Exception as exc:  # single diagnostic surface: flush partial, exit 1
         report["failed"] = f"{type(exc).__name__}: {exc}"
@@ -432,14 +456,21 @@ def _write_json(report: dict, out_base: Path) -> None:
         handle.write("\n")
 
 
-def _write_outputs(report, full, out_base, cfg, labels) -> None:
+def _write_outputs(report, table, out_base, cfg) -> None:
+    """The JSON report, and the figure-style CSV of its ``table``: one column
+    per configuration, one row per rank, then the overlap and exact rows."""
     if cfg.write_json:
         _write_json(report, out_base)
     if cfg.write_csv:
+        candidates = table["candidates"]
+        columns = [("reference", table["reference"])] + [(c["label"], c) for c in candidates]
+        rows = [["rank"] + [label for label, _ in columns]]
+        rows += [[pos + 1] + [c["top"][pos] for _, c in columns] for pos in range(table["k"])]
+        rows.append(["overlap@k", ""] + [c["overlap_at_k"] for c in candidates])
+        rows.append(["exact@k", ""] + [c["exact_at_k"] for c in candidates])
         path = out_base.with_suffix(".csv")
         path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w") as handle:
-            full.write_csv(handle, labels)
+        path.write_text("".join(",".join(map(str, row)) + "\n" for row in rows))
 
 
 def _parse_ell(text: str) -> list[int]:
@@ -448,22 +479,17 @@ def _parse_ell(text: str) -> list[int]:
     for part in text.split(","):
         part = part.strip()
         if ".." in part:
-            pieces = part.split("..")
-            if len(pieces) == 2:
-                a, b = int(pieces[0]), int(pieces[1])
-                step = a
-            elif len(pieces) == 3:
-                a, b = int(pieces[0]), int(pieces[1])
-                step = int(pieces[2])
-            else:
+            pieces = [int(piece) for piece in part.split("..")]
+            if len(pieces) > 3:
                 raise ValueError(f"bad ell range {part!r}")
+            a, b, step = pieces if len(pieces) == 3 else (*pieces, pieces[0])
             if step < 1:
                 raise ValueError("range step must be positive")
+            if b < a:
+                raise ValueError(f"ell range {part!r} ends below its start")
             values.extend(range(a, b + 1, step))
         elif part:
             values.append(int(part))
-    if not values:
-        raise ValueError("empty ell list")
     return values
 
 

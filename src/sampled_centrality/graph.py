@@ -98,13 +98,6 @@ class SparseGraph:
             # input edges were doubled; each off-diagonal entry pair and each
             # diagonal entry stands for one stored input edge
             dup = len(edges) - (a.nnz + int(np.count_nonzero(a.diagonal()))) // 2
-        return cls._of(a, directed, labels, dup)
-
-    @classmethod
-    def _of(
-        cls, a: sp.csr_matrix, directed: bool, labels: np.ndarray | None, dup: int
-    ) -> "SparseGraph":
-        """Wrap a canonical 0/1 CSR matrix; the CSC layout is its conversion."""
         return cls(
             directed=directed,
             csr=a,

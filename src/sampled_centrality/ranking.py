@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TextIO
 
 import numpy as np
 
@@ -58,64 +57,3 @@ def exact_matches(a: Ranking, b: Ranking, k: int) -> int:
     if k > len(a) or k > len(b):
         raise ValueError("k exceeds a ranking depth")
     return int(np.count_nonzero(a.ordered_nodes[:k] == b.ordered_nodes[:k]))
-
-
-@dataclass(frozen=True)
-class RankingReport:
-    """Reference ranking against labelled candidates with top-k statistics."""
-
-    reference: Ranking
-    candidates: list[tuple[str, Ranking]]
-    k: int = 20
-
-    def overlap_at_k(self) -> dict[str, int]:
-        return {label: topk_overlap(self.reference, r, self.k) for label, r in self.candidates}
-
-    def exact_at_k(self) -> dict[str, int]:
-        return {label: exact_matches(self.reference, r, self.k) for label, r in self.candidates}
-
-    def _top_ids(self, r: Ranking, labels: np.ndarray | None) -> list[int]:
-        """The first k nodes of ``r``, as raw input ids when ``labels`` is given."""
-        nodes = r.top(self.k)
-        if labels is not None:
-            nodes = labels[nodes]
-        return [int(i) for i in nodes]
-
-    def to_record(self, labels: np.ndarray | None = None) -> dict:
-        overlaps = self.overlap_at_k()
-        exacts = self.exact_at_k()
-        return {
-            "k": int(self.k),
-            "tie_break": "ascending node id",
-            "reference": {
-                "top": self._top_ids(self.reference, labels),
-                "scores": [float(s) for s in self.reference.scores],
-            },
-            "candidates": [
-                {
-                    "label": label,
-                    "top": self._top_ids(r, labels),
-                    "scores": [float(s) for s in r.scores],
-                    "overlap_at_k": overlaps[label],
-                    "exact_at_k": exacts[label],
-                }
-                for label, r in self.candidates
-            ],
-        }
-
-    def write_csv(self, stream: TextIO, labels: np.ndarray | None = None) -> None:
-        """Figure-style table: one column per configuration, one row per rank."""
-        columns = [("reference", self._top_ids(self.reference, labels))]
-        columns += [(label, self._top_ids(r, labels)) for label, r in self.candidates]
-        stream.write("rank," + ",".join(label for label, _ in columns) + "\n")
-        for pos in range(self.k):
-            row = [str(col[pos]) for _, col in columns]
-            stream.write(f"{pos + 1}," + ",".join(row) + "\n")
-        overlaps = self.overlap_at_k()
-        exacts = self.exact_at_k()
-        stream.write(
-            "overlap@k,," + ",".join(str(overlaps[label]) for label, _ in self.candidates) + "\n"
-        )
-        stream.write(
-            "exact@k,," + ",".join(str(exacts[label]) for label, _ in self.candidates) + "\n"
-        )

@@ -22,6 +22,7 @@ from sampled_centrality import (
     exp_minus_one,
     left_perron,
     parse_edge_list,
+    rank_nodes,
     resolvent_minus_one,
     sample_columns,
     sample_rows,
@@ -328,8 +329,20 @@ def test_parse_ell_forms():
     assert _parse_ell("5,10,15") == [5, 10, 15]
     assert _parse_ell("500..3000") == [500, 1000, 1500, 2000, 2500, 3000]
     assert _parse_ell("10..50..20") == [10, 30, 50]
-    with pytest.raises(ValueError):
-        _parse_ell("")
+    assert _parse_ell("100..100") == [100]
+    with pytest.raises(ValueError, match=re.escape("ell range '500..300' ends below its start")):
+        _parse_ell("100,500..300")
+
+
+@pytest.mark.parametrize("ell", ["", " , ", "100,500..300", "50,50", "50,50..100"])
+def test_bad_ell_lists_are_usage_errors(tmp_path, capsys, ell):
+    # refused before any graph is loaded: the input file does not exist
+    argv = ["--input", str(tmp_path / "absent.txt"), "--ell", ell, "--out", str(tmp_path / "r")]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_run_full_sampling_is_exact(tmp_path):
@@ -572,7 +585,6 @@ PUBLIC_NAMES = [
     "PerronResult",
     "RankDeficientProductError",
     "Ranking",
-    "RankingReport",
     "SampleSet",
     "ScalarFunction",
     "SparseGraph",
@@ -604,6 +616,7 @@ REMOVED = [
     ("matfun.ScalarFunction", "matrix_value"),
     ("oracle", "dense_matfun"),
     ("ranking", "CentralityVector"),
+    ("ranking", "RankingReport"),
     ("sampling", "draw_categorical"),
 ]
 
@@ -651,6 +664,10 @@ def test_config_validation():
         ExperimentConfig(measure="degree")
     with pytest.raises(ValueError):
         ExperimentConfig(ell_list=[0])
+    with pytest.raises(ValueError, match="empty ell list"):
+        ExperimentConfig(ell_list=[])
+    with pytest.raises(ValueError, match="ell values must be distinct"):
+        ExperimentConfig(ell_list=[50, 20, 50])
     with pytest.raises(ValueError):
         ExperimentConfig(trials=0)
     for bad in (0.0, -1.0, np.inf, -np.inf, np.nan):
@@ -670,6 +687,38 @@ def test_unknown_strategy_is_refused_before_any_load(monkeypatch):
     monkeypatch.setattr(cli, "_load_graph", no_load)
     with pytest.raises(ValueError, match="strategy must be one of"):
         run(ExperimentConfig(generate="er:n=3000,p=0.003,seed=1", strategy="bogus"))
+
+
+@pytest.mark.parametrize(
+    "edges, flags, library",
+    [
+        # more than n nodes to rank
+        ("0 1\n1 2\n2 0\n", ["--k", "4"], lambda g: rank_nodes(np.ones(g.n), 4)),
+        # the second ell exceeds the nonzero columns
+        ("0 1\n0 2\n0 3\n", ["--ell", "2,4"], lambda g: sample_columns(g, 4, 0)),
+        # directed Perron samples rows too: one nonzero row of three columns
+        (
+            "0 1\n0 2\n0 3\n",
+            ["--measure", "perron", "--ell", "2"],
+            lambda g: sample_rows(g, 2, 1),
+        ),
+    ],
+)
+def test_sizes_are_refused_before_the_reference(tmp_path, monkeypatch, edges, flags, library):
+    def no_reference(g, cfg):
+        raise AssertionError("the reference was computed")
+
+    monkeypatch.setattr(cli, "_reference_scores", no_reference)
+    path = tmp_path / "graph.txt"
+    path.write_text(edges)
+    out = tmp_path / "r"
+    assert main(["--input", str(path), "--k", "3", *flags, "--out", str(out)]) == 1
+    report = json.loads(out.with_suffix(".json").read_text())
+    # the message the library call would give after the reference
+    with pytest.raises(ValueError) as refused:
+        library(parse_edge_list(edges.splitlines()))
+    assert report["failed"] == f"ValueError: {refused.value}"
+    assert "reference" not in report and "report" not in report
 
 
 @pytest.mark.parametrize(

@@ -1,8 +1,7 @@
-"""Ranking construction and top-k agreement statistics."""
+"""Ranking construction, top-k agreement statistics, and the CLI report built from them."""
 
 from __future__ import annotations
 
-import io
 import json
 
 import numpy as np
@@ -10,7 +9,6 @@ import pytest
 
 from sampled_centrality import (
     EvaluationError,
-    RankingReport,
     evaluate_masked_function,
     exact_matches,
     exp_minus_one,
@@ -18,7 +16,9 @@ from sampled_centrality import (
     sample_columns,
     topk_overlap,
 )
-from sampled_centrality.cli import generate
+from sampled_centrality.cli import generate, main
+from sampled_centrality.oracle import subgraph_diag
+from conftest import edge_list_text
 
 
 def test_rank_nodes_tie_break_by_id():
@@ -114,38 +114,97 @@ def test_depth_validation():
         topk_overlap(a, b, 5)
 
 
-def test_report_statistics_and_invariant():
-    rng = np.random.default_rng(9)
-    ref = rank_nodes(rng.random(50), k=20)
-    candidates = [(f"l={ell}", rank_nodes(rng.random(50), k=20)) for ell in (5, 10)]
-    report = RankingReport(ref, candidates, k=20)
-    overlaps = report.overlap_at_k()
-    exacts = report.exact_at_k()
-    for label in overlaps:
-        assert 0 <= exacts[label] <= overlaps[label] <= 20
+def _cli_report(tmp_path, argv, name="report"):
+    """The JSON report and the CSV cells of one CLI run."""
+    out = tmp_path / name
+    assert main([*argv, "--csv", "--out", str(out)]) == 0
+    report = json.loads(out.with_suffix(".json").read_text())
+    cells = [line.split(",") for line in out.with_suffix(".csv").read_text().splitlines()]
+    return report, cells
 
 
-def test_report_serialization():
-    ref = rank_nodes(np.array([3.0, 2.0, 1.0]), k=2)
-    cand = rank_nodes(np.array([1.0, 2.0, 3.0]), k=2)
-    report = RankingReport(ref, [("l=1", cand)], k=2)
-    record = json.loads(json.dumps(report.to_record()))
-    assert record["k"] == 2
-    assert record["reference"]["top"] == [0, 1]
-    assert record["candidates"][0]["top"] == [2, 1]
-    assert record["candidates"][0]["overlap_at_k"] == 1
+@pytest.mark.parametrize(
+    "spec, measure",
+    [
+        ("er:n=80,p=0.08,seed=2", "perron"),
+        ("pa:n=120,m=3,seed=4", "katz"),
+        ("er:n=80,p=0.08,seed=2", "communicability"),
+    ],
+)
+def test_report_statistics_and_invariant(tmp_path, spec, measure):
+    k = 20
+    argv = ["--generate", spec, "--measure", measure, "--gamma", "0.05", "--epsilon", "1e-3"]
+    report, _ = _cli_report(tmp_path, [*argv, "--ell", "5,10,40", "--trials", "2", "--k", str(k)])
+    rows = report["results"] + report["report"]["candidates"]
+    assert len(rows) == 6 + 3
+    for row in rows:
+        assert 0 <= row["exact_at_k"] <= row["overlap_at_k"] <= k
 
-    buf = io.StringIO()
-    report.write_csv(buf)
-    lines = buf.getvalue().strip().splitlines()
-    assert lines[0] == "rank,reference,l=1"
-    assert lines[1] == "1,0,2"
-    assert lines[-2].startswith("overlap@k")
+
+def test_report_serialization(tmp_path):
+    spec, k, seed = "er:n=80,p=0.08,seed=2", 10, 5
+    argv = ["--generate", spec, "--ell", "30,60", "--trials", "2", "--seed", str(seed)]
+    report, cells = _cli_report(tmp_path, [*argv, "--k", str(k)])
+    table = report["report"]
+    assert table["k"] == k
+    assert table["tie_break"] == "ascending node id"
+
+    # the reference is the exact subgraph diagonal, ranked
+    g = generate(spec)
+    ref = rank_nodes(subgraph_diag(g, 1.0).scores, k)
+    assert table["reference"]["top"] == ref.top().tolist()
+    assert table["reference"]["scores"] == ref.scores.tolist()
+
+    # each ell's candidate is its first run, ranked from an estimate made here
+    assert [c["label"] for c in table["candidates"]] == ["l=30", "l=60"]
+    first_runs = [row for row in report["results"] if row["seed"] == seed]
+    assert [row["ell"] for row in first_runs] == [30, 60]
+    for cand, row in zip(table["candidates"], first_runs):
+        for key in ("top", "overlap_at_k", "exact_at_k"):
+            assert cand[key] == row[key], key
+        J = sample_columns(g, row["ell"], seed)
+        estimate = rank_nodes(evaluate_masked_function(g, J, exp_minus_one(1.0)).diag, k)
+        assert cand["top"] == estimate.top().tolist()
+        assert cand["scores"] == estimate.scores.tolist()
+        assert cand["overlap_at_k"] == topk_overlap(ref, estimate, k)
+        assert cand["exact_at_k"] == exact_matches(ref, estimate, k)
+        assert 0 < cand["overlap_at_k"] < k
+
+    # the CSV is the JSON table: a header, ranks 1..k, then the two statistics
+    columns = [table["reference"]] + table["candidates"]
+    assert len(cells) == k + 3
+    assert cells[0] == ["rank", "reference", "l=30", "l=60"]
+    for pos, line in enumerate(cells[1 : k + 1]):
+        assert line == [str(pos + 1)] + [str(c["top"][pos]) for c in columns]
+    assert cells[k + 1] == ["overlap@k", ""] + [str(c["overlap_at_k"]) for c in columns[1:]]
+    assert cells[k + 2] == ["exact@k", ""] + [str(c["exact_at_k"]) for c in columns[1:]]
 
 
-def test_report_respects_labels():
-    labels = np.array([10, 20, 30])
-    ref = rank_nodes(np.array([3.0, 2.0, 1.0]), k=2)
-    report = RankingReport(ref, [], k=2)
-    record = report.to_record(labels)
-    assert record["reference"]["top"] == [10, 20]
+def test_report_respects_labels(tmp_path):
+    # a .mtx file numbers nodes from 1: the report writes those labels where
+    # the same graph read as a 0-based edge list writes the ids
+    g = generate("er:n=60,p=0.1,seed=1")
+    a = g.csr.tocoo()
+    mtx = tmp_path / "graph.mtx"
+    header = f"%%MatrixMarket matrix coordinate pattern general\n{g.n} {g.n} {a.nnz}\n"
+    mtx.write_text(header + "".join(f"{i + 1} {j + 1}\n" for i, j in zip(a.row, a.col)))
+    plain = tmp_path / "graph.txt"
+    plain.write_text(edge_list_text(np.column_stack([a.row, a.col])))
+    argv = ["--measure", "communicability", "--ell", "10,20", "--trials", "2", "--k", "8"]
+    labelled, labelled_cells = _cli_report(tmp_path, ["--input", str(mtx), *argv], "mtx")
+    ids, id_cells = _cli_report(tmp_path, ["--input", str(plain), *argv], "txt")
+
+    def shifted(top):
+        return [i + 1 for i in top]
+
+    assert labelled["report"]["reference"]["top"] == shifted(ids["report"]["reference"]["top"])
+    pairs = list(zip(labelled["report"]["candidates"], ids["report"]["candidates"]))
+    pairs += list(zip(labelled["results"], ids["results"]))
+    assert len(pairs) == 2 + 4
+    for with_labels, with_ids in pairs:
+        assert with_labels["top"] == shifted(with_ids["top"])
+        for key in ("overlap_at_k", "exact_at_k"):
+            assert with_labels[key] == with_ids[key]
+    assert labelled_cells[0] == id_cells[0] and labelled_cells[-2:] == id_cells[-2:]
+    for with_labels, with_ids in zip(labelled_cells[1:-2], id_cells[1:-2]):
+        assert with_labels == with_ids[:1] + [str(int(i) + 1) for i in with_ids[1:]]
