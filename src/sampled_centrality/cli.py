@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .graph import SparseGraph, parse_edge_list, transpose
+from .graph import SparseGraph, parse_edge_list
 from .matfun import ScalarFunction, evaluate_masked_function, exp_minus_one, resolvent_minus_one
 from .oracle import dense_left_perron, expm_rowsum, katz_rowsum, subgraph_diag
 from .perron import PerronConfig, left_perron, symmetric_perron
@@ -83,10 +83,6 @@ class ExperimentConfig:
 
 
 # -- synthetic generators -----------------------------------------------------
-
-
-# the most rounds of preferential attachment drawn in one generator call
-_PA_MAX_RUN = 4096
 
 
 def generate(spec: str) -> SparseGraph:
@@ -171,61 +167,32 @@ def _gen_preferential_attachment(n: int, m: int = 5, seed: int = 0) -> SparseGra
     construction of Batagelj & Brandes (Phys. Rev. E 71, 036113, 2005).
 
     ``repeated`` is the flat list of (targets, m copies of source) blocks, one
-    per new node, so the round of node s picks from its first 2m(s - m + 1)
-    entries.  Those bounds are known before any pick is made, so one
-    ``integers`` call with an array of bounds draws the first m picks of a
-    whole run of rounds: the values of one call per bound in turn.  A round
-    whose picks repeat a node tops up with the stream's next draws, so the
-    run ends there; unless it was the run's last round, the generator goes
-    back to the run's saved state and redraws the rounds up to it.  The graph
-    is therefore that of one ``integers(size)`` call per pick, whatever the
-    run lengths, which set the speed only: a round runs alone until four
-    rounds in a row had no repeat, then a run is twice that clean streak, up
-    to ``_PA_MAX_RUN``.  Large m repeats often, and stays near one call per
-    round.
+    per node from m on, so the round of node s picks the targets of node
+    s + 1 from its first 2m(s - m + 1) entries.  Those bounds depend on no
+    pick, so the m first picks of every round come from ``default_rng(seed)``
+    in ``integers(bounds)`` calls of up to 4096 rounds; they are the values
+    of one call per bound, so the chunk size bounds memory only.  A round
+    whose first picks repeat a node tops up from a second stream,
+    ``default_rng([seed, 1])``, one pick at a time.  (The last round's picks
+    are drawn and unused.)
     """
     if n <= m or m < 1:
         raise ValueError("need n > m >= 1")
-    rng = np.random.default_rng(seed)
-    integers = rng.integers
+    first = np.random.default_rng(seed)
+    topups = np.random.default_rng([seed, 1])
     targets = list(range(m))
     repeated: list[int] = []
-    source, streak = m, 0
-    while source < n - 1:  # the last node's round draws nothing
-        run = min(2 * streak if streak >= 4 else 1, _PA_MAX_RUN, n - 1 - source)
-        if run == 1:
-            picks = integers(2 * m * (source - m + 1), size=m).tolist()
-        else:
-            listed = np.arange(source - m + 1, source - m + 1 + run, dtype=np.int64)
-            bounds = listed.repeat(m) * (2 * m)  # 2m entries per listed block
-            start = rng.bit_generator.state
-            picks = integers(bounds).tolist()
-        for k in range(run):
+    for start in range(m, n, 4096):
+        stop = min(start + 4096, n)
+        listed = np.arange(start - m + 1, stop - m + 1, dtype=np.int64)
+        picks = first.integers(listed.repeat(m) * (2 * m)).tolist()  # 2m entries a block
+        for k, source in enumerate(range(start, stop)):
             repeated += targets
-            repeated += [source + k] * m
+            repeated += [source] * m
             picked = set(map(repeated.__getitem__, picks[k * m : (k + 1) * m]))
-            if len(picked) < m:
-                break
+            while len(picked) < m:
+                picked.add(repeated[topups.integers(len(repeated))])
             targets = sorted(picked)
-        else:  # no round repeated: the stream already stands after the run
-            source += run
-            streak += run
-            continue
-        # round k repeated a node: the draws after its picks are its top-ups
-        if k < run - 1:
-            rng.bit_generator.state = start
-            integers(bounds[: (k + 1) * m])
-        size = len(repeated)
-        while len(picked) < m - 1:
-            picked.update(map(repeated.__getitem__, integers(size, size=m - len(picked)).tolist()))
-        # one pick short: a scalar draw is the same value at a fifth of the cost
-        while len(picked) < m:
-            picked.add(repeated[integers(size)])
-        targets = sorted(picked)
-        source += k + 1
-        streak = 0
-    repeated += targets
-    repeated += [n - 1] * m
     blocks = np.asarray(repeated, dtype=np.int64).reshape(-1, 2, m)
     edges = np.column_stack([blocks[:, 1].ravel(), blocks[:, 0].ravel()])
     return SparseGraph.from_edges(n, edges, directed=False)
@@ -305,16 +272,18 @@ def _load_graph(cfg: ExperimentConfig) -> SparseGraph:
 
 def _check_sizes(g: SparseGraph, cfg: ExperimentConfig) -> None:
     """Refuse a report depth or sample size the graph cannot give before the
-    reference is computed, with the messages of ``rank_nodes`` and
-    ``sample_columns``; ``sample_rows`` samples the columns of A^T."""
+    reference is computed, with the messages of ``rank_nodes``,
+    ``sample_columns`` and (directed Perron) ``sample_rows``."""
     if cfg.k > g.n:
         raise ValueError(f"k={cfg.k} outside [1, {g.n}]")
-    sides = [g, transpose(g)] if cfg.measure == "perron" and g.directed else [g]
-    counts = [side.nonzero_columns().size for side in sides]
+    sides = {"columns": g.col_degrees}
+    if cfg.measure == "perron" and g.directed:
+        sides["rows"] = g.row_degrees
     for ell in cfg.ell_list:
-        for nz in counts:
+        for side, degrees in sides.items():
+            nz = np.count_nonzero(degrees)
             if ell > nz:
-                raise ValueError(f"ell={ell} outside [1, {nz}] (nonzero columns)")
+                raise ValueError(f"ell={ell} outside [1, {nz}] (nonzero {side})")
 
 
 def _scalar_function(cfg: ExperimentConfig) -> ScalarFunction:

@@ -31,7 +31,6 @@ class SampleSet:
     indices: np.ndarray
     kind: str
     strategy: str
-    seed: int
     n: int
     fallback_draws: int = 0
 
@@ -118,7 +117,7 @@ def sample_columns(
 
     if strategy == RANDOM:
         chosen = nz[rng.choice(nz.size, size=ell, replace=False)]
-        return SampleSet(chosen, "column", strategy, seed, g.n)
+        return SampleSet(chosen, "column", strategy, g.n)
 
     if strategy != GUIDED:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -154,14 +153,15 @@ def sample_columns(
                 if eligible.values[j]:
                     break
 
-    return SampleSet(
-        np.asarray(chosen, dtype=np.int64), "column", strategy, seed, g.n, fallback
-    )
+    return SampleSet(np.asarray(chosen, dtype=np.int64), "column", strategy, g.n, fallback)
 
 
 def sample_rows(
     g: SparseGraph, ell: int, seed: int, strategy: str = GUIDED
 ) -> SampleSet:
     """Select rows of A by sampling columns of A^T."""
+    nz = np.count_nonzero(g.row_degrees)
+    if not 1 <= ell <= nz:
+        raise ValueError(f"ell={ell} outside [1, {nz}] (nonzero rows)")
     cols = sample_columns(transpose(g), ell, seed, strategy)
     return dataclasses.replace(cols, kind="row")

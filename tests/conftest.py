@@ -23,13 +23,13 @@ def rel_err(a: np.ndarray, b: np.ndarray, floor: float = 1e-12) -> float:
     return float(np.max(np.abs(a - b)[mask] / mag[mask]))
 
 
-def full_column_sample(g: SparseGraph, strategy: str = "random", seed: int = 0) -> SampleSet:
+def full_column_sample(g: SparseGraph, strategy: str = "random") -> SampleSet:
     """All nonzero columns: the masked matrix then equals A itself."""
-    return SampleSet(g.nonzero_columns(), "column", strategy, seed, g.n)
+    return SampleSet(g.nonzero_columns(), "column", strategy, g.n)
 
 
-def full_row_sample(g: SparseGraph, strategy: str = "random", seed: int = 0) -> SampleSet:
-    return SampleSet(np.flatnonzero(g.row_degrees), "row", strategy, seed, g.n)
+def full_row_sample(g: SparseGraph, strategy: str = "random") -> SampleSet:
+    return SampleSet(np.flatnonzero(g.row_degrees), "row", strategy, g.n)
 
 
 def entries(g: SparseGraph) -> set[tuple[int, int]]:

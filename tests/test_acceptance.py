@@ -159,7 +159,7 @@ def test_criterion_4_method_cross_validation():
         compared += 1
 
     gd = directed_edge()
-    mask = SampleSet(np.array([1]), "column", "guided", 0, 2)
+    mask = SampleSet(np.array([1]), "column", "guided", 2)
     fixture = evaluate_masked_function(gd, mask, exp_minus_one(1.0), seed=0)
     fixture_ok = fixture.method == "direct_core" and fixture.rowsum.tolist() == [1.0, 0.0]
     try:

@@ -82,18 +82,25 @@ def test_generate_er_undirected():
 
 
 def test_generate_preferential_attachment():
-    g = generate("pa:n=200,m=5,seed=2")
-    assert g.n == 200
+    n, m = 200, 5
+    g = generate(f"pa:n={n},m={m},seed=2")
+    assert g.n == n
     assert not g.directed
+    assert g.edge_count == 2 * m * (n - m)
     degrees = g.col_degrees
-    assert degrees.min() >= 5  # every new node brings m edges
+    # every new node brings m edges; the initial nodes are sure only of the
+    # edge from node m
+    assert degrees[m:].min() >= m
+    assert degrees[:m].min() >= 1
     assert degrees.max() > 20  # hubs emerge
 
 
 def _scalar_loop_pa(n: int, m: int, seed: int) -> SparseGraph:
-    """Preferential attachment with one generator call per pick: the reference
-    stream that ``pa:`` specs must keep."""
-    rng = np.random.default_rng(seed)
+    """Preferential attachment with one generator call per pick: the first m
+    picks of each round from ``default_rng(seed)``, the top-ups from
+    ``default_rng([seed, 1])``.  The reference that ``pa:`` specs must keep."""
+    first = np.random.default_rng(seed)
+    topups = np.random.default_rng([seed, 1])
     targets = list(range(m))
     repeated: list[int] = []
     edges: list[tuple[int, int]] = []
@@ -101,9 +108,9 @@ def _scalar_loop_pa(n: int, m: int, seed: int) -> SparseGraph:
         edges.extend((source, t) for t in targets)
         repeated.extend(targets)
         repeated.extend([source] * m)
-        picked: set[int] = set()
+        picked = {repeated[int(first.integers(len(repeated)))] for _ in range(m)}
         while len(picked) < m:
-            picked.add(repeated[int(rng.integers(len(repeated)))])
+            picked.add(repeated[int(topups.integers(len(repeated)))])
         targets = sorted(picked)
     return SparseGraph.from_edges(n, np.asarray(edges, dtype=np.int64), directed=False)
 
@@ -113,7 +120,7 @@ def _scalar_loop_pa(n: int, m: int, seed: int) -> SparseGraph:
     [
         (2, 1, 0), (50, 1, 3), (150, 2, 9), (120, 3, 4), (200, 3, 1),
         (200, 5, 2), (300, 4, 3), (2000, 5, 0), (2000, 5, 7), (5000, 5, 1),
-        (5000, 50, 1), (2000, 100, 2), (60, 25, 1), (30000, 1, 4),
+        (5000, 50, 1), (2000, 100, 2), (60, 25, 1), (30000, 1, 4), (10000, 5, 3),
     ],
 )
 def test_generate_pa_keeps_the_scalar_stream(n, m, seed):
@@ -121,59 +128,28 @@ def test_generate_pa_keeps_the_scalar_stream(n, m, seed):
     ref = _scalar_loop_pa(n, m, seed)
     assert np.array_equal(g.csr.indices, ref.csr.indices)
     assert np.array_equal(g.csr.indptr, ref.csr.indptr)
+    # the law: m distinct targets per new node, no self-loops, symmetric
+    assert g.edge_count == 2 * m * (n - m)
+    assert np.count_nonzero(g.csr.diagonal()) == 0
+    assert (g.csr != g.csr.T).nnz == 0
+    assert g.col_degrees[m:].min() >= m
 
 
-class _CountingPCG64(np.random.PCG64):
-    """PCG64 that counts how often its state is set."""
-
-    restores = 0
-
-    @property
-    def state(self):
-        return np.random.PCG64.state.__get__(self)
-
-    @state.setter
-    def state(self, value):
-        type(self).restores += 1
-        np.random.PCG64.state.__set__(self, value)
-
-
-@pytest.mark.parametrize("cap", [1, 2, 3])
-def test_generate_pa_keeps_the_scalar_stream_at_any_run_cap(monkeypatch, cap):
-    # at caps 2 and 3 these shapes repeat a node both at a run's last round
-    # (no restore) and before it (restore and redraw)
-    monkeypatch.setattr(cli, "_PA_MAX_RUN", cap)
-    monkeypatch.setattr(_CountingPCG64, "restores", 0)
-    monkeypatch.setattr(
-        np.random, "default_rng", lambda seed: np.random.Generator(_CountingPCG64(seed))
-    )
-    for n, m, seed in [(300, 4, 3), (600, 20, 1), (2000, 5, 7)]:
-        g = generate(f"pa:n={n},m={m},seed={seed}")
-        ref = _scalar_loop_pa(n, m, seed)
-        assert np.array_equal(g.csr.indices, ref.csr.indices)
-        assert np.array_equal(g.csr.indptr, ref.csr.indptr)
-    assert (_CountingPCG64.restores > 0) == (cap > 1)
-
-
-def test_generate_pa_bounded_draws_batch_and_restore_mid_stream():
-    # the pa generator relies on both: integers(bounds) gives the values of one
-    # call per bound in turn, and a state saved with half a 64-bit word
-    # buffered continues the stream exactly once set back
+def test_generate_pa_bounded_draws_batch_in_any_split():
+    # the pa generator relies on integers(bounds), whole or split over several
+    # calls, giving the values of one call per bound in turn
     bounds = np.array([7, 100, 2**20, 3, 2**31 + 5, 10**9, 2**40, 2] * 4)
     scalar = np.random.default_rng(11)
     scalar.integers(5, size=3)
     expected = [int(scalar.integers(b)) for b in bounds]
-    tail = scalar.integers(1000, size=9)
 
-    rng = np.random.default_rng(11)
-    rng.integers(5, size=3)
-    start = rng.bit_generator.state
-    assert start["has_uint32"] == 1
-    assert rng.integers(bounds).tolist() == expected
-    rng.bit_generator.state = start
-    assert rng.integers(bounds[:13]).tolist() == expected[:13]
-    assert rng.integers(bounds[13:]).tolist() == expected[13:]
-    assert np.array_equal(rng.integers(1000, size=9), tail)
+    whole = np.random.default_rng(11)
+    whole.integers(5, size=3)
+    assert whole.integers(bounds).tolist() == expected
+    split = np.random.default_rng(11)
+    split.integers(5, size=3)
+    assert split.integers(bounds[:13]).tolist() == expected[:13]
+    assert split.integers(bounds[13:]).tolist() == expected[13:]
 
 
 def test_generate_er_edge_cases():
@@ -690,21 +666,34 @@ def test_unknown_strategy_is_refused_before_any_load(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "edges, flags, library",
+    "edges, flags, library, says",
     [
         # more than n nodes to rank
-        ("0 1\n1 2\n2 0\n", ["--k", "4"], lambda g: rank_nodes(np.ones(g.n), 4)),
+        (
+            "0 1\n1 2\n2 0\n",
+            ["--k", "4"],
+            lambda g: rank_nodes(np.ones(g.n), 4),
+            "k=4 outside [1, 3]",
+        ),
         # the second ell exceeds the nonzero columns
-        ("0 1\n0 2\n0 3\n", ["--ell", "2,4"], lambda g: sample_columns(g, 4, 0)),
+        (
+            "0 1\n0 2\n0 3\n",
+            ["--ell", "2,4"],
+            lambda g: sample_columns(g, 4, 0),
+            "ell=4 outside [1, 3] (nonzero columns)",
+        ),
         # directed Perron samples rows too: one nonzero row of three columns
         (
             "0 1\n0 2\n0 3\n",
             ["--measure", "perron", "--ell", "2"],
             lambda g: sample_rows(g, 2, 1),
+            "ell=2 outside [1, 1] (nonzero rows)",
         ),
     ],
 )
-def test_sizes_are_refused_before_the_reference(tmp_path, monkeypatch, edges, flags, library):
+def test_sizes_are_refused_before_the_reference(
+    tmp_path, monkeypatch, edges, flags, library, says
+):
     def no_reference(g, cfg):
         raise AssertionError("the reference was computed")
 
@@ -718,6 +707,7 @@ def test_sizes_are_refused_before_the_reference(tmp_path, monkeypatch, edges, fl
     with pytest.raises(ValueError) as refused:
         library(parse_edge_list(edges.splitlines()))
     assert report["failed"] == f"ValueError: {refused.value}"
+    assert says in report["failed"]
     assert "reference" not in report and "report" not in report
 
 

@@ -466,7 +466,7 @@ def test_masked_matvec_empty_mask_gives_zero():
 
 def test_masked_matvec_single_column():
     g = directed_edge()
-    mask = SampleSet(np.array([1]), "column", "random", 0, 2)
+    mask = SampleSet(np.array([1]), "column", "random", 2)
     y = ColumnMaskedOperator(g, mask.indices)(np.array([0.0, 1.0]))
     assert np.array_equal(y, np.array([1.0, 0.0]))
 
@@ -476,7 +476,7 @@ def test_masked_matvec_full_mask_matches_dense():
     edges = rng.integers(0, 30, size=(140, 2))
     g = SparseGraph.from_edges(30, edges, directed=True)
     x_int = rng.integers(-5, 6, size=30).astype(np.float64)
-    full = SampleSet(np.arange(30), "column", "random", 0, 30)
+    full = SampleSet(np.arange(30), "column", "random", 30)
     op = ColumnMaskedOperator(g, full.indices)
     assert np.array_equal(op(x_int), g.csr.toarray() @ x_int)
     x = rng.standard_normal(30)

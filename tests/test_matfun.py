@@ -66,7 +66,7 @@ def _masked_dense(g, mask):
 
 
 def _column_mask(n, indices):
-    return SampleSet(np.asarray(indices), "column", "guided", 0, n)
+    return SampleSet(np.asarray(indices), "column", "guided", n)
 
 
 def _arrow_dense(g, mask):
@@ -199,7 +199,7 @@ def test_arnoldi_reference_recovers_the_two_cycle():
 
 def test_arnoldi_nilpotent_masked_edge():
     g = directed_edge()
-    mask = SampleSet(np.array([1]), "column", "guided", 0, 2)
+    mask = SampleSet(np.array([1]), "column", "guided", 2)
     d = arnoldi(g, mask, seed=0)
     assert d.breakdown
     assert d.steps <= 2
@@ -229,7 +229,7 @@ def test_arnoldi_er_digraph_breakdown_and_invariance():
 
 def test_arnoldi_requires_column_mask():
     g = directed_edge()
-    rows = SampleSet(np.array([0]), "row", "guided", 0, 2)
+    rows = SampleSet(np.array([0]), "row", "guided", 2)
     with pytest.raises(ValueError, match="column"):
         arnoldi(g, rows)
 
@@ -368,7 +368,7 @@ def test_evaluate_two_cycle_exponential():
 
 def test_evaluate_nilpotent_masked_edge():
     g = directed_edge()
-    mask = SampleSet(np.array([1]), "column", "guided", 0, 2)
+    mask = SampleSet(np.array([1]), "column", "guided", 2)
     res = evaluate_masked_function(g, mask, exp_minus_one(1.0), seed=0)
     assert res.diag.tolist() == [0.0, 0.0]
     assert res.rowsum.tolist() == [1.0, 0.0]
@@ -499,7 +499,7 @@ def test_method_equivalence_on_random_instances():
 
 def test_direct_core_nilpotent_edge():
     g = directed_edge()
-    mask = SampleSet(np.array([1]), "column", "guided", 0, 2)
+    mask = SampleSet(np.array([1]), "column", "guided", 2)
     res = direct_core_evaluation(g, mask, exp_minus_one(1.0))
     assert res.diag.tolist() == [0.0, 0.0]
     assert res.rowsum.tolist() == [1.0, 0.0]
@@ -690,7 +690,7 @@ def test_row_recipe_undirected_equals_direct():
 
 def test_row_recipe_nilpotent_edge():
     g = directed_edge()
-    rows = SampleSet(np.array([0]), "row", "guided", 0, 2)
+    rows = SampleSet(np.array([0]), "row", "guided", 2)
     res = _from_rows(g, rows, exp_minus_one(1.0), seed=0)
     assert res.diag.tolist() == [0.0, 0.0]
     assert res.rowsum.tolist() == [0.0, 1.0]

@@ -266,8 +266,8 @@ def test_ranking_invariance_under_epsilon():
 def test_rank_deficient_product_raises():
     # M = A_cols({1}) @ A_rows({0}) vanishes for the single directed edge
     g = SparseGraph.from_edges(2, np.array([[0, 1]]), directed=True)
-    J = SampleSet(np.array([1]), "column", "guided", 0, 2)
-    I = SampleSet(np.array([0]), "row", "guided", 0, 2)
+    J = SampleSet(np.array([1]), "column", "guided", 2)
+    I = SampleSet(np.array([0]), "row", "guided", 2)
     with pytest.raises(RankDeficientProductError):
         left_perron(g, J, I)
 
@@ -276,8 +276,8 @@ def test_nilpotent_product_raises_where_its_power_vanishes():
     # on the path 0 -> 1 -> 2 -> 3, J = I = {1, 2} gives M = e0 e2^T + e1 e3^T:
     # M is nonzero but M^2 = 0, and A^4 = 0 while A^3 is not
     g = directed_path(4)
-    J = SampleSet(np.array([1, 2]), "column", "guided", 0, 4)
-    I = SampleSet(np.array([1, 2]), "row", "guided", 0, 4)
+    J = SampleSet(np.array([1, 2]), "column", "guided", 4)
+    I = SampleSet(np.array([1, 2]), "row", "guided", 4)
     with pytest.raises(RankDeficientProductError, match="iterate 2 collapsed"):
         left_perron(g, J, I)
     with pytest.raises(RankDeficientProductError, match="iterate 4 collapsed"):
@@ -306,8 +306,8 @@ def test_implicit_product_matches_dense_product():
     rng = np.random.default_rng(4)
     Jidx = np.sort(rng.choice(g.nonzero_columns(), size=8, replace=False))
     Iidx = np.sort(rng.choice(np.flatnonzero(g.row_degrees), size=8, replace=False))
-    J = SampleSet(Jidx, "column", "random", 0, g.n)
-    I = SampleSet(Iidx, "row", "random", 0, g.n)
+    J = SampleSet(Jidx, "column", "random", g.n)
+    I = SampleSet(Iidx, "row", "random", g.n)
     a = g.csr.toarray()
     keep_j = np.zeros(g.n)
     keep_j[Jidx] = 1.0

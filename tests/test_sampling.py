@@ -143,11 +143,11 @@ def test_symmetric_rows_equal_columns_law():
 
 def test_sampleset_validation():
     with pytest.raises(ValueError, match="distinct"):
-        SampleSet(np.array([1, 1]), "column", "guided", 0, 5)
+        SampleSet(np.array([1, 1]), "column", "guided", 5)
     with pytest.raises(ValueError, match="range"):
-        SampleSet(np.array([7]), "column", "guided", 0, 5)
+        SampleSet(np.array([7]), "column", "guided", 5)
     with pytest.raises(ValueError, match="kind"):
-        SampleSet(np.array([1]), "diagonal", "guided", 0, 5)
+        SampleSet(np.array([1]), "diagonal", "guided", 5)
 
 
 @requires_datasets
