@@ -135,6 +135,33 @@ def test_generate_pa_keeps_the_scalar_stream(n, m, seed):
     assert g.col_degrees[m:].min() >= m
 
 
+def _one_stream_pa(n: int, m: int, seed: int) -> SparseGraph:
+    """The earlier reference: every pick, top-ups too, from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    targets = list(range(m))
+    repeated: list[int] = []
+    edges: list[tuple[int, int]] = []
+    for source in range(m, n):
+        edges.extend((source, t) for t in targets)
+        repeated.extend(targets)
+        repeated.extend([source] * m)
+        picked: set[int] = set()
+        while len(picked) < m:
+            picked.add(repeated[int(rng.integers(len(repeated)))])
+        targets = sorted(picked)
+    return SparseGraph.from_edges(n, np.asarray(edges, dtype=np.int64), directed=False)
+
+
+@pytest.mark.parametrize("n,seed", [(2, 0), (50, 3), (9000, 4)])
+def test_generate_pa_single_target_graphs_are_unchanged(n, seed):
+    # a round with one pick never repeats a node, so m = 1 graphs never draw a
+    # top-up and equal those of the one-stream generator
+    g = generate(f"pa:n={n},m=1,seed={seed}")
+    ref = _one_stream_pa(n, 1, seed)
+    assert np.array_equal(g.csr.indices, ref.csr.indices)
+    assert np.array_equal(g.csr.indptr, ref.csr.indptr)
+
+
 def test_generate_pa_bounded_draws_batch_in_any_split():
     # the pa generator relies on integers(bounds), whole or split over several
     # calls, giving the values of one call per bound in turn

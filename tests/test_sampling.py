@@ -119,6 +119,16 @@ def test_ell_bounds_checked():
         sample_columns(g, 0, seed=0)
 
 
+def test_sample_rows_refusal_counts_nonzero_rows():
+    # one nonzero row against three nonzero columns
+    g = SparseGraph.from_edges(4, np.array([[0, 1], [0, 2], [0, 3]]), directed=True)
+    with pytest.raises(ValueError, match=r"^ell=2 outside \[1, 1\] \(nonzero rows\)$"):
+        sample_rows(g, 2, seed=0)
+    with pytest.raises(ValueError, match=r"^ell=0 outside \[1, 1\] \(nonzero rows\)$"):
+        sample_rows(g, 0, seed=0)
+    assert sample_columns(g, 3, seed=0).indices.size == 3
+
+
 def test_sample_rows_matches_transposed_columns():
     g = _random_graph(seed=33)
     rows = sample_rows(g, 6, seed=11)
