@@ -125,7 +125,7 @@ def _er_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The (row, col) pairs of an er graph: each of the n(n - 1) off-diagonal
     slots independently with probability p, in row-major order; undirected
-    graphs keep the slots with i < j.
+    graphs walk only the n(n - 1)/2 slots with i < j.
 
     Geometric skip sampling (Batagelj & Brandes, Phys. Rev. E 71, 036113,
     2005) jumps from one edge to the next over the slots, so the cost is
@@ -134,26 +134,29 @@ def _er_pairs(
     """
     if n < 1 or not 0.0 <= p <= 1.0:
         raise ValueError("need n >= 1 and p in [0, 1]")
-    slots = n * (n - 1)
+    slots = n * (n - 1) if directed else n * (n - 1) // 2
     found = []
     last = -1
-    # a skip of `slots` already ends the stream; capping the skips there keeps
-    # last + cumsum below 2^63
-    cap = max(1, 2**62 // max(slots, 1))
+    # a skip of slots + 1 ends the stream even from last = -1; capping the
+    # skips there keeps last + cumsum below 2^63
+    cap = max(1, 2**62 // (slots + 1))
     while p > 0.0 and last < slots - 1:
         expected = (slots - 1 - last) * p
         size = min(cap, 1 << 20, int(expected + 6.0 * np.sqrt(expected)) + 64)
-        skips = np.minimum(rng.geometric(p, size=size), slots)
+        skips = np.minimum(rng.geometric(p, size=size), slots + 1)
         positions = last + np.cumsum(skips)
         found.append(positions[: np.searchsorted(positions, slots)])
         last = int(positions[-1])
     t = np.concatenate(found) if found else np.empty(0, dtype=np.int64)
-    rows, cols = np.divmod(t, max(n - 1, 1))
-    cols += cols >= rows
     if directed:
+        rows, cols = np.divmod(t, max(n - 1, 1))
+        cols += cols >= rows
         return rows, cols
-    keep = rows < cols
-    return rows[keep], cols[keep]
+    # row i holds the slots (i, i + 1) .. (i, n - 1), from i(n - 1) - i(i - 1)/2 on
+    i = np.arange(n, dtype=np.int64)
+    offsets = i * (n - 1) - i * (i - 1) // 2
+    rows = np.searchsorted(offsets, t, side="right") - 1
+    return rows, rows + 1 + (t - offsets[rows])
 
 
 def _gen_erdos_renyi(n: int, p: float, seed: int = 0, directed: bool = True) -> SparseGraph:
@@ -276,12 +279,11 @@ def _check_sizes(g: SparseGraph, cfg: ExperimentConfig) -> None:
     ``sample_columns`` and (directed Perron) ``sample_rows``."""
     if cfg.k > g.n:
         raise ValueError(f"k={cfg.k} outside [1, {g.n}]")
-    sides = {"columns": g.col_degrees}
+    sides = {"columns": np.count_nonzero(g.col_degrees)}
     if cfg.measure == "perron" and g.directed:
-        sides["rows"] = g.row_degrees
+        sides["rows"] = np.count_nonzero(g.row_degrees)
     for ell in cfg.ell_list:
-        for side, degrees in sides.items():
-            nz = np.count_nonzero(degrees)
+        for side, nz in sides.items():
             if ell > nz:
                 raise ValueError(f"ell={ell} outside [1, {nz}] (nonzero {side})")
 

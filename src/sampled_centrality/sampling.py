@@ -2,14 +2,18 @@
 
 Randomness comes from ``numpy.random.default_rng`` (PCG64), seeded per run,
 so a (graph, ell, seed, strategy) tuple always reproduces the same sample.
-Column and row samplers never share generator state; callers that need both
-should use distinct seeds (the CLI uses ``seed`` and ``seed + 1``).
+A guided sample reads two streams, ``default_rng(seed)`` for its draws and
+``default_rng([seed, 1])`` for its first pick and fallbacks; a random one
+reads ``default_rng(seed)`` alone.  Column and row samplers never share
+generator state; callers that need both should use distinct seeds (the CLI
+uses ``seed`` and ``seed + 1``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
+from bisect import bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,46 +53,10 @@ class SampleSet:
         return int(self.indices.size)
 
 
-class _BlockSums:
-    """n integer counts, starting at 0, in blocks of isqrt(n) with their sums.
-
-    ``find(u)`` equals ``searchsorted(cumsum(values), u, "right")`` in
-    O(sqrt(n)): the block comes from the prefix sum of the block sums, the
-    index from ``base + cumsum(block)``.  Every partial sum is an integer
-    below 2**53, so exact in float64, and that comparison is the same test as
-    the full prefix sum's.  (``u - base`` is never formed: it can round.)
-    """
-
-    def __init__(self, n: int):
-        self.values = np.zeros(n)
-        self.width = math.isqrt(n)
-        self.block_sums = np.zeros(-(-n // self.width))
-        self._prefix: np.ndarray | None = None
-
-    def increment(self, idx: np.ndarray) -> None:
-        """Add 1 at each of the distinct indices ``idx``."""
-        self.values[idx] += 1.0
-        self.block_sums += np.bincount(idx // self.width, minlength=self.block_sums.size)
-        self._prefix = None
-
-    def clear(self, j: int) -> None:
-        self.block_sums[j // self.width] -= self.values[j]
-        self.values[j] = 0.0
-        self._prefix = None
-
-    def prefix(self) -> np.ndarray:
-        if self._prefix is None:
-            self._prefix = self.block_sums.cumsum()
-        return self._prefix
-
-    def find(self, u: float) -> int:
-        prefix = self.prefix()
-        block = int(prefix.searchsorted(u, side="right"))
-        lo = block * self.width
-        within = self.values[lo : lo + self.width].cumsum()
-        if block:
-            within += prefix[block - 1]
-        return lo + int(within.searchsorted(u, side="right"))
+def _uniforms(rng: np.random.Generator, chunk: int) -> Iterator[float]:
+    """The stream of ``rng.random()``, drawn ``chunk`` values at a time."""
+    while True:
+        yield from rng.random(chunk).tolist()
 
 
 def sample_columns(
@@ -97,18 +65,22 @@ def sample_columns(
     """Select ``ell`` distinct nonzero columns of the adjacency matrix.
 
     Guided strategy: the first column is uniform over nonzero columns; each
-    later draw is categorical with probability proportional to the number of
-    edges from a candidate node into the already-sampled set.  Draws hitting
-    chosen or zero columns are discarded and redrawn.  If all remaining
-    eligible columns carry zero weight the draw falls back to uniform over
-    them (counted in ``fallback_draws``).
+    later draw picks a node with probability proportional to the number of
+    edges from it into the already-sampled set.  Draws hitting chosen or
+    zero columns are discarded and redrawn.  If all remaining eligible
+    columns carry zero weight the draw falls back to uniform over them
+    (counted in ``fallback_draws``).
 
-    A draw costs O(sqrt(n) + degree), not O(n): weights and eligible columns
-    live in ``_BlockSums``, and the eligible weight is an exact integer.  The
-    generator calls, and so the samples, are those of an O(n) loop that
-    draws by inverse CDF over the running prefix sum of the weights:
-    ``rng.integers`` for the first pick and for each fallback, one
-    ``rng.random()`` per categorical draw.
+    A draw is a uniform pick from the entries of the chosen columns, which
+    is that law: a node's chance is its edges into the sample over their
+    total.  ``ends`` holds the running degree totals of the chosen columns
+    in the order they were chosen, so entry k = floor(u * total) lies in the
+    column ``bisect(ends, k)``, and its row is read from ``g.csc.indices``.
+    A draw costs O(log ell) and a chosen column O(degree), after an O(n)
+    set-up.  The uniforms come from ``default_rng(seed)`` in chunks of ell.
+    The first pick and each fallback take an ``integers`` call on a second
+    stream, ``default_rng([seed, 1])``, into a swap-remove pool of the
+    eligible columns.
     """
     nz = g.nonzero_columns()
     if not 1 <= ell <= nz.size:
@@ -122,35 +94,53 @@ def sample_columns(
     if strategy != GUIDED:
         raise ValueError(f"unknown strategy {strategy!r}")
 
-    # 1 on the nonzero columns not yet chosen; the k-th of them is find(k)
-    eligible = _BlockSums(g.n)
-    eligible.increment(nz)
-    # accumulated sum of the selected columns; drives the guided draw
-    weights = _BlockSums(g.n)
-    eligible_weight = 0  # weights summed over eligible columns, exactly
+    uniform = _uniforms(rng, ell).__next__
+    picks = np.random.default_rng([seed, 1])
+    # the eligible columns (nonzero, not chosen) are pool[:size]; where[j] is
+    # the position of j in the pool, -1 once j is not eligible
+    pool = nz.astype(np.int64)
+    size = pool.size
+    where = np.full(g.n, -1, dtype=np.int64)
+    where[pool] = np.arange(size)
+    # edges from each node into the sample; only the fallback test reads them
+    weights = np.zeros(g.n, dtype=np.int64)
+    eligible_weight = 0  # weights summed over eligible columns
+    indptr, indices = g.csc.indptr, g.csc.indices
+    total = 0  # entries of the chosen columns
+    ends: list[int] = []
+    # the entry k of the c-th chosen column's range is indices[k + shift[c]]
+    shift: list[int] = []
     chosen: list[int] = []
     fallback = 0
 
-    j = int(nz[rng.integers(nz.size)])
+    j = int(pool[picks.integers(size)])
     while True:
         chosen.append(j)
-        eligible_weight -= int(weights.values[j])
-        eligible.clear(j)
+        size -= 1
+        last = pool[size]
+        pool[where[j]] = last
+        where[last] = where[j]
+        where[j] = -1
+        eligible_weight -= int(weights[j])
+        start, stop = int(indptr[j]), int(indptr[j + 1])
         # the store's int32 indices take numpy's slower fancy-indexing path
-        rows = g.column(j).astype(np.intp)
-        weights.increment(rows)
-        eligible_weight += np.count_nonzero(eligible.values[rows])
+        rows = indices[start:stop].astype(np.intp)
+        weights[rows] += 1
+        eligible_weight += int(np.count_nonzero(where[rows] >= 0))
+        shift.append(start - total)
+        total += stop - start
+        ends.append(total)
         if len(chosen) == ell:
             break
         if eligible_weight == 0:
-            # uniform over the nz.size - len(chosen) eligible columns
-            j = eligible.find(rng.integers(nz.size - len(chosen)))
+            j = int(pool[picks.integers(size)])
             fallback += 1
         else:
-            total = weights.prefix()[-1]
             while True:
-                j = weights.find(rng.random() * total)
-                if eligible.values[j]:
+                # u < 1 and total < 2**53, so k < total
+                k = int(uniform() * total)
+                j = int(indices[k + shift[bisect_right(ends, k)]])
+                if where[j] >= 0:
                     break
 
     return SampleSet(np.asarray(chosen, dtype=np.int64), "column", strategy, g.n, fallback)

@@ -1,9 +1,12 @@
-"""The single-draw law of the guided column sampler.
+"""The guided column sampler as a scalar loop, and the law of its next pick.
 
-``sampling.sample_columns`` draws each guided column by a blocked O(sqrt(n))
-search.  No pipeline route runs the O(n) draw below; the tests import it
-from here to check that the blocked search returns the same index for the
-same generator state, and that the law itself is the categorical one.
+``sampling.sample_columns`` keeps the running degree totals of the chosen
+columns and finds a drawn entry's column by bisection, with its uniforms
+drawn in chunks.  ``guided_reference`` keeps the entries themselves in a
+Python list and makes one scalar call per draw, so the tests can check that
+both give the same sample for the same seed.  ``next_pick_law`` is the
+chance of each node as the next pick, which the law tests compare with
+sampled frequencies.
 """
 
 from __future__ import annotations
@@ -11,20 +14,54 @@ from __future__ import annotations
 import numpy as np
 
 
-def draw_categorical(weights: np.ndarray, rng: np.random.Generator) -> int:
-    """One index drawn with probability weights[i] / sum(weights).
+def guided_reference(g, ell: int, seed: int) -> tuple[list[int], int]:
+    """The guided sample of ``ell`` columns of g: (indices, fallback_draws).
 
-    Inverse CDF over the running prefix sum, O(n) per draw and reproducible
-    for a given generator state.  Zero-weight indices are never returned.
+    Each draw is one ``random()`` on ``default_rng(seed)`` times the number
+    of entries of the chosen columns, kept in the order chosen; a draw whose
+    row is chosen or a zero column is redrawn.  The first pick, and each
+    pick when no entry has an eligible row, is one ``integers`` call on
+    ``default_rng([seed, 1])`` into the eligible columns, a list from which
+    a chosen column is removed by moving the last one into its place.
     """
-    w = np.asarray(weights, dtype=np.float64)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite")
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
-    cum = np.cumsum(w)
-    total = cum[-1] if cum.size else 0.0
-    if total <= 0:
-        raise ValueError("weights sum to zero")
-    u = rng.random() * total
-    return int(np.searchsorted(cum, u, side="right"))
+    uniforms = np.random.default_rng(seed)
+    picks = np.random.default_rng([seed, 1])
+    pool = g.nonzero_columns().tolist()
+    where = {j: position for position, j in enumerate(pool)}
+    entries: list[int] = []
+    chosen: list[int] = []
+    fallback = 0
+    j = pool[picks.integers(len(pool))]
+    while True:
+        chosen.append(j)
+        last = pool.pop()
+        if last != j:
+            pool[where[j]] = last
+            where[last] = where[j]
+        del where[j]
+        entries += g.column(j).tolist()
+        if len(chosen) == ell:
+            return chosen, fallback
+        if not any(i in where for i in entries):
+            j = pool[picks.integers(len(pool))]
+            fallback += 1
+        else:
+            while True:
+                j = entries[int(uniforms.random() * len(entries))]
+                if j in where:
+                    break
+
+
+def next_pick_law(g, chosen) -> np.ndarray:
+    """The chance of each node as the guided pick after ``chosen``.
+
+    A nonzero column not in ``chosen`` gets its edges into ``chosen`` over
+    the total of those counts; when that total is zero, each such column
+    gets the same chance.  Every other node gets 0.
+    """
+    eligible = g.col_degrees > 0
+    eligible[list(chosen)] = False
+    weights = sum(np.bincount(g.column(j), minlength=g.n) for j in chosen) * eligible
+    if weights.sum() == 0:
+        weights = eligible.astype(np.int64)
+    return weights / weights.sum()

@@ -214,11 +214,17 @@ def test_generate_er_edge_count_law():
         assert abs(count - trials * p) <= 6.0 * np.sqrt(trials * p * (1 - p))
 
 
-def test_generate_er_entry_frequencies():
+@pytest.mark.parametrize("directed", [1, 0])
+@pytest.mark.parametrize("n", [6, 2])
+def test_generate_er_entry_frequencies(n, directed):
     # every off-diagonal entry appears with probability p, independently of
-    # its slot; the diagonal never does
-    n, p, runs = 6, 0.3, 400
-    counts = sum(generate(f"er:n={n},p={p},seed={seed}").csr.toarray() for seed in range(runs))
+    # its slot; the diagonal never does.  At n = 2 a first skip past the
+    # last slot is likely, and it must leave the graph empty
+    p, runs = 0.3, 400
+    counts = sum(
+        generate(f"er:n={n},p={p},seed={seed},directed={directed}").csr.toarray()
+        for seed in range(runs)
+    )
     assert np.all(np.diagonal(counts) == 0)
     off = counts[~np.eye(n, dtype=bool)]
     assert np.all(np.abs(off - runs * p) <= 5.0 * np.sqrt(runs * p * (1 - p)))

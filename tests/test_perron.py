@@ -115,13 +115,20 @@ def test_left_perron_guided_er_cycle_exits_early():
     # a guided 300-node product of a sparse ER digraph whose unshifted
     # uniform-start iterates alternate forever
     g = _dense_stream_er(5000, 0.002, seed=1)
-    J = sample_columns(g, 300, 3, "guided")
-    I = sample_rows(g, 300, 4, "guided")
+    J = sample_columns(g, 300, 17, "guided")
+    I = sample_rows(g, 300, 18, "guided")
+    apply = product_transpose_apply(g, J, I)
+    # the premise: after 100 unshifted steps the iterates alternate with period 2
+    iterates = [np.full(g.n, 1.0 / np.sqrt(g.n))]
+    for _ in range(102):
+        w = apply(iterates[-1])
+        iterates.append(w / np.linalg.norm(w))
+    assert np.linalg.norm(iterates[102] - iterates[100]) <= 1e-12
+    assert np.linalg.norm(iterates[101] - iterates[100]) >= 0.1
     assert left_perron(g, J, I).converged
     res = left_perron(g, J, I, PerronConfig(tol=1e-12))
     assert res.converged
     assert res.note is None
-    apply = product_transpose_apply(g, J, I)
     lam = res.eigenvalue_estimate
     assert np.linalg.norm(apply(res.vector) - lam * res.vector) <= 1e-12 * lam
     assert res.residual <= 1e-8

@@ -15,7 +15,7 @@ from sampled_centrality import (
 )
 from sampled_centrality.cli import generate
 from conftest import dataset_dir, directed_edge, requires_datasets, star
-from sampling_reference import draw_categorical
+from sampling_reference import guided_reference, next_pick_law
 
 
 def _random_graph(n=30, m=120, seed=5, directed=True):
@@ -63,43 +63,29 @@ def test_star_second_draw_is_center():
     assert seen_leaf_first > 0
 
 
-def test_frozen_weight_categorical_law():
-    weights = np.array([2.0, 1.0, 1.0, 0.0])
-    rng = np.random.default_rng(123)
-    draws = np.array([draw_categorical(weights, rng) for _ in range(100_000)])
-    freqs = np.bincount(draws, minlength=4) / draws.size
-    assert abs(freqs[0] - 0.5) < 0.01
-    assert abs(freqs[1] - 0.25) < 0.01
-    assert abs(freqs[2] - 0.25) < 0.01
-    assert freqs[3] == 0.0
-
-
-def test_categorical_three_sigma_binomial():
-    weights = np.array([5.0, 3.0, 0.0, 2.0])
-    probs = weights / weights.sum()
-    rng = np.random.default_rng(7)
-    trials = 20_000
-    draws = np.array([draw_categorical(weights, rng) for _ in range(trials)])
-    freqs = np.bincount(draws, minlength=4) / trials
-    for i, p in enumerate(probs):
-        sigma = np.sqrt(p * (1 - p) / trials)
-        assert abs(freqs[i] - p) <= max(3 * sigma, 1e-12)
-
-
-def test_categorical_rejects_bad_weights():
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match="zero"):
-        draw_categorical(np.zeros(3), rng)
-    with pytest.raises(ValueError, match="nonnegative"):
-        draw_categorical(np.array([1.0, -1.0]), rng)
-
-
-def test_categorical_rejects_non_finite_weights():
-    # NaN and inf used to pass the sign check and return index n
-    rng = np.random.default_rng(0)
-    for bad in ([1.0, np.nan, 1.0], [1.0, np.inf, 0.0]):
-        with pytest.raises(ValueError, match="finite"):
-            draw_categorical(np.array(bad), rng)
+def test_second_pick_law():
+    # node 5 is a zero column and node 2 has a self-loop, so draws onto the
+    # first pick itself or onto 5 are redrawn; column 4 is empty but for an
+    # edge from 5, so after it the pick falls back to uniform
+    edges = np.array(
+        [[1, 0], [2, 0], [3, 0], [5, 0], [0, 1], [2, 1], [2, 2], [3, 2], [0, 3], [5, 4]]
+    )
+    g = SparseGraph.from_edges(6, edges, directed=True)
+    nz = g.nonzero_columns()
+    runs = 12_000
+    counts = np.zeros((g.n, g.n))
+    for seed in range(runs):
+        first, second = sample_columns(g, 2, seed).indices
+        counts[first, second] += 1
+    firsts = counts.sum(axis=1)
+    p = 1.0 / nz.size
+    assert np.all(np.abs(firsts[nz] - runs * p) <= 5.0 * np.sqrt(runs * p * (1 - p)))
+    for first in nz:
+        law = next_pick_law(g, [first])
+        trials = firsts[first]
+        sigma = np.sqrt(trials * law * (1 - law))
+        assert np.all(np.abs(counts[first] - trials * law) <= 5.0 * sigma), first
+    assert next_pick_law(g, [4]).tolist() == [0.25, 0.25, 0.25, 0.25, 0.0, 0.0]
 
 
 def test_zero_weight_fallback_flagged():
@@ -174,47 +160,21 @@ def test_paper_protocol_enron_row_sampling():
     assert np.all(g.row_degrees[s.indices] > 0)
 
 
-def _reference_guided(g, ell, seed):
-    """The O(n)-per-draw guided loop over ``draw_categorical``, as it stood
-    before the blocked search: (indices, fallback_draws)."""
-    nz = g.nonzero_columns()
-    rng = np.random.default_rng(seed)
-    eligible = np.zeros(g.n, dtype=bool)
-    eligible[nz] = True
-    weights = np.zeros(g.n)
-    fallback = 0
-    j = int(nz[rng.integers(nz.size)])
-    chosen = []
-    while True:
-        chosen.append(j)
-        eligible[j] = False
-        weights[g.column(j)] += 1.0
-        if len(chosen) == ell:
-            return chosen, fallback
-        if weights[eligible].sum() == 0.0:
-            pool = np.flatnonzero(eligible)
-            j = int(pool[rng.integers(pool.size)])
-            fallback += 1
-        else:
-            while True:
-                j = draw_categorical(weights, rng)
-                if eligible[j]:
-                    break
-
-
 class _BoundedRng:
     """A generator that fails after ``limit`` uniforms, so a rejection loop
-    that never ends fails the test instead of hanging it."""
+    that never ends fails the test instead of hanging it.  ``drawn`` counts
+    the uniforms handed out, one per value."""
 
     def __init__(self, rng, limit=100_000):
         self._rng = rng
-        self.left = limit
+        self.drawn = 0
+        self.limit = limit
 
-    def random(self):
-        self.left -= 1
-        if self.left < 0:
+    def random(self, size=None):
+        self.drawn += 1 if size is None else size
+        if self.drawn > self.limit:
             raise AssertionError("guided sampler drew too many uniforms")
-        return self._rng.random()
+        return self._rng.random(size)
 
     def integers(self, high):
         return self._rng.integers(high)
@@ -268,17 +228,30 @@ def _equivalence_cases():
 
 
 def test_guided_sampler_matches_the_o_n_loop(monkeypatch):
+    # the reference makes one scalar random() per draw and the sampler draws
+    # them ell at a time, so this also checks that random(size) gives the
+    # values of that many scalar calls
     cases = _equivalence_cases()
     assert len(cases) >= 30
+    expected = [
+        guided_reference(transpose(g) if rows else g, ell, seed) for _, g, ell, seed, rows in cases
+    ]
+    made = []
     real_rng = np.random.default_rng
-    monkeypatch.setattr(sampling.np.random, "default_rng", lambda s: _BoundedRng(real_rng(s)))
-    fallbacks = 0
-    for label, g, ell, seed, rows in cases:
-        target = transpose(g) if rows else g
-        expected, expected_fallback = _reference_guided(target, ell, seed)
-        s = (sample_rows if rows else sample_columns)(g, ell, seed)
-        assert s.indices.tolist() == expected, label
-        assert s.fallback_draws == expected_fallback, label
-        fallbacks += s.fallback_draws
-    assert fallbacks > 0
 
+    def bounded(seed):
+        made.append(_BoundedRng(real_rng(seed)))
+        return made[-1]
+
+    monkeypatch.setattr(sampling.np.random, "default_rng", bounded)
+    fallbacks = 0
+    past_one_chunk = 0
+    for (label, g, ell, seed, rows), (indices, fallback) in zip(cases, expected):
+        made.clear()
+        s = (sample_rows if rows else sample_columns)(g, ell, seed)
+        assert s.indices.tolist() == indices, label
+        assert s.fallback_draws == fallback, label
+        fallbacks += s.fallback_draws
+        past_one_chunk += sum(rng.drawn for rng in made) > ell
+    assert fallbacks > 0
+    assert past_one_chunk > 0
