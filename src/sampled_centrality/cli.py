@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, matfun
 from .graph import SparseGraph, parse_edge_list
 from .matfun import ScalarFunction, evaluate_masked_function, exp_minus_one, resolvent_minus_one
 from .oracle import dense_left_perron, expm_rowsum, katz_rowsum, subgraph_diag
@@ -276,7 +276,9 @@ def _load_graph(cfg: ExperimentConfig) -> SparseGraph:
 def _check_sizes(g: SparseGraph, cfg: ExperimentConfig) -> None:
     """Refuse a report depth or sample size the graph cannot give before the
     reference is computed, with the messages of ``rank_nodes``,
-    ``sample_columns`` and (directed Perron) ``sample_rows``."""
+    ``sample_columns``, (directed Perron) ``sample_rows`` and (communicability
+    and Katz) the masked evaluation's dense cap.  Subgraph needs no cap
+    check: its reference refuses n above the cap, and ell <= n."""
     if cfg.k > g.n:
         raise ValueError(f"k={cfg.k} outside [1, {g.n}]")
     sides = {"columns": np.count_nonzero(g.col_degrees)}
@@ -286,6 +288,9 @@ def _check_sizes(g: SparseGraph, cfg: ExperimentConfig) -> None:
         for side, nz in sides.items():
             if ell > nz:
                 raise ValueError(f"ell={ell} outside [1, {nz}] (nonzero {side})")
+        cap = matfun.DENSE_CAP
+        if cfg.measure in ("communicability", "katz") and ell > cap:
+            raise matfun.EvaluationError(f"core size {ell} exceeds the dense cap {cap}")
 
 
 def _scalar_function(cfg: ExperimentConfig) -> ScalarFunction:

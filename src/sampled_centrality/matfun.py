@@ -15,6 +15,14 @@ subgraph reference.  A result with an inf or nan entry raises
 ``EvaluationError`` where it is computed: each core's kernel stops at its
 first overflow or invalid value, with no RuntimeWarning.
 
+Both routes take the resolvent exactly when gamma*rho(A_masked) < 1, the
+rule ``oracle.katz_rowsum`` certifies for A, read off the factorization each
+already computes: the column core's LU of I - gamma*A11 and the arrow core's
+eigenvalues.  Both refuse a pole, I - gamma*A with a reciprocal condition
+number below ``MIN_RCOND``.  Since 0 <= A_masked <= A gives
+rho(A_masked) <= rho(A), a gamma with a certified reference is admissible
+for every mask, short of gamma*rho within rounding of 1.
+
 Neither the permutation that would move sampled columns first nor the
 complement of J is materialized: both routes work on all n rows of A[:, J] in
 node order, the trailing block included, and write the J entries last, so an
@@ -45,7 +53,7 @@ _ROW_BLOCK_ENTRIES = 1 << 22
 
 # numerical thresholds of the evaluation routes
 ZERO_EIG_TOL = 1e-10    # relative level of vanishing Gram eigenvalues
-KATZ_SAFETY = 0.95      # bound on gamma * rho for the resolvent
+MIN_RCOND = 1e-14       # least reciprocal condition number of I - gamma*A the resolvent takes
 
 # theta_m for each Taylor degree m ``taylor_exp`` may run: the largest norm
 # bound with a backward error below the unit roundoff in double precision
@@ -89,8 +97,9 @@ class ScalarFunction:
         return w / (1.0 - w)
 
     def _resolvent(self, a: np.ndarray) -> np.ndarray:
-        """(I - gamma*A)^-1 from one LU factorization, refused when LAPACK's
-        1-norm condition estimate from those factors exceeds 1e14."""
+        """(I - gamma*A)^-1 from one LU factorization, refused as a pole when
+        LAPACK's 1-norm reciprocal condition estimate from those factors is
+        below ``MIN_RCOND``."""
         m = a.shape[0]
         if not m:
             return np.zeros((0, 0))
@@ -98,7 +107,7 @@ class ScalarFunction:
         anorm = np.linalg.norm(shifted, 1)
         lu, piv, _ = sla.lapack.dgetrf(shifted, overwrite_a=True)
         rcond, _ = sla.lapack.dgecon(lu, anorm, norm="1")
-        if not rcond >= 1e-14:
+        if not rcond >= MIN_RCOND:
             raise EvaluationError("resolvent pole: I - gamma*A is singular to working precision")
         return sla.lu_solve((lu, piv), np.eye(m), check_finite=False)
 
@@ -117,8 +126,9 @@ class MatfunResult:
 
     ``metadata()`` is what a report row says about the route: ``method``
     and ``spectral_radius_estimate``, None on the column mask, whose Katz
-    gate needs no eigenvalue; the arrow mask gives the exact one.  Both
-    routes are exact, so ``fallback_reason`` is always None.
+    rule (gamma*rho < 1) comes from its LU factors with no eigenvalue; the
+    arrow mask gives the exact one from its eigenvalues.  Both routes are
+    exact, so ``fallback_reason`` is always None.
     """
 
     diag: np.ndarray
@@ -129,38 +139,6 @@ class MatfunResult:
 
     def metadata(self) -> dict:
         return {"method": self.method, "spectral_radius_estimate": self.spectral_radius_estimate}
-
-
-def _check_katz_bound(f: ScalarFunction, rho: float) -> None:
-    if f.kind == RESOLVENT_MINUS_ONE and f.gamma * rho > KATZ_SAFETY:
-        raise EvaluationError(
-            f"resolvent parameter inadmissible: gamma*rho_hat = {f.gamma * rho:.6g} "
-            f"> {KATZ_SAFETY}"
-        )
-
-
-def _check_katz_m_matrix(f: ScalarFunction, a11: np.ndarray) -> None:
-    """Refuse gamma*rho(A11) >= ``KATZ_SAFETY`` without an eigenvalue.
-
-    A_masked is block lower triangular, so its spectrum is that of A11.  For
-    A11 >= 0, Z = I - (gamma/KATZ_SAFETY)*A11 is a nonsingular M-matrix, that
-    is gamma*rho(A11) < KATZ_SAFETY, exactly when some y > 0 has Z y > 0
-    (Berman and Plemmons, Nonnegative Matrices in the Mathematical Sciences,
-    SIAM 1994, Ch. 6), and then y = Z^-1 1 is one: one LU factorization of Z
-    decides the gate.
-    """
-    z = np.eye(a11.shape[0]) - (f.gamma / KATZ_SAFETY) * a11
-    lu, piv, info = sla.lapack.dgetrf(z)
-    if info == 0:
-        # a nearly singular Z may overflow y or Z y; inf and nan fail the test
-        with np.errstate(over="ignore", invalid="ignore"):
-            y = sla.lu_solve((lu, piv), np.ones(z.shape[0]), check_finite=False)
-            if np.all(y > 0) and np.all(z @ y > 0):
-                return
-    raise EvaluationError(
-        f"resolvent parameter inadmissible: I - gamma/{KATZ_SAFETY}*A11 is not a "
-        f"nonsingular M-matrix, so gamma*rho(A11) >= {KATZ_SAFETY} at gamma={f.gamma:g}"
-    )
 
 
 def taylor_plan(b: sp.csr_matrix) -> tuple[int, int, float]:
@@ -343,17 +321,25 @@ def core_diag_and_sums(f: ScalarFunction, a11: sp.csr_matrix):
     [0, 1]] (Higham, Functions of Matrices, SIAM 2008), exact for singular
     A11: its diagonal and its action on [1; 0] and on the last unit vector,
     with c = 1/m keeping the added column's 1-norm at 1.  For the resolvent
-    they come from one LU solve with I - gamma*A11; one more LU factorization
-    (``_check_katz_m_matrix``) decides admissibility with no eigenvalue.
+    they come from the one LU factorization of I - gamma*A11 that gives
+    X = (I - gamma*A11)^-1, which also decides admissibility with no
+    eigenvalue: for A11 >= 0, I - gamma*A11 is a nonsingular M-matrix, that
+    is gamma*rho(A11) < 1, exactly when some y > 0 has y - gamma*A11 y > 0
+    (Berman and Plemmons, Nonnegative Matrices in the Mathematical Sciences,
+    SIAM 1994, Ch. 6), and then y = X 1 is one.  These are the two
+    inequalities, x > 0 and 1 + r > 0, that certify ``oracle.katz_rowsum``.
     """
     m = a11.shape[0]
     if f.kind == RESOLVENT_MINUS_ONE:
-        dense = a11.toarray()
-        x = f._resolvent(dense)
-        if m:
-            _check_katz_m_matrix(f, dense)
+        x = f._resolvent(a11.toarray())
+        y = x.sum(axis=1)
+        if not (np.all(y > 0) and np.all(y - f.gamma * (a11 @ y) > 0)):
+            raise EvaluationError(
+                "resolvent parameter inadmissible: I - gamma*A11 is not a nonsingular "
+                f"M-matrix, so gamma*rho(A11) >= 1 at gamma={f.gamma:g}"
+            )
         f11 = x - np.eye(m)
-        return np.diagonal(f11), f11.sum(axis=1), f.gamma * x.sum(axis=1)
+        return np.diagonal(f11), f11.sum(axis=1), f.gamma * y
     c = 1.0 / max(m, 1)
     # each row of gamma*A11 ends with the entry c in column m; row m is empty
     ends = a11.indptr[1:]
@@ -416,7 +402,16 @@ def arrow_core_evaluation(g: SparseGraph, mask: SampleSet, f: ScalarFunction) ->
     core = np.block([[c11.toarray(), R.T], [R, np.zeros((s.size, s.size))]])
     mu, W = np.linalg.eigh(core)
     rho = float(np.max(np.abs(mu), initial=0.0))
-    _check_katz_bound(f, rho)
+    if f.kind == RESOLVENT_MINUS_ONE and mu.size:
+        # the eigenvalues of I - gamma*C, descending; their extreme ratio is its 2-norm rcond
+        shift = 1.0 - f.gamma * mu
+        if not shift[-1] > 0:
+            raise EvaluationError(
+                f"resolvent parameter inadmissible: 1 - gamma*rho = {shift[-1]:.3g} <= 0 "
+                f"at gamma={f.gamma:g}"
+            )
+        if shift[-1] < MIN_RCOND * shift[0]:
+            raise EvaluationError("resolvent pole: I - gamma*A is singular to working precision")
     with _stop_at_overflow("arrow_core", f.gamma):
         fmu = f.value(mu)
 

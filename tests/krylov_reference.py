@@ -16,10 +16,10 @@ import scipy.linalg as sla
 
 from sampled_centrality import SampleSet, SparseGraph
 from sampled_centrality.matfun import (
+    RESOLVENT_MINUS_ONE,
     ZERO_EIG_TOL,
     EvaluationError,
     ScalarFunction,
-    _check_katz_bound,
 )
 
 # numerical thresholds of the reconstruction
@@ -200,13 +200,15 @@ def krylov_spectral_evaluation(
     reconstruct the nonzero columns of f(A_masked) through a solve against
     the sampled rows of the eigenvector block.  Raises EvaluationError when
     that is unusable (no breakdown, defective or ill-conditioned eigenbasis,
-    rank-deficient core).
+    rank-deficient core), and for the resolvent when gamma times the largest
+    Ritz modulus is at least 1.
     """
     ell = len(mask)
     d = arnoldi(g, mask, seed)
     sd = spectral_factorize(d)
     rho = estimate_spectral_radius(sd)
-    _check_katz_bound(f, rho)
+    if f.kind == RESOLVENT_MINUS_ONE and f.gamma * rho >= 1.0:
+        raise EvaluationError(f"resolvent series diverges: gamma*rho = {f.gamma * rho:.6g} >= 1")
     if sd.condition_estimate > COND_THRESHOLD:
         raise EvaluationError(
             f"ill-conditioned eigenbasis of the small matrix ({sd.condition_estimate:.3e})"

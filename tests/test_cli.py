@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from sampled_centrality import (
+    EvaluationError,
     PerronConfig,
     SparseGraph,
     evaluate_masked_function,
@@ -722,6 +723,15 @@ def test_unknown_strategy_is_refused_before_any_load(monkeypatch):
             lambda g: sample_rows(g, 2, 1),
             "ell=2 outside [1, 1] (nonzero rows)",
         ),
+        # a Katz core above the dense cap, lowered to 3 in the test
+        (
+            "0 1\n0 2\n0 3\n0 4\n",
+            ["--measure", "katz", "--gamma", "0.1", "--ell", "2,4"],
+            lambda g: evaluate_masked_function(
+                g, sample_columns(g, 4, 0), resolvent_minus_one(0.1)
+            ),
+            "core size 4 exceeds the dense cap 3",
+        ),
     ],
 )
 def test_sizes_are_refused_before_the_reference(
@@ -731,15 +741,16 @@ def test_sizes_are_refused_before_the_reference(
         raise AssertionError("the reference was computed")
 
     monkeypatch.setattr(cli, "_reference_scores", no_reference)
+    monkeypatch.setattr(matfun, "DENSE_CAP", 3)
     path = tmp_path / "graph.txt"
     path.write_text(edges)
     out = tmp_path / "r"
     assert main(["--input", str(path), "--k", "3", *flags, "--out", str(out)]) == 1
     report = json.loads(out.with_suffix(".json").read_text())
-    # the message the library call would give after the reference
-    with pytest.raises(ValueError) as refused:
+    # the error the library call would give after the reference
+    with pytest.raises((ValueError, EvaluationError)) as refused:
         library(parse_edge_list(edges.splitlines()))
-    assert report["failed"] == f"ValueError: {refused.value}"
+    assert report["failed"] == f"{refused.type.__name__}: {refused.value}"
     assert says in report["failed"]
     assert "reference" not in report and "report" not in report
 
@@ -795,6 +806,27 @@ def test_run_rows_carry_estimate_metadata(tmp_path):
     assert row["converged"] is True
     assert row["iterations"] >= 1
     assert row["note"] is None
+
+
+@pytest.mark.parametrize(
+    "spec, ell, route",
+    [
+        ("pa:n=300,m=3,seed=1", "200,280", "arrow_core"),
+        ("er:n=300,p=0.03,seed=1", "250,290", "direct_core"),
+    ],
+)
+def test_katz_candidates_take_every_gamma_the_reference_certifies(tmp_path, spec, ell, route):
+    # gamma*rho(A) = 0.97 and 0 <= A_mask <= A, so gamma*rho(A_mask) < 1 on
+    # every mask: no candidate is refused after the certified reference
+    rho = float(np.max(np.abs(np.linalg.eigvals(generate(spec).csr.toarray()))))
+    out = tmp_path / "katz"
+    argv = ["--generate", spec, "--measure", "katz", "--gamma", repr(0.97 / rho)]
+    assert main(argv + ["--ell", ell, "--trials", "3", "--out", str(out)]) == 0
+    report = json.loads(out.with_suffix(".json").read_text())
+    assert "failed" not in report
+    assert report["reference"]["gamma_rho_bound"] < 1
+    assert len(report["results"]) == 6
+    assert {row["method"] for row in report["results"]} == {route}
 
 
 def test_reference_above_dense_cap(tmp_path, monkeypatch):

@@ -384,43 +384,57 @@ def test_evaluate_two_cycle_resolvent():
 
 def test_evaluate_rejects_inadmissible_katz_gamma():
     g = undirected_edge()  # rho = 1
-    with pytest.raises(EvaluationError, match="inadmissible"):
-        evaluate_masked_function(g, full_column_sample(g), resolvent_minus_one(0.99), seed=0)
+    for gamma in (1.01, 1.0):
+        with pytest.raises(EvaluationError, match="inadmissible|pole"):
+            evaluate_masked_function(g, full_column_sample(g), resolvent_minus_one(gamma), seed=0)
+    f = resolvent_minus_one(0.99)
+    res = evaluate_masked_function(g, full_column_sample(g), f, seed=0)
+    exact = dense_matfun(g.csr.toarray(), f)
+    assert rel_err(res.diag, np.diagonal(exact)) <= 1e-12
+    assert rel_err(res.rowsum, exact.sum(axis=1)) <= 1e-12
     # the centre of a 4-leaf star keeps every edge of the arrow: rho = 2
     with pytest.raises(EvaluationError, match="inadmissible"):
-        evaluate_masked_function(star(4), _column_mask(5, [0]), resolvent_minus_one(0.49))
-    res = evaluate_masked_function(star(4), _column_mask(5, [0]), resolvent_minus_one(0.47))
+        evaluate_masked_function(star(4), _column_mask(5, [0]), resolvent_minus_one(0.51))
+    res = evaluate_masked_function(star(4), _column_mask(5, [0]), resolvent_minus_one(0.49))
     assert res.spectral_radius_estimate == pytest.approx(2.0, abs=1e-12)
 
 
 def test_direct_core_spectral_radius_only_for_katz():
-    # exp on the column mask has no admissibility gate, so no spectral radius
+    # exp on the column mask has no admissibility rule, so no spectral radius
     g = _er_digraph(40, 0.15, seed=6)
     mask = sample_columns(g, 12, seed=1)
     res = evaluate_masked_function(g, mask, exp_minus_one(1.0))
     assert res.spectral_radius_estimate is None
     assert res.metadata()["spectral_radius_estimate"] is None
-    # the directed Katz gate needs none either: the two-cycle has rho = 1
+    # the directed Katz rule needs none either: the two-cycle has rho = 1
     two_cycle = directed_two_cycle()
+    mask = full_column_sample(two_cycle)
     with pytest.raises(EvaluationError, match="inadmissible"):
-        evaluate_masked_function(two_cycle, full_column_sample(two_cycle), resolvent_minus_one(0.99))
-    res = evaluate_masked_function(two_cycle, full_column_sample(two_cycle), resolvent_minus_one(0.5))
+        evaluate_masked_function(two_cycle, mask, resolvent_minus_one(1.01))
+    res = evaluate_masked_function(two_cycle, mask, resolvent_minus_one(0.99))
     assert res.spectral_radius_estimate is None
 
 
-def test_direct_core_katz_gate_matches_the_spectral_radius():
-    # gamma*rho(A11) within 20 % of KATZ_SAFETY on each side, rho from eigvals
+def _katz_gate_sweep(directed):
+    """gamma*rho(A_masked) within 20 % of 1 on each side: refused above 1 and
+    taken below, rho from eigvals of A11 (column mask) or eigvalsh of the
+    arrow matrix."""
     rng = np.random.default_rng(44)
     refused = 0
     for seed in range(300):
         n = int(rng.integers(2, 41))
-        g = _er_digraph(n, float(rng.uniform(0.05, 0.4)), seed)
+        p = float(rng.uniform(0.05, 0.4))
         J = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
-        rho = float(np.max(np.abs(np.linalg.eigvals(g.csr.toarray()[np.ix_(J, J)]))))
+        if directed:
+            g = _er_digraph(n, p, seed)
+            rho = float(np.max(np.abs(np.linalg.eigvals(g.csr.toarray()[np.ix_(J, J)]))))
+        else:
+            g = generate(f"er:n={n},p={p},seed={seed},directed=0")
+            rho = float(np.max(np.abs(np.linalg.eigvalsh(_arrow_dense(g, _column_mask(n, J))))))
         ratio = float(rng.uniform(0.8, 1.2))
         if rho < 1e-12 or abs(ratio - 1.0) < 1e-9:
             continue
-        f = resolvent_minus_one(ratio * matfun.KATZ_SAFETY / rho)
+        f = resolvent_minus_one(ratio / rho)
         if ratio > 1.0:
             refused += 1
             with pytest.raises(EvaluationError, match="inadmissible"):
@@ -428,12 +442,18 @@ def test_direct_core_katz_gate_matches_the_spectral_radius():
         else:
             evaluate_masked_function(g, _column_mask(n, J), f)
     assert 50 <= refused <= 200
-    # on the boundary Z is singular (its LU has a zero pivot): refused
+
+
+def test_direct_core_katz_gate_matches_the_spectral_radius():
+    _katz_gate_sweep(directed=True)
+    # on the boundary I - A is singular (its LU has a zero pivot): a pole
     two_cycle = directed_two_cycle()
-    with pytest.raises(EvaluationError, match="inadmissible"):
-        evaluate_masked_function(
-            two_cycle, full_column_sample(two_cycle), resolvent_minus_one(matfun.KATZ_SAFETY)
-        )
+    with pytest.raises(EvaluationError, match="resolvent pole"):
+        evaluate_masked_function(two_cycle, full_column_sample(two_cycle), resolvent_minus_one(1.0))
+
+
+def test_arrow_core_katz_gate_matches_the_spectral_radius():
+    _katz_gate_sweep(directed=False)
 
 
 def test_evaluate_diag_zero_outside_mask():
