@@ -130,7 +130,8 @@ def power_iteration(
             nonzero = image > 0
             if not nonzero.any():
                 raise RankDeficientProductError(
-                    f"rank-deficient product: iterate {iterations} collapsed to zero"
+                    f"rank-deficient product: iterate {iterations} collapsed to zero; "
+                    "epsilon > 0 prevents it in a sampled product; A itself collapses iff acyclic"
                 )
             support = None if np.array_equal(nonzero, support) else nonzero
         eigenvalue = float(v @ w)

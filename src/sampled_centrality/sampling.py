@@ -2,17 +2,17 @@
 
 Randomness comes from ``numpy.random.default_rng`` (PCG64), seeded per run,
 so a (graph, ell, seed, strategy) tuple always reproduces the same sample.
-A guided sample reads two streams, ``default_rng(seed)`` for its draws and
-``default_rng([seed, 1])`` for its first pick and fallbacks; a random one
-reads ``default_rng(seed)`` alone.  Column and row samplers never share
-generator state; callers that need both should use distinct seeds (the CLI
-uses ``seed`` and ``seed + 1``).
+A guided sample draws entries of its chosen columns from one flat buffer of
+their rows, which sheds spent entries so that a pick's tries stay bounded.
+It reads ``default_rng(seed)`` for its draws and ``default_rng([seed, 1])``
+for its first pick and fallbacks; a random one reads ``default_rng(seed)``
+alone.  Column and row samplers never share generator state; callers that
+need both should use distinct seeds (the CLI uses ``seed`` and ``seed + 1``).
 """
 
 from __future__ import annotations
 
 import dataclasses
-from bisect import bisect_right
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -73,14 +73,14 @@ def sample_columns(
 
     A draw is a uniform pick from the entries of the chosen columns, which
     is that law: a node's chance is its edges into the sample over their
-    total.  ``ends`` holds the running degree totals of the chosen columns
-    in the order they were chosen, so entry k = floor(u * total) lies in the
-    column ``bisect(ends, k)``, and its row is read from ``g.csc.indices``.
-    A draw costs O(log ell) and a chosen column O(degree), after an O(n)
-    set-up.  The uniforms come from ``default_rng(seed)`` in chunks of ell.
-    The first pick and each fallback take an ``integers`` call on a second
-    stream, ``default_rng([seed, 1])``, into a swap-remove pool of the
-    eligible columns.
+    total.  The entries' rows sit in one flat buffer in the order chosen,
+    and a draw reads entry floor(u * total).  Before a pick whose eligible
+    entries are under half the buffer, the spent ones are dropped in order,
+    so a pick takes at most 2 tries on average and all drops together cost
+    O(nnz(A[:, J])).  A chosen column costs O(degree), after an O(n) set-up.
+    The uniforms come from ``default_rng(seed)`` in chunks of ell; the first
+    pick and each fallback take an ``integers`` call on a second stream,
+    ``default_rng([seed, 1])``, into a swap-remove pool of the eligible ones.
     """
     nz = g.nonzero_columns()
     if not 1 <= ell <= nz.size:
@@ -102,14 +102,12 @@ def sample_columns(
     size = pool.size
     where = np.full(g.n, -1, dtype=np.int64)
     where[pool] = np.arange(size)
-    # edges from each node into the sample; only the fallback test reads them
-    weights = np.zeros(g.n, dtype=np.int64)
+    weights = np.zeros(g.n, dtype=np.int64)  # edges from each node into the sample
     eligible_weight = 0  # weights summed over eligible columns
     indptr, indices = g.csc.indptr, g.csc.indices
-    total = 0  # entries of the chosen columns
-    ends: list[int] = []
-    # the entry k of the c-th chosen column's range is indices[k + shift[c]]
-    shift: list[int] = []
+    # rows[:total]: the chosen columns' entry rows in the order chosen, less the
+    # spent ones dropped; intp, as int32 takes numpy's slower fancy-indexing path
+    rows, total = np.empty(indices.size, dtype=np.intp), 0
     chosen: list[int] = []
     fallback = 0
 
@@ -123,25 +121,26 @@ def sample_columns(
         where[j] = -1
         eligible_weight -= int(weights[j])
         start, stop = int(indptr[j]), int(indptr[j + 1])
-        # the store's int32 indices take numpy's slower fancy-indexing path
-        rows = indices[start:stop].astype(np.intp)
-        weights[rows] += 1
-        eligible_weight += int(np.count_nonzero(where[rows] >= 0))
-        shift.append(start - total)
-        total += stop - start
-        ends.append(total)
+        added = rows[total : total + stop - start]
+        added[:] = indices[start:stop]
+        weights[added] += 1
+        eligible_weight += int(np.count_nonzero(where[added] >= 0))
+        total += added.size
         if len(chosen) == ell:
             break
         if eligible_weight == 0:
             j = int(pool[picks.integers(size)])
             fallback += 1
-        else:
-            while True:
-                # u < 1 and total < 2**53, so k < total
-                k = int(uniform() * total)
-                j = int(indices[k + shift[bisect_right(ends, k)]])
-                if where[j] >= 0:
-                    break
+            continue
+        if 2 * eligible_weight < total:
+            # a spent row never becomes eligible again, so the law holds
+            rows[:eligible_weight] = rows[:total][where[rows[:total]] >= 0]
+            total = eligible_weight
+        while True:
+            # u < 1 and total < 2**53, so the entry is below total
+            j = int(rows[int(uniform() * total)])
+            if where[j] >= 0:
+                break
 
     return SampleSet(np.asarray(chosen, dtype=np.int64), "column", strategy, g.n, fallback)
 

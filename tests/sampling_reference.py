@@ -1,12 +1,13 @@
 """The guided column sampler as a scalar loop, and the law of its next pick.
 
-``sampling.sample_columns`` keeps the running degree totals of the chosen
-columns and finds a drawn entry's column by bisection, with its uniforms
-drawn in chunks.  ``guided_reference`` keeps the entries themselves in a
-Python list and makes one scalar call per draw, so the tests can check that
-both give the same sample for the same seed.  ``next_pick_law`` is the
-chance of each node as the next pick, which the law tests compare with
-sampled frequencies.
+``sampling.sample_columns`` keeps the rows of the chosen columns' entries
+in a preallocated intp buffer, fills it by slice copies, compacts it with a
+boolean mask and draws its uniforms in chunks.  ``guided_reference`` keeps
+the same entries in a Python list, drops spent ones by the same rule and
+makes one scalar call per draw, so the tests can check that both give the
+same sample for the same seed.  ``next_pick_law`` is the chance of each
+node as the next pick, which the law tests compare with sampled
+frequencies.
 """
 
 from __future__ import annotations
@@ -14,13 +15,16 @@ from __future__ import annotations
 import numpy as np
 
 
-def guided_reference(g, ell: int, seed: int) -> tuple[list[int], int]:
-    """The guided sample of ``ell`` columns of g: (indices, fallback_draws).
+def guided_reference(g, ell: int, seed: int) -> tuple[list[int], int, int]:
+    """The guided sample of ``ell`` columns of g: (indices, fallback_draws,
+    compactions).
 
     Each draw is one ``random()`` on ``default_rng(seed)`` times the number
     of entries of the chosen columns, kept in the order chosen; a draw whose
-    row is chosen or a zero column is redrawn.  The first pick, and each
-    pick when no entry has an eligible row, is one ``integers`` call on
+    row is chosen or a zero column is redrawn.  Before a pick by draws, when
+    fewer than half the entries have an eligible row, the others are dropped
+    in order, which ``compactions`` counts.  The first pick, and each pick
+    when no entry has an eligible row, is one ``integers`` call on
     ``default_rng([seed, 1])`` into the eligible columns, a list from which
     a chosen column is removed by moving the last one into its place.
     """
@@ -30,7 +34,7 @@ def guided_reference(g, ell: int, seed: int) -> tuple[list[int], int]:
     where = {j: position for position, j in enumerate(pool)}
     entries: list[int] = []
     chosen: list[int] = []
-    fallback = 0
+    fallback = compactions = 0
     j = pool[picks.integers(len(pool))]
     while True:
         chosen.append(j)
@@ -41,11 +45,14 @@ def guided_reference(g, ell: int, seed: int) -> tuple[list[int], int]:
         del where[j]
         entries += g.column(j).tolist()
         if len(chosen) == ell:
-            return chosen, fallback
+            return chosen, fallback, compactions
         if not any(i in where for i in entries):
             j = pool[picks.integers(len(pool))]
             fallback += 1
         else:
+            if 2 * sum(i in where for i in entries) < len(entries):
+                entries = [i for i in entries if i in where]
+                compactions += 1
             while True:
                 j = entries[int(uniforms.random() * len(entries))]
                 if j in where:

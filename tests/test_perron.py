@@ -275,8 +275,9 @@ def test_rank_deficient_product_raises():
     g = SparseGraph.from_edges(2, np.array([[0, 1]]), directed=True)
     J = SampleSet(np.array([1]), "column", "guided", 2)
     I = SampleSet(np.array([0]), "row", "guided", 2)
-    with pytest.raises(RankDeficientProductError):
+    with pytest.raises(RankDeficientProductError, match=r"iterate 1 collapsed .* epsilon > 0"):
         left_perron(g, J, I)
+    assert left_perron(g, J, I, PerronConfig(epsilon=1e-3)).converged
 
 
 def test_nilpotent_product_raises_where_its_power_vanishes():

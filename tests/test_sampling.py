@@ -24,6 +24,17 @@ def _random_graph(n=30, m=120, seed=5, directed=True):
     return SparseGraph.from_edges(n, edges, directed=directed)
 
 
+def _clique_with_path(k, length):
+    """The clique K_k with a path of ``length`` more nodes hung from node 0.
+
+    Once the sample holds the clique, nearly every entry of its columns
+    points back into it, so the guided sampler has to drop spent entries.
+    """
+    clique = np.argwhere(np.triu(np.ones((k, k), dtype=bool), 1))
+    path = np.column_stack([np.r_[0, np.arange(k, k + length - 1)], np.arange(k, k + length)])
+    return SparseGraph.from_edges(k + length, np.vstack([clique, path]), directed=False)
+
+
 def test_single_nonzero_column_always_selected():
     g = SparseGraph.from_edges(6, np.array([[0, 4], [2, 4]]), directed=True)
     for seed in range(10):
@@ -63,6 +74,22 @@ def test_star_second_draw_is_center():
     assert seen_leaf_first > 0
 
 
+def _assert_last_pick_law(g, ell, runs):
+    """Check the last pick of ``runs`` guided samples of ``ell`` columns
+    against ``next_pick_law`` of the picks before it, within 5 sigma; return
+    the counts of each last pick, keyed by those earlier picks."""
+    counts = {}
+    for seed in range(runs):
+        *prefix, last = sample_columns(g, ell, seed).indices.tolist()
+        counts.setdefault(tuple(prefix), np.zeros(g.n))[last] += 1
+    for prefix, seen in counts.items():
+        law = next_pick_law(g, prefix)
+        trials = seen.sum()
+        sigma = np.sqrt(trials * law * (1 - law))
+        assert np.all(np.abs(seen - trials * law) <= 5.0 * sigma), prefix
+    return counts
+
+
 def test_second_pick_law():
     # node 5 is a zero column and node 2 has a self-loop, so draws onto the
     # first pick itself or onto 5 are redrawn; column 4 is empty but for an
@@ -73,19 +100,26 @@ def test_second_pick_law():
     g = SparseGraph.from_edges(6, edges, directed=True)
     nz = g.nonzero_columns()
     runs = 12_000
-    counts = np.zeros((g.n, g.n))
-    for seed in range(runs):
-        first, second = sample_columns(g, 2, seed).indices
-        counts[first, second] += 1
-    firsts = counts.sum(axis=1)
+    counts = _assert_last_pick_law(g, 2, runs)
+    firsts = np.array([counts[(j,)].sum() for j in nz])
     p = 1.0 / nz.size
-    assert np.all(np.abs(firsts[nz] - runs * p) <= 5.0 * np.sqrt(runs * p * (1 - p)))
-    for first in nz:
-        law = next_pick_law(g, [first])
-        trials = firsts[first]
-        sigma = np.sqrt(trials * law * (1 - law))
-        assert np.all(np.abs(counts[first] - trials * law) <= 5.0 * sigma), first
+    assert np.all(np.abs(firsts - runs * p) <= 5.0 * np.sqrt(runs * p * (1 - p)))
     assert next_pick_law(g, [4]).tolist() == [0.25, 0.25, 0.25, 0.25, 0.0, 0.0]
+
+
+def test_third_pick_law_after_compaction():
+    # nodes 6..9 are zero columns pointing into 0 and 1, so after the picks
+    # 0 then 1 most of their entries are spent and the buffer is compacted
+    # before the second and the third pick; node 2 then has weight 2 against
+    # 1 for nodes 3 and 4, so the law is not uniform over the kept rows
+    sources = [[s, t] for s in range(6, 10) for t in (0, 1)]
+    edges = np.array(
+        sources + [[2, 0], [3, 0], [1, 0], [2, 1], [4, 1], [0, 1], [0, 2], [1, 3], [5, 4], [3, 5]]
+    )
+    g = SparseGraph.from_edges(10, edges, directed=True)
+    assert next_pick_law(g, [0, 1]).tolist()[2:5] == [0.5, 0.25, 0.25]
+    assert [guided_reference(g, 3, seed)[2] for seed in range(60)].count(2) > 0
+    assert _assert_last_pick_law(g, 3, 12_000)[0, 1].sum() > 300
 
 
 def test_zero_weight_fallback_flagged():
@@ -224,6 +258,10 @@ def _equivalence_cases():
     for seed in range(3):
         cases.append(("self-loops", looped, 30, seed, False))
     cases.append(("self-loops ell=nz", looped, looped.nonzero_columns().size, 5, False))
+    # past the clique, most entries are spent and the buffer is compacted
+    hung = _clique_with_path(40, 10)
+    for seed in range(3):
+        cases.append(("clique and path", hung, 45, seed, False))
     return cases
 
 
@@ -246,7 +284,7 @@ def test_guided_sampler_matches_the_o_n_loop(monkeypatch):
     monkeypatch.setattr(sampling.np.random, "default_rng", bounded)
     fallbacks = 0
     past_one_chunk = 0
-    for (label, g, ell, seed, rows), (indices, fallback) in zip(cases, expected):
+    for (label, g, ell, seed, rows), (indices, fallback, _) in zip(cases, expected):
         made.clear()
         s = (sample_rows if rows else sample_columns)(g, ell, seed)
         assert s.indices.tolist() == indices, label
@@ -255,3 +293,18 @@ def test_guided_sampler_matches_the_o_n_loop(monkeypatch):
         past_one_chunk += sum(rng.drawn for rng in made) > ell
     assert fallbacks > 0
     assert past_one_chunk > 0
+    assert sum(compactions for _, _, compactions in expected) > 0
+
+
+def test_guided_tries_stay_bounded_past_a_dense_region(monkeypatch):
+    # once the sample holds K_1000, about one entry in 10^6 of its columns
+    # has an eligible row; dropping spent entries keeps a pick to at most 2
+    # tries on average, so ell 1100 needs a few chunks of ell uniforms
+    g = _clique_with_path(1000, 100)
+    ell = 1100
+    real_rng = np.random.default_rng
+    bounded = lambda seed: _BoundedRng(real_rng(seed), limit=4 * ell)
+    monkeypatch.setattr(sampling.np.random, "default_rng", bounded)
+    s = sample_columns(g, ell, 1)
+    assert sorted(s.indices.tolist()) == list(range(g.n))
+    assert s.fallback_draws == 0
