@@ -358,6 +358,12 @@ def run(cfg: ExperimentConfig) -> int:
         t0 = time.perf_counter()
         g = _load_graph(cfg)
         report["load_s"] = time.perf_counter() - t0
+        report["graph"] = {
+            "n": g.n,
+            "directed": g.directed,
+            "entries": g.edge_count,
+            "duplicates_collapsed": g.duplicates_collapsed,
+        }
         _check_sizes(g, cfg)
         t0 = time.perf_counter()
         reference, report["reference"] = _reference_scores(g, cfg)

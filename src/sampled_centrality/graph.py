@@ -31,6 +31,10 @@ NODE_SLACK = 2**20
 # per-byte arrays of one vectorised pass
 _BLOCK_CHARS = 1 << 20
 _BLOCK_LINES = 1 << 16
+# a comment line, up to its newline: optional whitespace, then '#' or '%'
+_COMMENT_LINE = re.compile(rb"^[ \t\v\f\r]*[#%][^\n]*", re.MULTILINE)
+# the bytes left once comments are gone: digits and ASCII whitespace
+_DIGITS_AND_SPACE = b"0123456789 \t\n\v\f\r"
 
 
 class GraphParseError(ValueError):
@@ -219,43 +223,22 @@ def _line_blocks(source) -> Iterator[str]:
 def _parse_block(data: bytes, first_line: int) -> tuple[np.ndarray, int]:
     """The ids of one block of lines, whose first is line ``first_line``, and
     its line count.  Raises the error of its first bad line."""
-    a = np.frombuffer(data, dtype=np.uint8)
-    space = (a == 32) | ((a >= 9) & (a <= 13))
-    step = np.diff((~space).view(np.int8), prepend=np.int8(0))
+    text = _COMMENT_LINE.sub(b"", data) if b"#" in data or b"%" in data else data
+    a = np.frombuffer(text, dtype=np.uint8)
+    step = np.diff((a >= ord("0")).view(np.int8), prepend=np.int8(0), append=np.int8(0))
     starts, ends = np.flatnonzero(step == 1), np.flatnonzero(step == -1)
     newlines = np.flatnonzero(a == 10)
-    before = np.searchsorted(starts, newlines)  # tokens before each line end
-    per_line = np.diff(before, prepend=0)
-    # a line is a comment when its first token starts with '#' or '%'; every
-    # other byte that is neither space nor digit makes its line bad
-    odd = np.flatnonzero(~space & ((a < ord("0")) | (a > ord("9"))))
-    odd_line = np.searchsorted(newlines, odd)
-    lead = (a[odd] == ord("#")) | (a[odd] == ord("%"))
-    lead_line = odd_line[lead]
-    first_token = np.concatenate([[0], before[:-1]])[lead_line]
-    comment = np.zeros(newlines.size, dtype=bool)
-    comment[lead_line[starts[first_token] == odd[lead]]] = True
+    per_line = np.diff(np.searchsorted(starts, newlines), prepend=0)
     long = np.flatnonzero(ends - starts >= len(str(MAX_NODE_ID)))
-    long = long[~comment[np.searchsorted(newlines, starts[long])]]
     if (
-        np.any((per_line != 0) & (per_line != 2) & ~comment)
-        or not comment[odd_line].all()
-        or any(int(data[starts[k] : ends[k]]) > MAX_NODE_ID for k in long)
+        text.translate(None, _DIGITS_AND_SPACE)
+        or np.any((per_line != 0) & (per_line != 2))
+        or any(int(text[starts[k] : ends[k]]) > MAX_NODE_ID for k in long)
     ):
         _raise_first_bad_line(data, first_line)
-    if not per_line[~comment].any():
+    if not starts.size:
         return np.empty(0, dtype=np.int64), newlines.size
-    if comment.any():
-        # blank the comment lines, which are disjoint spans [lo, hi)
-        hi = newlines[comment]
-        lo = np.concatenate([[0], newlines[:-1] + 1])[comment]
-        inside = np.zeros(a.size + 1, dtype=np.int8)
-        inside[lo] = 1
-        inside[hi] = -1
-        text = a.copy()
-        text[np.cumsum(inside[:-1], dtype=np.int8).view(bool)] = ord(" ")
-        data = text.tobytes()
-    return np.fromstring(data, dtype=np.int64, sep=" "), newlines.size
+    return np.fromstring(text, dtype=np.int64, sep=" "), newlines.size
 
 
 def _edge_line_problem(raw: bytes) -> str | None:

@@ -41,7 +41,7 @@ def rank_nodes(scores: np.ndarray, k: int = 20) -> Ranking:
         raise ValueError(f"k={k} outside [1, {n}]")
     if not np.isfinite(arr).all():
         raise ValueError(f"{np.count_nonzero(~np.isfinite(arr))} of {n} scores are not finite")
-    order = np.lexsort((np.arange(n), -arr))
+    order = np.argsort(-arr, kind="stable")
     return Ranking(ordered_nodes=order, scores=arr[order], k=k)
 
 

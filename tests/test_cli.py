@@ -500,6 +500,24 @@ def test_run_reads_edge_list_file(tmp_path):
     assert report["config_echo"]["measure"] == "subgraph"
 
 
+def test_report_describes_the_loaded_graph(tmp_path):
+    graph_file = tmp_path / "repeated.txt"
+    graph_file.write_text("# a header\n0 1\n1 2\n0 1\n2 0\n")
+    for undirected, entries in ((False, 3), (True, 6)):
+        out = tmp_path / f"repeated-{undirected}"
+        cfg = ExperimentConfig(
+            input=str(graph_file), undirected=undirected, ell_list=[3], k=3, out=str(out)
+        )
+        assert run(cfg) == 0
+        report = json.loads(out.with_suffix(".json").read_text())
+        assert report["graph"] == {
+            "n": 3,
+            "directed": not undirected,
+            "entries": entries,
+            "duplicates_collapsed": 1,
+        }
+
+
 def test_main_cli_round_trip(tmp_path):
     out = tmp_path / "cli"
     status = main(

@@ -124,6 +124,8 @@ VALID_EDGE_LISTS = [
     "0 1\n1 2",
     "% only a header\n5 5\n5 6\n5 6\n007 0010\n",
     "#0 1 2\n%x\n1 0\n",
+    "0\v1\n1\f2\n\v\f\n\f3 \v0\n",
+    "# 12345678901234567890 n\u00e9\u0153ud \u2192\n0 1\n",
 ]
 
 INVALID_EDGE_LISTS = [
@@ -160,7 +162,7 @@ def test_parse_random_text_matches_the_line_loop():
     # random lines of small tokens, on which both grammars agree
     rng = np.random.default_rng(11)
     tokens = ["0", "1", "2", "7", "12", "007", "x", "1x", "#", "%", "#3", "-1", "3%"]
-    spaces = [" ", " ", "\t", "  ", " \t"]
+    spaces = [" ", " ", "\t", "  ", " \t", "\v", "\f"]
     for _ in range(300):
         lines = []
         for _ in range(int(rng.integers(0, 6))):
