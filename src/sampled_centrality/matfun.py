@@ -25,8 +25,8 @@ for every mask, short of gamma*rho within rounding of 1.
 
 Neither the permutation that would move sampled columns first nor the
 complement of J is materialized: both routes work on all n rows of A[:, J] in
-node order, the trailing block included, and write the J entries last, so an
-evaluation costs O(nnz(A[:, J]) + n) plus the core.
+node order, the trailing block included, and only the arrow route writes the
+J entries last, so an evaluation costs O(nnz(A[:, J]) + n) plus the core.
 """
 
 from __future__ import annotations
@@ -314,20 +314,22 @@ def _core_blocks(g: SparseGraph, mask: SampleSet):
 
 
 def core_diag_and_sums(f: ScalarFunction, a11: sp.csr_matrix):
-    """diag f(A11), f(A11) @ 1 and g(A11) @ 1, g(t) = f(t)/t, of a sparse core A11 >= 0.
+    """diag f(A11) and g(A11) @ 1, g(t) = f(t)/t, of a sparse core A11 >= 0.
 
-    For exp all three come from one ``taylor_exp`` of B = [[gamma*A11, c*1],
-    [0, 0]], whose exponential is [[exp(gamma*A11), c*phi1(gamma*A11) @ 1],
-    [0, 1]] (Higham, Functions of Matrices, SIAM 2008), exact for singular
-    A11: its diagonal and its action on [1; 0] and on the last unit vector,
-    with c = 1/m keeping the added column's 1-norm at 1.  For the resolvent
-    they come from the one LU factorization of I - gamma*A11 that gives
-    X = (I - gamma*A11)^-1, which also decides admissibility with no
-    eigenvalue: for A11 >= 0, I - gamma*A11 is a nonsingular M-matrix, that
-    is gamma*rho(A11) < 1, exactly when some y > 0 has y - gamma*A11 y > 0
-    (Berman and Plemmons, Nonnegative Matrices in the Mathematical Sciences,
-    SIAM 1994, Ch. 6), and then y = X 1 is one.  These are the two
-    inequalities, x > 0 and 1 + r > 0, that certify ``oracle.katz_rowsum``.
+    Both are sums of nonnegative products, with no identity subtracted.  For
+    exp they come from one ``taylor_exp`` of B = [[gamma*A11, c*1], [0, 0]],
+    whose exponential is [[exp(gamma*A11), c*phi1(gamma*A11) @ 1], [0, 1]]
+    (Higham, Functions of Matrices, SIAM 2008), exact for singular A11: its
+    diagonal and its action on the last unit vector, c = 1/m keeping the
+    added column's 1-norm at 1.  For the resolvent, X = (I - gamma*A11)^-1
+    from one LU gives g(A11) @ 1 = gamma * X @ 1 and, as f(A11) =
+    gamma*A11 @ X, diag f(A11)_i = gamma * sum_j A11[i, j] X[j, i].  X also
+    decides admissibility with no eigenvalue: for A11 >= 0, I - gamma*A11
+    is a nonsingular M-matrix, that is gamma*rho(A11) < 1, exactly when
+    some y > 0 has y - gamma*A11 y > 0 (Berman and Plemmons, Nonnegative
+    Matrices in the Mathematical Sciences, SIAM 1994, Ch. 6), and then
+    y = X 1 is one.  These are the two inequalities, x > 0 and 1 + r > 0,
+    that certify ``oracle.katz_rowsum``.
     """
     m = a11.shape[0]
     if f.kind == RESOLVENT_MINUS_ONE:
@@ -338,43 +340,35 @@ def core_diag_and_sums(f: ScalarFunction, a11: sp.csr_matrix):
                 "resolvent parameter inadmissible: I - gamma*A11 is not a nonsingular "
                 f"M-matrix, so gamma*rho(A11) >= 1 at gamma={f.gamma:g}"
             )
-        f11 = x - np.eye(m)
-        return np.diagonal(f11), f11.sum(axis=1), f.gamma * y
+        rows = np.repeat(np.arange(m), np.diff(a11.indptr))
+        products = a11.data * x[a11.indices, rows]
+        return f.gamma * np.bincount(rows, weights=products, minlength=m), f.gamma * y
     c = 1.0 / max(m, 1)
     # each row of gamma*A11 ends with the entry c in column m; row m is empty
     ends = a11.indptr[1:]
     data, indices = np.insert(f.gamma * a11.data, ends, c), np.insert(a11.indices, ends, m)
     indptr = np.append(a11.indptr + np.arange(m + 1), a11.nnz + m)
     b = sp.csr_matrix((data, indices, indptr), shape=(m + 1, m + 1))
-    vectors = np.zeros((m + 1, 2))
-    vectors[:m, 0] = vectors[m, 1] = 1.0
-    _, diag, action = taylor_exp(b, vectors)
-    return diag[:m], action[:m, 0], (f.gamma / c) * action[:m, 1]
+    _, diag, action = taylor_exp(b, np.eye(m + 1, 1, -m))  # on the last unit vector
+    return diag[:m], (f.gamma / c) * action[:m, 0]
 
 
 def direct_core_evaluation(g: SparseGraph, mask: SampleSet, f: ScalarFunction) -> MatfunResult:
     """Exact evaluation of the column mask.
 
-    Only the sampled columns of f(A_masked) are nonzero, and in the leading
-    block they equal f(A11) stacked on A21 @ g(A11) with g(t) = f(t)/t, so
-    diag f(A11), f(A11) @ 1 and g(A11) @ 1 from the ell-by-ell core
-    (``core_diag_and_sums``) give diag and rowsum exactly (up to the
-    kernel), defective cores included.
+    Only the sampled columns of f(A_masked) are nonzero, and they equal
+    A[:, J] @ g(A11), g(t) = f(t)/t, as A[J, J] = A11 and f(A11) =
+    A11 @ g(A11).  So diag f(A11) and g(A11) @ 1 from the ell-by-ell core
+    (``core_diag_and_sums``) give diag and rowsum = A[:, J] @ g(A11) @ 1
+    exactly (up to the kernel), defective cores included.
     """
     J, cols, c11 = _core_blocks(g, mask)
     with _stop_at_overflow("direct_core", f.gamma):
-        d11, f1, g1 = core_diag_and_sums(f, c11)
-
+        d11, g1 = core_diag_and_sums(f, c11)
         diag = np.zeros(g.n)
         diag[J] = d11
         rowsum = cols @ g1
-        rowsum[J] = f1
-    return MatfunResult(
-        diag=diag,
-        rowsum=rowsum,
-        method="direct_core",
-        spectral_radius_estimate=None,
-    )
+    return MatfunResult(diag, rowsum, method="direct_core", spectral_radius_estimate=None)
 
 
 def arrow_core_evaluation(g: SparseGraph, mask: SampleSet, f: ScalarFunction) -> MatfunResult:

@@ -33,7 +33,7 @@ from .matfun import (
 )
 from .perron import PerronConfig, PerronResult, power_iteration
 
-# a certified Katz solve has |x - x*| <= this * x* entrywise
+# a certified Katz solve has |s - s*| <= this * s* for each score
 KATZ_RESIDUAL_TOL = 1e-12
 # GMRES: stopping rule (2-norm residual relative to |1|_2), restart length
 # and step budget of the Katz solve
@@ -99,8 +99,7 @@ class KatzRowsum:
     """Certified row sums of (I - gamma*A)^-1 - I.
 
     ``gamma_rho_bound`` is a proven upper bound on gamma*rho(A), below 1.
-    Every score s_i is within ``relative_error_bound * (1 + s_i)`` of the
-    exact one.
+    Each score s_i is within ``relative_error_bound * s_i`` of the exact one.
     """
 
     scores: np.ndarray
@@ -120,7 +119,7 @@ class KatzRowsum:
 
 
 def katz_rowsum(g: SparseGraph, gamma: float) -> KatzRowsum:
-    """Katz row sums x - 1 from one certified sparse solve of (I - gamma*A) x = 1.
+    """Katz row sums gamma*A x from one certified sparse solve of (I - gamma*A) x = 1.
 
     GMRES (Saad and Schultz, SIAM J. Sci. Stat. Comput. 7(3), 1986) solves
     on the CSR matrix; the residual r = (I - gamma*A) x - 1 is recomputed
@@ -131,10 +130,11 @@ def katz_rowsum(g: SparseGraph, gamma: float) -> KatzRowsum:
       (Meyer, Matrix Analysis and Applied Linear Algebra, SIAM 2000, 8.3)
       proves gamma*rho(A) < 1: the Katz series converges.
     - |r|_inf <= ``KATZ_RESIDUAL_TOL``.  (I - gamma*A)^-1 >= 0 then gives
-      |x - x*| <= |r|_inf * x* entrywise for the exact solution x*.
+      |x - x*| <= |r|_inf * x* for the exact solution x*, and so
+      |s - s*| <= |r|_inf * s* for each score s = x - 1 = gamma*A x.
 
     Anything else raises ``EvaluationError``; no eigenvalue, dense matrix
-    or factorization is formed.
+    or factorization is formed, and no 1 is subtracted: a sink scores 0.
     """
     # imported here: scipy.sparse.linalg adds 15-40 ms to importing the package
     from scipy.sparse.linalg import gmres
@@ -185,11 +185,17 @@ def katz_rowsum(g: SparseGraph, gamma: float) -> KatzRowsum:
         raise EvaluationError(
             f"uncertified Katz reference: {solve}, above {KATZ_RESIDUAL_TOL:.0e}"
         )
+    scores = f.gamma * (g.csr @ x)
+    # r and s as computed miss at most ku/(1 - ku) (1 + x + s) in a row with k - 2 entries
+    # of I - gamma*A (Higham, Accuracy and Stability, SIAM 2002, 3.1), so with err the
+    # largest |r_i| plus that, |s - s*| <= err (2 + err) s*
+    ku = (np.diff(shifted.indptr) + 2) * np.finfo(float).eps / 2
+    err = float(np.max(np.abs(image - ones) + ku / (1 - ku) * (1.0 + x + scores)))
     return KatzRowsum(
-        scores=x - ones,
+        scores=scores,
         gamma_rho_bound=float(np.max(1.0 - image / x, initial=0.0)),
         residual_inf=residual,
-        relative_error_bound=residual / (1.0 - residual),
+        relative_error_bound=err * (2 + err) / (1 - err * (2 + err)),
         iterations=steps,
     )
 

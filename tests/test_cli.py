@@ -344,7 +344,9 @@ def test_parse_ell_forms():
         _parse_ell("100,500..300")
 
 
-@pytest.mark.parametrize("ell", ["", " , ", "100,500..300", "50,50", "50,50..100"])
+@pytest.mark.parametrize(
+    "ell", ["", " , ", "100,500..300", "50,50", "50,50..100", "1..2..3..4", "10..50..0"]
+)
 def test_bad_ell_lists_are_usage_errors(tmp_path, capsys, ell):
     # refused before any graph is loaded: the input file does not exist
     argv = ["--input", str(tmp_path / "absent.txt"), "--ell", ell, "--out", str(tmp_path / "r")]

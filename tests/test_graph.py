@@ -491,6 +491,14 @@ def test_masked_matvec_dimension_mismatch():
         ColumnMaskedOperator(g, np.array([0]))(np.ones(3))
 
 
+def test_from_edges_refusals():
+    with pytest.raises(ValueError, match="graph needs at least one node"):
+        SparseGraph.from_edges(0, np.zeros((0, 2)), directed=True)
+    for edge in ([0, 3], [-1, 0]):
+        with pytest.raises(ValueError, match="edge endpoint out of range"):
+            SparseGraph.from_edges(3, np.array([edge]), directed=False)
+
+
 def test_edge_list_round_trip():
     rng = np.random.default_rng(3)
     for directed in (True, False):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 import warnings
 
@@ -108,13 +109,13 @@ def test_scalar_function_validation():
 
 def test_quotient_sum_handles_singular_core():
     f = exp_minus_one(1.0)
-    _, _, g1 = core_diag_and_sums(f, sp.csr_matrix(np.zeros((1, 1))))
+    _, g1 = core_diag_and_sums(f, sp.csr_matrix(np.zeros((1, 1))))
     assert np.allclose(g1, [1.0])
     # agreement with eigenvalue evaluation on a diagonalizable core
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     lam, q = np.linalg.eigh(a)
     expected = q @ ((np.expm1(lam) / lam) * (q.T @ np.ones(2)))
-    _, _, g1 = core_diag_and_sums(f, sp.csr_matrix(a))
+    _, g1 = core_diag_and_sums(f, sp.csr_matrix(a))
     assert np.allclose(g1, expected, atol=1e-13)
 
 
@@ -135,13 +136,13 @@ def test_augmented_exponential_matches_matrix_quotient():
     for a in (nilpotent, dense_random):
         for gamma in (1.0, 0.3):
             f = exp_minus_one(gamma)
-            d11, f1, g1 = core_diag_and_sums(f, sp.csr_matrix(a))
+            d11, g1 = core_diag_and_sums(f, sp.csr_matrix(a))
             f11 = matrix_value(f, a)
             assert rel_err(d11, np.diagonal(f11)) <= 1e-12
-            assert rel_err(f1, f11.sum(axis=1)) <= 1e-12
+            assert rel_err(a @ g1, f11.sum(axis=1)) <= 1e-12
             assert rel_err(g1, _phi1_rowsum(a, gamma)) <= 1e-12
     # the nilpotent series terminates: g(A) 1 = sum_k A^k 1 / (k + 1)!
-    _, _, g1 = core_diag_and_sums(exp_minus_one(1.0), sp.csr_matrix(nilpotent))
+    _, g1 = core_diag_and_sums(exp_minus_one(1.0), sp.csr_matrix(nilpotent))
     series = np.zeros(6)
     power = np.ones(6)
     factorial = 1.0
@@ -151,12 +152,40 @@ def test_augmented_exponential_matches_matrix_quotient():
         power = nilpotent @ power
     assert np.max(np.abs(g1 - series)) <= 1e-13
     r = resolvent_minus_one(0.02)
-    d11, f1, g1 = core_diag_and_sums(r, sp.csr_matrix(dense_random))
+    d11, g1 = core_diag_and_sums(r, sp.csr_matrix(dense_random))
     f11 = matrix_value(r, dense_random)
-    assert rel_err(d11, np.diagonal(f11)) <= 1e-12
-    assert rel_err(f1, f11.sum(axis=1)) <= 1e-12
+    # diag f(A) from the Katz series sum_k (gamma*A)^k, nonnegative terms only:
+    # X - I loses the digits of a diagonal entry far below 1
+    series, power = np.zeros((30, 30)), np.eye(30)
+    for _ in range(40):
+        power = 0.02 * dense_random @ power
+        series += power
+    assert rel_err(d11, np.diagonal(series)) <= 1e-12
+    assert rel_err(dense_random @ g1, f11.sum(axis=1)) <= 1e-12
     katz = 0.02 * np.linalg.solve(np.eye(30) - 0.02 * dense_random, np.ones(30))
     assert rel_err(g1, katz) <= 1e-12
+
+
+def test_column_core_subtracts_no_identity_on_the_directed_cycle():
+    # every column of the directed 12-cycle: the only closed walks have
+    # length 12k, so diag f(A) lies far below the unit roundoff of 1
+    n, gamma = 12, 0.05
+    g = SparseGraph.from_edges(n, np.column_stack([np.arange(n), (np.arange(n) + 1) % n]), True)
+    katz = evaluate_masked_function(g, full_column_sample(g), resolvent_minus_one(gamma))
+    assert np.all(np.abs(katz.diag / (gamma**12 / (1 - gamma**12)) - 1) <= 1e-14)
+    assert np.all(np.abs(katz.rowsum / (gamma / (1 - gamma)) - 1) <= 1e-14)
+    closed_walks = sum(1 / math.factorial(12 * k) for k in range(1, 5))
+    exp = evaluate_masked_function(g, full_column_sample(g), exp_minus_one(1.0))
+    assert np.all(np.abs(exp.diag / closed_walks - 1) <= 1e-14)
+
+
+@pytest.mark.parametrize("directed", [1, 0])
+def test_empty_mask_scores_zero(directed):
+    g = generate(f"er:n=30,p=0.1,seed=1,directed={directed}")
+    mask = _column_mask(g.n, np.zeros(0, dtype=np.int64))
+    for f in (exp_minus_one(1.0), resolvent_minus_one(0.5)):
+        res = evaluate_masked_function(g, mask, f)
+        assert res.diag.tolist() == res.rowsum.tolist() == [0.0] * g.n
 
 
 def test_column_core_exp_matches_blocked_expm_multiply():
@@ -454,6 +483,13 @@ def test_direct_core_katz_gate_matches_the_spectral_radius():
 
 def test_arrow_core_katz_gate_matches_the_spectral_radius():
     _katz_gate_sweep(directed=False)
+    # the centre of a 4-leaf star keeps every edge of the arrow: rho = 2, and
+    # just below 1/rho the shifted eigenvalues' ratio is below MIN_RCOND
+    mask = _column_mask(5, [0])
+    with pytest.raises(EvaluationError, match="resolvent pole"):
+        evaluate_masked_function(star(4), mask, resolvent_minus_one((1 - 4e-15) / 2))
+    with pytest.raises(EvaluationError, match="inadmissible"):
+        evaluate_masked_function(star(4), mask, resolvent_minus_one(0.5))
 
 
 def test_evaluate_diag_zero_outside_mask():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -224,14 +225,12 @@ def whole_matrix_column_core(g: SparseGraph, mask, gamma: float):
     aug = np.zeros((ell + 1, ell + 1))
     aug[:ell, :ell] = gamma * cols[J].toarray()
     aug[:ell, ell] = 1.0 / ell
-    vectors = np.zeros((ell + 1, 2))
-    vectors[:ell, 0] = vectors[ell, 1] = 1.0
-    core_diag, action = whole_matrix_taylor_exp(sp.csr_matrix(aug), vectors)
+    unit = np.zeros((ell + 1, 1))
+    unit[ell] = 1.0
+    core_diag, action = whole_matrix_taylor_exp(sp.csr_matrix(aug), unit)
     diag = np.zeros(g.n)
     diag[J] = core_diag[:ell]
-    rowsum = cols @ ((gamma / (1.0 / ell)) * action[:ell, 1])
-    rowsum[J] = action[:ell, 0]
-    return diag, rowsum
+    return diag, cols @ ((gamma / (1.0 / ell)) * action[:ell, 0])
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -360,6 +359,19 @@ def test_katz_rowsum_matches_dense(spec, gamma):
     assert ref.residual_inf <= oracle.KATZ_RESIDUAL_TOL
     # |x - x*| <= bound * x entrywise, with x = 1 + scores
     assert np.all(np.abs(ref.scores - exact) <= ref.relative_error_bound * (1.0 + ref.scores))
+
+
+def test_katz_rowsum_scores_subtract_no_one():
+    # 0 -> 1 -> 2: the scores are gamma + gamma^2, gamma and the sink's 0, each
+    # within the certified bound of its exact rational value
+    g = directed_path(3)
+    gamma = 1e-6
+    ref = katz_rowsum(g, gamma)
+    exact = [Fraction(gamma) + Fraction(gamma) ** 2, Fraction(gamma), Fraction(0)]
+    assert ref.scores[2] == 0.0
+    for score, want in zip(ref.scores.tolist(), exact):
+        assert abs(Fraction(score) - want) <= Fraction(1e-14) * want
+        assert abs(Fraction(score) - want) <= Fraction(ref.relative_error_bound) * want
 
 
 def test_katz_rowsum_certifies_gamma_rho():

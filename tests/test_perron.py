@@ -226,6 +226,13 @@ def test_kind_validation():
         left_perron(g, J, J)
     with pytest.raises(ValueError, match="column"):
         left_perron(g, I, I)
+    with pytest.raises(ValueError, match="column"):
+        symmetric_perron(g, I)
+    other = SampleSet(np.array([0]), "column", "guided", g.n + 1)
+    with pytest.raises(ValueError, match="sample dimension does not match the graph"):
+        left_perron(g, other, I)
+    with pytest.raises(ValueError, match="sample dimension does not match the graph"):
+        symmetric_perron(g, other)
 
 
 def test_unit_norm_and_nonnegative():

@@ -112,6 +112,8 @@ def test_depth_validation():
     b = rank_nodes(np.ones(4), k=4)
     with pytest.raises(ValueError):
         topk_overlap(a, b, 5)
+    with pytest.raises(ValueError, match="k exceeds a ranking depth"):
+        exact_matches(a, b, 5)
 
 
 def _cli_report(tmp_path, argv, name="report"):

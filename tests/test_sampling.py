@@ -139,6 +139,11 @@ def test_ell_bounds_checked():
         sample_columns(g, 0, seed=0)
 
 
+def test_unknown_strategy_is_refused():
+    with pytest.raises(ValueError, match="unknown strategy 'greedy'"):
+        sample_columns(_random_graph(), 4, seed=0, strategy="greedy")
+
+
 def test_sample_rows_refusal_counts_nonzero_rows():
     # one nonzero row against three nonzero columns
     g = SparseGraph.from_edges(4, np.array([[0, 1], [0, 2], [0, 3]]), directed=True)
