@@ -84,6 +84,9 @@ class ExperimentConfig:
 
 # -- synthetic generators -----------------------------------------------------
 
+# first picks per chunk of pa rounds; bounds memory, the graph does not depend on it
+_PA_CHUNK_PICKS = 4096
+
 
 def generate(spec: str) -> SparseGraph:
     """Build a synthetic graph from a spec like ``er:n=60,p=0.1,seed=1``.
@@ -169,36 +172,62 @@ def _gen_preferential_attachment(n: int, m: int = 5, seed: int = 0) -> SparseGra
     nodes with probability proportional to degree, by the repeated-endpoint
     construction of Batagelj & Brandes (Phys. Rev. E 71, 036113, 2005).
 
-    ``repeated`` is the flat list of (targets, m copies of source) blocks, one
-    per node from m on, so the round of node s picks the targets of node
-    s + 1 from its first 2m(s - m + 1) entries.  Those bounds depend on no
-    pick, so the m first picks of every round come from ``default_rng(seed)``
-    in ``integers(bounds)`` calls of up to 4096 rounds; they are the values
-    of one call per bound, so the chunk size bounds memory only.  A round
-    whose first picks repeat a node tops up from a second stream,
-    ``default_rng([seed, 1])``, one pick at a time.  (The last round's picks
-    are drawn and unused.)
+    The repeated-endpoint list is the flat list of (targets, m copies of
+    source) blocks, one per node from m on; block b is row b of ``targets``
+    followed by m copies of b + m, so its entry p is node q + m when
+    o >= m and ``targets[q, o]`` otherwise, with (q, o) = divmod(p, 2m).
+    Round k (node k + m) picks the targets of node k + m + 1, row k + 1,
+    from the list's first 2m(k + 1) entries.  Those bounds depend on no pick,
+    so the m first picks of every round come from ``default_rng(seed)`` in
+    ``integers(bounds)`` calls of about ``_PA_CHUNK_PICKS`` picks; they are
+    the values of one call per bound, so the chunk size bounds memory only.
+    A chunk of rounds [a, b) resolves all its picks by one gather on rows
+    0..a and sorts them by row.  A round that reads a row after a, or whose
+    sorted row repeats a node, is then redone by ``_pa_scalar_round`` in
+    round order: it tops up from a second stream, ``default_rng([seed,
+    1])``, one pick at a time.  (The last round's picks are drawn and
+    unused.)
     """
     if n <= m or m < 1:
         raise ValueError("need n > m >= 1")
     first = np.random.default_rng(seed)
     topups = np.random.default_rng([seed, 1])
-    targets = list(range(m))
-    repeated: list[int] = []
-    for start in range(m, n, 4096):
-        stop = min(start + 4096, n)
-        listed = np.arange(start - m + 1, stop - m + 1, dtype=np.int64)
-        picks = first.integers(listed.repeat(m) * (2 * m)).tolist()  # 2m entries a block
-        for k, source in enumerate(range(start, stop)):
-            repeated += targets
-            repeated += [source] * m
-            picked = set(map(repeated.__getitem__, picks[k * m : (k + 1) * m]))
-            while len(picked) < m:
-                picked.add(repeated[topups.integers(len(repeated))])
-            targets = sorted(picked)
-    blocks = np.asarray(repeated, dtype=np.int64).reshape(-1, 2, m)
-    edges = np.column_stack([blocks[:, 1].ravel(), blocks[:, 0].ravel()])
+    targets = np.empty((n - m + 1, m), dtype=np.int64)
+    targets[0] = np.arange(m)
+    step = max(1, _PA_CHUNK_PICKS // m)
+    for a in range(0, n - m, step):
+        b = min(a + step, n - m)
+        bounds = np.arange(a + 1, b + 1, dtype=np.int64).repeat(m) * (2 * m)
+        picks = first.integers(bounds).reshape(-1, m)
+        q, o = np.divmod(picks, 2 * m)
+        listed = o >= m
+        # rows after a are not final yet: read row a there, and redo below
+        rows = np.where(listed, q + m, targets[np.minimum(q, a), np.where(listed, 0, o)])
+        rows.sort(axis=1)
+        targets[a + 1 : b + 1] = rows
+        redo = ((q > a) & ~listed).any(axis=1) | (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+        for k in np.flatnonzero(redo).tolist():
+            _pa_scalar_round(targets, a + k, picks[k].tolist(), topups)
+    edges = np.column_stack([np.arange(m, n).repeat(m), targets[:-1].ravel()])
     return SparseGraph.from_edges(n, edges, directed=False)
+
+
+def _pa_scalar_round(
+    targets: np.ndarray, k: int, picks: list[int], topups: np.random.Generator
+) -> None:
+    """Round k one pick at a time: resolve ``picks`` against rows 0..k of
+    ``targets``, top up from ``topups`` until m nodes are distinct, and write
+    them sorted to row k + 1."""
+    m = targets.shape[1]
+
+    def node(p: int) -> int:
+        q, o = divmod(p, 2 * m)
+        return q + m if o >= m else int(targets[q, o])
+
+    picked = set(map(node, picks))
+    while len(picked) < m:
+        picked.add(node(int(topups.integers(2 * m * (k + 1)))))
+    targets[k + 1] = sorted(picked)
 
 
 def _gen_star(leaves: int) -> SparseGraph:

@@ -4,10 +4,11 @@ The convention throughout: ``a[i, j] = 1`` iff there is an edge from node ``i``
 to node ``j``, so column ``j`` holds the in-neighbours of ``j`` and row ``i``
 holds the out-neighbours of ``i``.  Graphs are simple and unweighted; all
 stored entries equal 1.  A ``SparseGraph`` holds A once, as one canonical
-scipy CSR matrix and its CSC transpose-layout copy; every route (samplers,
-core evaluations, Perron, references) reads those two.  Their arrays are
-read-only, so instances are immutable and safe to share between concurrent
-computations.
+scipy CSR matrix and its CSC transpose-layout copy; an undirected graph's
+A = A^T, so there the two matrices share one set of arrays.  Every route
+(samplers, core evaluations, Perron, references) reads those two.  Their
+arrays are read-only, so instances are immutable and safe to share between
+concurrent computations.
 """
 
 from __future__ import annotations
@@ -83,7 +84,8 @@ class SparseGraph:
         """Build from an (m, 2) array of (src, dst) pairs.
 
         Duplicate pairs are collapsed (the count is recorded); undirected
-        graphs store each edge symmetrically.  Self-loops are kept.
+        graphs store each edge symmetrically, and their CSC matrix is built
+        on the CSR arrays.  Self-loops are kept.
         """
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if n < 1:
@@ -102,10 +104,12 @@ class SparseGraph:
             # input edges were doubled; each off-diagonal entry pair and each
             # diagonal entry stands for one stored input edge
             dup = len(edges) - (a.nnz + int(np.count_nonzero(a.diagonal()))) // 2
+        # an undirected A = A^T has CSC arrays equal to its CSR arrays
+        csc = a.tocsc() if directed else sp.csc_matrix((a.data, a.indices, a.indptr), shape=(n, n))
         return cls(
             directed=directed,
             csr=a,
-            csc=a.tocsc(),
+            csc=csc,
             labels=None if labels is None else np.asarray(labels, dtype=np.int64),
             duplicates_collapsed=dup,
         )

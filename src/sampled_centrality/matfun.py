@@ -313,6 +313,16 @@ def _core_blocks(g: SparseGraph, mask: SampleSet):
     return mask.indices, cols, cols[mask.indices]
 
 
+def _augmented(a: sp.csr_matrix, gamma: float, c: float) -> sp.csr_matrix:
+    """[[gamma*A, c*1], [0, 0]] as CSR, for a square CSR matrix A."""
+    m = a.shape[0]
+    # each row of gamma*A ends with the entry c in column m; row m is empty
+    ends = a.indptr[1:]
+    data, indices = np.insert(gamma * a.data, ends, c), np.insert(a.indices, ends, m)
+    indptr = np.append(a.indptr + np.arange(m + 1), a.nnz + m)
+    return sp.csr_matrix((data, indices, indptr), shape=(m + 1, m + 1))
+
+
 def core_diag_and_sums(f: ScalarFunction, a11: sp.csr_matrix):
     """diag f(A11) and g(A11) @ 1, g(t) = f(t)/t, of a sparse core A11 >= 0.
 
@@ -344,11 +354,7 @@ def core_diag_and_sums(f: ScalarFunction, a11: sp.csr_matrix):
         products = a11.data * x[a11.indices, rows]
         return f.gamma * np.bincount(rows, weights=products, minlength=m), f.gamma * y
     c = 1.0 / max(m, 1)
-    # each row of gamma*A11 ends with the entry c in column m; row m is empty
-    ends = a11.indptr[1:]
-    data, indices = np.insert(f.gamma * a11.data, ends, c), np.insert(a11.indices, ends, m)
-    indptr = np.append(a11.indptr + np.arange(m + 1), a11.nnz + m)
-    b = sp.csr_matrix((data, indices, indptr), shape=(m + 1, m + 1))
+    b = _augmented(a11, f.gamma, c)
     _, diag, action = taylor_exp(b, np.eye(m + 1, 1, -m))  # on the last unit vector
     return diag[:m], (f.gamma / c) * action[:m, 0]
 

@@ -25,6 +25,7 @@ from .graph import SparseGraph
 from .matfun import (
     DENSE_CAP,
     EvaluationError,
+    _augmented,
     _require_finite,
     _stop_at_overflow,
     exp_minus_one,
@@ -77,19 +78,29 @@ def subgraph_diag(g: SparseGraph, gamma: float) -> SubgraphDiag:
 
 
 def expm_rowsum(g: SparseGraph, gamma: float) -> np.ndarray:
-    """Row sums of exp(gamma*A) - I, i.e. exp(gamma*A) @ 1 - 1.
+    """Row sums of exp(gamma*A) - I, with no subtraction of 1.
 
-    The action of the sparse exponential on the ones vector (Al-Mohy and
-    Higham, SIAM J. Sci. Comput. 33(2), 2011) is accurate to working
-    precision and needs O(nnz) memory.  It is deterministic: the randomized
-    1-norm estimates that pick its step count are exact for a nonnegative A.
+    exp([[gamma*A, c*1], [0, 0]]) has last column [c*phi1(gamma*A)*1; 1],
+    phi1(z) = (e^z - 1)/z, and exp(gamma*A) - I = gamma*A*phi1(gamma*A), so
+    the scores are (gamma/c)*A times the top of that column: sums of
+    nonnegative products, accurate relative to each score however small.
+    c = 2^-ceil(log2 n) keeps the added column's 1-norm at most 1, so it does
+    not raise the step count.  The column is the action of the sparse
+    exponential on the last unit vector (Al-Mohy and Higham, SIAM J. Sci.
+    Comput. 33(2), 2011), in O(nnz) memory.  It is deterministic: the
+    randomized 1-norm estimates that pick its step count are exact for a
+    nonnegative matrix.
     """
     # imported here: scipy.sparse.linalg adds 15-40 ms to importing the package
     from scipy.sparse.linalg import expm_multiply
 
     f = exp_minus_one(gamma)
-    ones = np.ones(g.n)
-    rowsum = expm_multiply(f.gamma * g.csc, ones) - ones
+    n = g.n
+    c = 2.0 ** -int(np.ceil(np.log2(n)))
+    last = np.zeros(n + 1)
+    last[n] = 1.0
+    top = expm_multiply(_augmented(g.csr, f.gamma, c), last)[:n]
+    rowsum = (f.gamma / c) * (g.csr @ top)
     _require_finite(rowsum, "expm_rowsum", f.gamma)
     return rowsum
 

@@ -122,6 +122,7 @@ def _scalar_loop_pa(n: int, m: int, seed: int) -> SparseGraph:
         (2, 1, 0), (50, 1, 3), (150, 2, 9), (120, 3, 4), (200, 3, 1),
         (200, 5, 2), (300, 4, 3), (2000, 5, 0), (2000, 5, 7), (5000, 5, 1),
         (5000, 50, 1), (2000, 100, 2), (60, 25, 1), (30000, 1, 4), (10000, 5, 3),
+        (30000, 5, 2),
     ],
 )
 def test_generate_pa_keeps_the_scalar_stream(n, m, seed):
@@ -134,6 +135,41 @@ def test_generate_pa_keeps_the_scalar_stream(n, m, seed):
     assert np.count_nonzero(g.csr.diagonal()) == 0
     assert (g.csr != g.csr.T).nnz == 0
     assert g.col_degrees[m:].min() >= m
+
+
+# shapes that draw top-ups after their first chunk at chunk lengths 1 and 7
+_PA_CHUNK_SHAPES = [(150, 2, 9), (300, 4, 3), (2000, 5, 7), (2000, 100, 2)]
+
+
+@pytest.mark.parametrize("chunk_picks", [1, 7, None])
+@pytest.mark.parametrize("n,m,seed", _PA_CHUNK_SHAPES)
+def test_generate_pa_is_the_same_at_any_chunk_length(monkeypatch, n, m, seed, chunk_picks):
+    # None: one chunk of all n - m rounds
+    monkeypatch.setattr(cli, "_PA_CHUNK_PICKS", chunk_picks or (n - m + 1) * m)
+    test_generate_pa_keeps_the_scalar_stream(n, m, seed)
+
+
+@pytest.mark.parametrize("chunk_picks", [7, cli._PA_CHUNK_PICKS])
+def test_generate_pa_takes_each_scalar_branch(monkeypatch, chunk_picks):
+    # some redone round reads a row written inside its own chunk, and some
+    # round after the first chunk tops up
+    monkeypatch.setattr(cli, "_PA_CHUNK_PICKS", chunk_picks)
+    scalar_round = cli._pa_scalar_round
+    inside, late_topups = [], []
+
+    def counting(targets, k, picks, topups):
+        m = targets.shape[1]
+        step = max(1, chunk_picks // m)
+        q, o = np.divmod(np.asarray(picks), 2 * m)
+        inside.append(bool(np.any((q > k - k % step) & (o < m))))
+        before = topups.bit_generator.state
+        scalar_round(targets, k, picks, topups)
+        late_topups.append(k >= step and topups.bit_generator.state != before)
+
+    monkeypatch.setattr(cli, "_pa_scalar_round", counting)
+    for n, m, seed in _PA_CHUNK_SHAPES:
+        generate(f"pa:n={n},m={m},seed={seed}")
+    assert any(inside) and any(late_topups)
 
 
 def _one_stream_pa(n: int, m: int, seed: int) -> SparseGraph:

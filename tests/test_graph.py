@@ -14,6 +14,7 @@ from sampled_centrality import (
     SampleSet,
     SparseGraph,
     parse_edge_list,
+    sample_rows,
     transpose,
 )
 from sampled_centrality import graph as graph_module
@@ -528,6 +529,26 @@ def test_transpose_shares_memory():
         assert np.shares_memory(a.indptr, b.indptr)
         assert np.shares_memory(a.data, b.data)
     assert entries(t) == {(j, i) for i, j in entries(g)}
+
+
+def test_undirected_graphs_share_one_array_set():
+    # A = A^T, so the CSC arrays are the CSR arrays; a self-loop and a
+    # duplicate edge (both orientations) must not break that
+    edges = np.array([[0, 1], [1, 2], [2, 2], [3, 0], [1, 0], [2, 1], [4, 3]])
+    for g in (
+        SparseGraph.from_edges(5, edges, directed=False),
+        parse_edge_list(io.StringIO(edge_list_text(edges)), directed=False),
+    ):
+        want = g.csr.tocsc()
+        assert np.array_equal(g.csc.indices, want.indices)
+        assert np.array_equal(g.csc.indptr, want.indptr)
+        assert np.array_equal(g.csc.data, want.data)
+        assert g.csc.has_sorted_indices
+        assert all(np.all(np.diff(g.column(j)) > 0) for j in range(g.n))
+        assert np.shares_memory(g.csc.indices, g.csr.indices)
+        assert entries(transpose(g)) == entries(g)
+        rows = sample_rows(g, 3, seed=1)
+        assert rows.kind == "row" and len(rows) == 3
 
 
 def test_from_edges_matches_set_reference():

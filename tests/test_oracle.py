@@ -347,6 +347,18 @@ def test_expm_rowsum_nilpotent_edge():
     assert rel_err(got, exact) <= 1e-12
 
 
+def test_expm_rowsum_scores_subtract_no_one():
+    # 0 -> 1 -> 2: the scores are gamma + gamma^2/2, gamma and the sink's 0;
+    # exp(gamma*A)*1 - 1 lost 3.8e-11 and 8.2e-11 of them at gamma = 1e-6
+    g = directed_path(3)
+    for gamma in (1e-6, 1.0):
+        scores = expm_rowsum(g, gamma)
+        exact = [Fraction(gamma) + Fraction(gamma) ** 2 / 2, Fraction(gamma), Fraction(0)]
+        assert scores[2] == 0.0
+        for score, want in zip(scores.tolist(), exact):
+            assert abs(Fraction(score) - want) <= Fraction(1e-15) * want
+
+
 @pytest.mark.parametrize(
     "spec, gamma",
     [("er:n=300,p=0.02,seed=5", 0.1), ("pa:n=300,m=4,seed=3", 0.05), ("path:n=6", 0.5)],
