@@ -163,8 +163,8 @@ def _er_pairs(
 
 
 def _gen_erdos_renyi(n: int, p: float, seed: int = 0, directed: bool = True) -> SparseGraph:
-    rows, cols = _er_pairs(np.random.default_rng(seed), n, p, directed)
-    return SparseGraph.from_edges(n, np.column_stack([rows, cols]), directed=directed)
+    edges = np.column_stack(_er_pairs(np.random.default_rng(seed), n, p, directed))
+    return SparseGraph.from_edges(n, edges, directed=directed)
 
 
 def _gen_preferential_attachment(n: int, m: int = 5, seed: int = 0) -> SparseGraph:
@@ -184,9 +184,9 @@ def _gen_preferential_attachment(n: int, m: int = 5, seed: int = 0) -> SparseGra
     A chunk of rounds [a, b) resolves all its picks by one gather on rows
     0..a and sorts them by row.  A round that reads a row after a, or whose
     sorted row repeats a node, is then redone by ``_pa_scalar_round`` in
-    round order: it tops up from a second stream, ``default_rng([seed,
-    1])``, one pick at a time.  (The last round's picks are drawn and
-    unused.)
+    round order: it resolves again only the picks that read a row after a,
+    and tops up from a second stream, ``default_rng([seed, 1])``, one pick
+    at a time.  (The last round's picks are drawn and unused.)
     """
     if n <= m or m < 1:
         raise ValueError("need n > m >= 1")
@@ -201,30 +201,38 @@ def _gen_preferential_attachment(n: int, m: int = 5, seed: int = 0) -> SparseGra
         picks = first.integers(bounds).reshape(-1, m)
         q, o = np.divmod(picks, 2 * m)
         listed = o >= m
-        # rows after a are not final yet: read row a there, and redo below
-        rows = np.where(listed, q + m, targets[np.minimum(q, a), np.where(listed, 0, o)])
-        rows.sort(axis=1)
+        # rows after a are not final yet: mark their picks -1, and redo below
+        late = (q > a) & ~listed
+        nodes = np.where(listed, q + m, targets[np.minimum(q, a), np.where(listed, 0, o)])
+        nodes[late] = -1
+        rows = np.sort(nodes, axis=1)
         targets[a + 1 : b + 1] = rows
-        redo = ((q > a) & ~listed).any(axis=1) | (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+        redo = late.any(axis=1) | (rows[:, 1:] == rows[:, :-1]).any(axis=1)
         for k in np.flatnonzero(redo).tolist():
-            _pa_scalar_round(targets, a + k, picks[k].tolist(), topups)
+            _pa_scalar_round(targets, a + k, picks[k].tolist(), nodes[k].tolist(), topups)
     edges = np.column_stack([np.arange(m, n).repeat(m), targets[:-1].ravel()])
+    del targets
     return SparseGraph.from_edges(n, edges, directed=False)
 
 
 def _pa_scalar_round(
-    targets: np.ndarray, k: int, picks: list[int], topups: np.random.Generator
+    targets: np.ndarray,
+    k: int,
+    picks: list[int],
+    nodes: list[int],
+    topups: np.random.Generator,
 ) -> None:
-    """Round k one pick at a time: resolve ``picks`` against rows 0..k of
-    ``targets``, top up from ``topups`` until m nodes are distinct, and write
-    them sorted to row k + 1."""
+    """Round k one pick at a time: take the nodes of ``picks`` from
+    ``nodes``, resolving against rows 0..k of ``targets`` only those marked
+    -1, top up from ``topups`` until m nodes are distinct, and write them
+    sorted to row k + 1."""
     m = targets.shape[1]
 
     def node(p: int) -> int:
         q, o = divmod(p, 2 * m)
         return q + m if o >= m else int(targets[q, o])
 
-    picked = set(map(node, picks))
+    picked = {v if v >= 0 else node(p) for p, v in zip(picks, nodes)}
     while len(picked) < m:
         picked.add(node(int(topups.integers(2 * m * (k + 1)))))
     targets[k + 1] = sorted(picked)

@@ -8,12 +8,15 @@ scipy CSR matrix and its CSC transpose-layout copy; an undirected graph's
 A = A^T, so there the two matrices share one set of arrays.  Every route
 (samplers, core evaluations, Perron, references) reads those two.  Their
 arrays are read-only, so instances are immutable and safe to share between
-concurrent computations.
+concurrent computations.  The CSR arrays are built from sorted int64 keys
+src * n + dst, with no COO matrix in between, so a graph has at most
+``MAX_NODES`` nodes.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 from dataclasses import dataclass
 from itertools import islice
@@ -25,8 +28,10 @@ import scipy.sparse as sp
 
 # the largest node id the int64 store takes, since n = 1 + max id
 MAX_NODE_ID = 2**63 - 2
-# a parsed graph may have at most 2 * edges + NODE_SLACK nodes: the store
-# costs 16 bytes per node, so one stray large id must not size it
+# the most nodes a graph may have: its largest key n * n - 1 fits int64
+MAX_NODES = math.isqrt(2**63)
+# a parsed graph may have at most 2 * edges + NODE_SLACK nodes: the store and
+# its build cost up to 36 bytes per node, so one stray large id must not size it
 NODE_SLACK = 2**20
 # characters (file) or lines (other iterables) per parsed block: bounds the
 # per-byte arrays of one vectorised pass
@@ -85,25 +90,58 @@ class SparseGraph:
 
         Duplicate pairs are collapsed (the count is recorded); undirected
         graphs store each edge symmetrically, and their CSC matrix is built
-        on the CSR arrays.  Self-loops are kept.
+        on the CSR arrays.  Self-loops are kept.  n may be at most
+        ``MAX_NODES``, so that every key src * n + dst fits int64.
+
+        The CSR arrays come from one int64 key src * n + dst per entry (both
+        directions for undirected graphs), sorted in place with repeats
+        dropped: ``indptr`` by binary search for each row's first key,
+        ``indices`` as key mod n.  Beyond the store and the input, the build
+        holds about one key per entry at its peak.
         """
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if n < 1:
             raise ValueError("graph needs at least one node")
+        if n > MAX_NODES:
+            raise ValueError(
+                f"{n} nodes are more than {MAX_NODES}, the most whose keys "
+                "src * n + dst fit int64"
+            )
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise ValueError("edge endpoint out of range")
-        src, dst = edges[:, 0], edges[:, 1]
+        m = len(edges)
+        key = np.empty(m if directed else 2 * m, dtype=np.int64)
+        np.multiply(edges[:, 0], n, out=key[:m])
+        key[:m] += edges[:, 1]
         if not directed:
-            src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
-        a = sp.csr_matrix((np.ones(src.size), (src, dst)), shape=(n, n))
-        a.sum_duplicates()
-        a.data[:] = 1.0
+            np.multiply(edges[:, 1], n, out=key[m:])
+            key[m:] += edges[:, 0]
+        key.sort()
+        keep = np.empty(key.size, dtype=bool)
+        keep[:1] = True
+        np.not_equal(key[1:], key[:-1], out=keep[1:])
+        if not keep.all():
+            key = key[keep]
+        del keep
+        # the index dtype the csr_matrix constructor picks for these sizes:
+        # handing it that dtype spares it a copy
+        index = np.int32 if max(n, key.size) <= np.iinfo(np.int32).max else np.int64
+        bounds = np.arange(n + 1, dtype=np.int64)
+        bounds *= n
+        indptr = np.searchsorted(key, bounds).astype(index, copy=False)
+        del bounds
+        np.remainder(key, n, out=key)
+        indices = key.astype(index)
+        del key
+        a = sp.csr_matrix((np.ones(indices.size), indices, indptr), shape=(n, n))
+        a.has_canonical_format = True
         if directed:
-            dup = len(edges) - a.nnz
+            dup = m - a.nnz
         else:
             # input edges were doubled; each off-diagonal entry pair and each
             # diagonal entry stands for one stored input edge
-            dup = len(edges) - (a.nnz + int(np.count_nonzero(a.diagonal()))) // 2
+            dup = m - (a.nnz + int(np.count_nonzero(a.diagonal()))) // 2
+        # a directed CSC by tocsc() beat a second sort on dst * n + src;
         # an undirected A = A^T has CSC arrays equal to its CSR arrays
         csc = a.tocsc() if directed else sp.csc_matrix((a.data, a.indices, a.indptr), shape=(n, n))
         return cls(
@@ -189,6 +227,8 @@ def _parse_plain_edges(source, directed: bool) -> SparseGraph:
         ids.append(values)
         first_line += lines
     edges = np.concatenate(ids).reshape(-1, 2) if ids else np.empty((0, 2), dtype=np.int64)
+    # the blocks' ids are copied into edges: do not hold them through the build
+    ids.clear()
     if not edges.size:
         raise GraphParseError("graph has no edges")
     top = int(edges.max())

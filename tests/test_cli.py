@@ -151,25 +151,31 @@ def test_generate_pa_is_the_same_at_any_chunk_length(monkeypatch, n, m, seed, ch
 
 @pytest.mark.parametrize("chunk_picks", [7, cli._PA_CHUNK_PICKS])
 def test_generate_pa_takes_each_scalar_branch(monkeypatch, chunk_picks):
-    # some redone round reads a row written inside its own chunk, and some
-    # round after the first chunk tops up
+    # some redone round reads a row written inside its own chunk, some is
+    # redone only for a repeated node, and some round after the first chunk
+    # tops up; a redone round gets exactly the picks that read a row inside
+    # its chunk marked -1, and every other pick already resolved
     monkeypatch.setattr(cli, "_PA_CHUNK_PICKS", chunk_picks)
     scalar_round = cli._pa_scalar_round
     inside, late_topups = [], []
 
-    def counting(targets, k, picks, topups):
+    def counting(targets, k, picks, nodes, topups):
         m = targets.shape[1]
         step = max(1, chunk_picks // m)
         q, o = np.divmod(np.asarray(picks), 2 * m)
-        inside.append(bool(np.any((q > k - k % step) & (o < m))))
+        late = (q > k - k % step) & (o < m)
+        assert np.array_equal(np.asarray(nodes) == -1, late)
+        resolved = np.where(o >= m, q + m, targets[q, np.minimum(o, m - 1)])
+        assert np.array_equal(np.asarray(nodes)[~late], resolved[~late])
+        inside.append(bool(late.any()))
         before = topups.bit_generator.state
-        scalar_round(targets, k, picks, topups)
+        scalar_round(targets, k, picks, nodes, topups)
         late_topups.append(k >= step and topups.bit_generator.state != before)
 
     monkeypatch.setattr(cli, "_pa_scalar_round", counting)
     for n, m, seed in _PA_CHUNK_SHAPES:
         generate(f"pa:n={n},m={m},seed={seed}")
-    assert any(inside) and any(late_topups)
+    assert any(inside) and not all(inside) and any(late_topups)
 
 
 def _one_stream_pa(n: int, m: int, seed: int) -> SparseGraph:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from sampled_centrality import (
     GraphParseError,
@@ -551,11 +552,31 @@ def test_undirected_graphs_share_one_array_set():
         assert rows.kind == "row" and len(rows) == 3
 
 
+def _coo_store(n: int, edges: np.ndarray, directed: bool) -> sp.csr_matrix:
+    """The store's CSR matrix by scipy's COO path: doubled edges for an
+    undirected graph, float ones, then duplicates summed and reset to 1."""
+    src, dst = edges[:, 0], edges[:, 1]
+    if not directed:
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    a = sp.csr_matrix((np.ones(src.size), (src, dst)), shape=(n, n))
+    a.sum_duplicates()
+    a.data[:] = 1.0
+    return a
+
+
 def test_from_edges_matches_set_reference():
     rng = np.random.default_rng(9)
+    inputs = []
     for trial in range(30):
         n = int(rng.integers(1, 25))
-        edges = rng.integers(0, n, size=(int(rng.integers(0, 90)), 2))
+        inputs.append((n, rng.integers(0, n, size=(int(rng.integers(0, 90)), 2))))
+    # hub-heavy: most edges touch node 0 or 1, many repeat, some are loops
+    hub = rng.integers(0, 40, size=(400, 2))
+    hub[::2, 0] = 0
+    hub[1::3, 1] = 1
+    hub[::7, 1] = hub[::7, 0]
+    inputs.append((40, np.concatenate([hub, hub[::5]])))
+    for n, edges in inputs:
         for directed in (True, False):
             g = SparseGraph.from_edges(n, edges, directed=directed)
             pairs = {(int(i), int(j)) for i, j in edges}
@@ -571,6 +592,58 @@ def test_from_edges_matches_set_reference():
             for j in range(n):
                 assert g.column(j).tolist() == sorted(i for i, jj in expected if jj == j)
             assert np.all(g.csr.data == 1.0) and np.all(g.csc.data == 1.0)
+            for m in (g.csr, g.csc):
+                assert m.has_canonical_format and m.has_sorted_indices
+                assert m.indices.dtype == m.indptr.dtype == np.int32
+            # the same arrays and dtypes as scipy's COO build of the store
+            ref = _coo_store(n, edges, directed)
+            for got, want in ((g.csr, ref), (g.csc, ref.tocsc())):
+                for x, y in ((got.data, want.data), (got.indices, want.indices), (got.indptr, want.indptr)):
+                    assert x.dtype == y.dtype and np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("repeats", [False, True])
+def test_from_edges_peak_is_the_store_plus_one_key_per_entry(directed, repeats):
+    import tracemalloc
+
+    from sampled_centrality.cli import generate
+
+    # the benchmark's 10^5-node PA graph, each edge once, and with a tenth of
+    # its edges given twice
+    pa = sp.triu(generate("pa:n=100000,m=5,seed=1").csr).tocoo()
+    n, edges = pa.shape[0], np.column_stack([pa.row, pa.col]).astype(np.int64)
+    twice = edges[::10] if repeats else edges[:0]
+    edges = np.concatenate([edges, twice])
+    del pa
+    keys = len(edges) if directed else 2 * len(edges)
+    tracemalloc.start()
+    try:
+        g = SparseGraph.from_edges(n, edges, directed=directed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = {a.ctypes.data: a for m in (g.csr, g.csc) for a in (m.data, m.indices, m.indptr)}
+    store = sum(a.nbytes for a in arrays.values())
+    assert g.duplicates_collapsed == len(twice)
+    assert peak < store + 8 * keys
+
+
+def test_from_edges_refuses_keys_beyond_int64_before_allocating():
+    import tracemalloc
+
+    assert graph_module.MAX_NODES == 3_037_000_499
+    assert graph_module.MAX_NODES**2 - 1 < 2**63 <= (graph_module.MAX_NODES + 1) ** 2 - 1
+    edge = np.array([[0, 1]])
+    for directed in (True, False):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="3037000499"):
+                SparseGraph.from_edges(3_037_000_500, edge, directed=directed)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_benchmark_parse_check_reads_the_store():
