@@ -344,6 +344,8 @@ def _parse_matrix_market(source, directed: bool) -> SparseGraph:
     if symmetry == "symmetric":
         # mmread mirrors each off-diagonal entry; keep one copy of each
         edges = edges[coo.row >= coo.col]
+    # the entries are copied into edges: do not hold scipy's arrays through the build
+    del coo
     labels = np.arange(1, nrows + 1, dtype=np.int64)
     return SparseGraph.from_edges(
         nrows, edges, directed=directed and symmetry == "general", labels=labels

@@ -15,18 +15,18 @@ subgraph reference.  A result with an inf or nan entry raises
 ``EvaluationError`` where it is computed: each core's kernel stops at its
 first overflow or invalid value, with no RuntimeWarning.
 
-Both routes take the resolvent exactly when gamma*rho(A_masked) < 1, the
-rule ``oracle.katz_rowsum`` certifies for A, read off the factorization each
-already computes: the column core's LU of I - gamma*A11 and the arrow core's
-eigenvalues.  Both refuse a pole, I - gamma*A with a reciprocal condition
-number below ``MIN_RCOND``.  Since 0 <= A_masked <= A gives
-rho(A_masked) <= rho(A), a gamma with a certified reference is admissible
-for every mask, short of gamma*rho within rounding of 1.
+Katz on either mask is one LU of order ell (``katz_core``).  It takes the
+resolvent exactly when gamma*rho(A_masked) < 1, the rule
+``oracle.katz_rowsum`` certifies for A, read off the inverse with no
+eigenvalue, and refuses a pole: a zero pivot, or a 1-norm condition number
+of I - gamma*A_masked provably above 1 / ``MIN_RCOND``.  Since
+0 <= A_masked <= A gives rho(A_masked) <= rho(A), a gamma with a certified
+reference is admissible for every mask, short of gamma*rho within rounding of 1.
 
 Neither the permutation that would move sampled columns first nor the
 complement of J is materialized: both routes work on all n rows of A[:, J] in
-node order, the trailing block included, and only the arrow route writes the
-J entries last, so an evaluation costs O(nnz(A[:, J]) + n) plus the core.
+node order, the trailing block included, and write the J entries last, so an
+evaluation costs O(nnz(A[:, J]) + n) plus the core.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ _ROW_BLOCK_ENTRIES = 1 << 22
 
 # numerical thresholds of the evaluation routes
 ZERO_EIG_TOL = 1e-10    # relative level of vanishing Gram eigenvalues
-MIN_RCOND = 1e-14       # least reciprocal condition number of I - gamma*A the resolvent takes
+MIN_RCOND = 1e-14       # least reciprocal condition number of I - gamma*A_masked Katz takes
 
 # theta_m for each Taylor degree m ``taylor_exp`` may run: the largest norm
 # bound with a backward error below the unit roundoff in double precision
@@ -96,21 +96,6 @@ class ScalarFunction:
             return np.expm1(w)
         return w / (1.0 - w)
 
-    def _resolvent(self, a: np.ndarray) -> np.ndarray:
-        """(I - gamma*A)^-1 from one LU factorization, refused as a pole when
-        LAPACK's 1-norm reciprocal condition estimate from those factors is
-        below ``MIN_RCOND``."""
-        m = a.shape[0]
-        if not m:
-            return np.zeros((0, 0))
-        shifted = np.eye(m) - self.gamma * a
-        anorm = np.linalg.norm(shifted, 1)
-        lu, piv, _ = sla.lapack.dgetrf(shifted, overwrite_a=True)
-        rcond, _ = sla.lapack.dgecon(lu, anorm, norm="1")
-        if not rcond >= MIN_RCOND:
-            raise EvaluationError("resolvent pole: I - gamma*A is singular to working precision")
-        return sla.lu_solve((lu, piv), np.eye(m), check_finite=False)
-
 
 def exp_minus_one(gamma: float = 1.0) -> ScalarFunction:
     return ScalarFunction(EXP_MINUS_ONE, gamma)
@@ -125,9 +110,9 @@ class MatfunResult:
     """Per-node diagonal entries and row sums of f(A_masked).
 
     ``metadata()`` is what a report row says about the route: ``method``
-    and ``spectral_radius_estimate``, None on the column mask, whose Katz
-    rule (gamma*rho < 1) comes from its LU factors with no eigenvalue; the
-    arrow mask gives the exact one from its eigenvalues.  Both routes are
+    and ``spectral_radius_estimate``: the exact one from the eigenvalues of
+    exp on the arrow mask, else None, as ``katz_core`` reads its rule
+    (gamma*rho < 1) off an inverse with no eigenvalue.  Both routes are
     exact, so ``fallback_reason`` is always None.
     """
 
@@ -268,9 +253,9 @@ def evaluate_masked_function(
     """diag and rowsum of f(A_masked) from the sampled columns.
 
     Directed graphs use the column mask (``direct_core_evaluation``) and
-    undirected graphs the arrow mask (``arrow_core_evaluation``).  Both are
-    exact and deterministic, so ``seed`` is read by nothing; it is kept only
-    because ``bench/workloads.py`` still passes it.
+    undirected graphs the arrow mask (``arrow_core_evaluation``), Katz one
+    LU on either (``katz_core``).  All are exact and deterministic, so
+    ``seed`` is read by nothing; ``bench/workloads.py`` still passes it.
     """
     core = direct_core_evaluation if g.directed else arrow_core_evaluation
     result = core(g, mask, f)
@@ -323,44 +308,89 @@ def _augmented(a: sp.csr_matrix, gamma: float, c: float) -> sp.csr_matrix:
     return sp.csr_matrix((data, indices, indptr), shape=(m + 1, m + 1))
 
 
-def core_diag_and_sums(f: ScalarFunction, a11: sp.csr_matrix):
-    """diag f(A11) and g(A11) @ 1, g(t) = f(t)/t, of a sparse core A11 >= 0.
+def core_diag_and_sums(gamma: float, a11: sp.csr_matrix):
+    """diag f(A11) and g(A11) @ 1 for f(t) = exp(gamma*t) - 1 and
+    g(t) = f(t)/t, of a sparse core A11 >= 0 (Katz is ``katz_core``).
 
-    Both are sums of nonnegative products, with no identity subtracted.  For
-    exp they come from one ``taylor_exp`` of B = [[gamma*A11, c*1], [0, 0]],
-    whose exponential is [[exp(gamma*A11), c*phi1(gamma*A11) @ 1], [0, 1]]
-    (Higham, Functions of Matrices, SIAM 2008), exact for singular A11: its
-    diagonal and its action on the last unit vector, c = 1/m keeping the
-    added column's 1-norm at 1.  For the resolvent, X = (I - gamma*A11)^-1
-    from one LU gives g(A11) @ 1 = gamma * X @ 1 and, as f(A11) =
-    gamma*A11 @ X, diag f(A11)_i = gamma * sum_j A11[i, j] X[j, i].  X also
-    decides admissibility with no eigenvalue: for A11 >= 0, I - gamma*A11
-    is a nonsingular M-matrix, that is gamma*rho(A11) < 1, exactly when
-    some y > 0 has y - gamma*A11 y > 0 (Berman and Plemmons, Nonnegative
-    Matrices in the Mathematical Sciences, SIAM 1994, Ch. 6), and then
-    y = X 1 is one.  These are the two inequalities, x > 0 and 1 + r > 0,
-    that certify ``oracle.katz_rowsum``.
+    Both are sums of nonnegative products, with no identity subtracted.  They
+    come from one ``taylor_exp`` of B = [[gamma*A11, c*1], [0, 0]], whose
+    exponential is [[exp(gamma*A11), c*phi1(gamma*A11) @ 1], [0, 1]] (Higham,
+    Functions of Matrices, SIAM 2008), exact for singular A11: its diagonal
+    and its action on the last unit vector, c = 1/m keeping the added
+    column's 1-norm at 1.
     """
     m = a11.shape[0]
-    if f.kind == RESOLVENT_MINUS_ONE:
-        x = f._resolvent(a11.toarray())
-        y = x.sum(axis=1)
-        if not (np.all(y > 0) and np.all(y - f.gamma * (a11 @ y) > 0)):
-            raise EvaluationError(
-                "resolvent parameter inadmissible: I - gamma*A11 is not a nonsingular "
-                f"M-matrix, so gamma*rho(A11) >= 1 at gamma={f.gamma:g}"
-            )
-        rows = np.repeat(np.arange(m), np.diff(a11.indptr))
-        products = a11.data * x[a11.indices, rows]
-        return f.gamma * np.bincount(rows, weights=products, minlength=m), f.gamma * y
     c = 1.0 / max(m, 1)
-    b = _augmented(a11, f.gamma, c)
+    b = _augmented(a11, gamma, c)
     _, diag, action = taylor_exp(b, np.eye(m + 1, 1, -m))  # on the last unit vector
-    return diag[:m], (f.gamma / c) * action[:m, 0]
+    return diag[:m], (gamma / c) * action[:m, 0]
+
+
+def katz_core(g: SparseGraph, mask: SampleSet, gamma: float, arrow: bool) -> MatfunResult:
+    """Katz, f(A_masked) = gamma*A_masked @ (I - gamma*A_masked)^-1, on the
+    column mask or, with ``arrow``, the arrow mask, from one LU of order ell
+    and the inverse it gives.
+
+    With the sampled nodes J first, A_masked = [[A11, B], [A21, 0]], where
+    B = A21^T on the arrow mask and 0 on the column mask.  Eliminating the
+    trailing identity block of I - gamma*A_masked leaves I - gamma*M of
+    order ell, M = A11 + gamma*B A21 >= 0, and X = (I - gamma*M)^-1 is the
+    J block of (I - gamma*A_masked)^-1.  Then x = (I - gamma*A_masked)^-1 1
+    has x_J = X (1 + gamma*B 1) and x_rest = 1 + gamma*A21 x_J, and the row
+    sums are gamma*A_masked x: gamma*(A11 x_J + B x_rest) on J and
+    gamma*A21 x_J elsewhere.  The diagonal is gamma*(M X)_ii on J and, on
+    the arrow mask, gamma^2 a_i^T X a_i for a row a_i of A21 elsewhere (0 on
+    the column mask).  Every term is a sum of nonnegative products, and no
+    1 is subtracted.
+
+    For A >= 0, I - gamma*A_masked is a nonsingular M-matrix, that is
+    gamma*rho(A_masked) < 1, exactly when its Schur complement I - gamma*M
+    is one, and that holds exactly when some y > 0 has y - gamma*M y > 0
+    (Berman and Plemmons, Nonnegative Matrices in the Mathematical Sciences,
+    SIAM 1994, Ch. 6); then y = X 1 is one.  These are the two inequalities,
+    x > 0 and 1 + r > 0, that certify ``oracle.katz_rowsum``.  A zero pivot
+    is a pole, and since M >= 0 it also proves gamma*rho >= 1.  As X is a
+    block of the inverse, |I - gamma*A_masked|_1 * |X|_1 is a lower bound on
+    the 1-norm condition number of I - gamma*A_masked; above 1 /
+    ``MIN_RCOND`` it is a pole too.  The rcond of I - gamma*M alone would
+    not do: on the arrow mask of a star with J its centre, it is always 1.
+    """
+    J, cols, c11 = _core_blocks(g, mask)
+    n, ell = cols.shape
+    route = "arrow_core" if arrow else "direct_core"
+    if not ell:
+        return MatfunResult(np.zeros(n), np.zeros(n), method=route, spectral_radius_estimate=None)
+    rest = 1.0 - np.bincount(J, minlength=n)  # 0 on J, 1 elsewhere
+    with _stop_at_overflow(route, gamma):
+        core = (c11 + gamma * (cols.T @ cols - c11.T @ c11)).tocsr() if arrow else c11
+        shifted = core.toarray(order="F")
+        shifted *= -gamma
+        shifted.flat[:: ell + 1] += 1.0
+        lu, piv, info = sla.lapack.dgetrf(shifted, overwrite_a=True)
+        inadmissible = f"resolvent parameter inadmissible: gamma*rho >= 1 at gamma={gamma:g}"
+        if info > 0:
+            raise EvaluationError(f"resolvent pole: I - gamma*M has a zero pivot; {inadmissible}")
+        lwork = int(sla.lapack.dgetri_lwork(ell)[0])
+        x, _ = sla.lapack.dgetri(lu, piv, lwork=lwork, overwrite_lu=True)
+        # |I - gamma*A_masked|_1 over J's columns, then e_k or [gamma*A21[k]; e_k] for the rest
+        loops = c11.diagonal()
+        colsums = np.bincount(cols.indices, weights=cols.data, minlength=ell)
+        norms = np.abs(1.0 - gamma * loops) + gamma * (colsums - loops)
+        others = rest * (1.0 + gamma * (cols @ np.ones(ell))) if arrow else rest
+        if not max(norms.max(), others.max()) * np.linalg.norm(x, 1) <= 1.0 / MIN_RCOND:
+            raise EvaluationError("resolvent pole: I - gamma*A is singular to working precision")
+        y = x.sum(axis=1)
+        if not (np.all(y > 0) and np.all(y - gamma * (core @ y) > 0)):
+            raise EvaluationError(f"{inadmissible}, as I - gamma*M is not a nonsingular M-matrix")
+        diag = _row_quadratic_forms(cols, gamma**2 * x) if arrow else np.zeros(n)
+        diag[J] = gamma * np.asarray(core.multiply(x.T).sum(axis=1)).ravel()  # (M X)_ii
+        rowsum = gamma * (cols @ (x @ (1.0 + gamma * (cols.T @ rest)) if arrow else y))
+        rowsum[J] += gamma * (cols.T @ (rest * (1.0 + rowsum))) if arrow else 0.0
+    return MatfunResult(diag, rowsum, method=route, spectral_radius_estimate=None)
 
 
 def direct_core_evaluation(g: SparseGraph, mask: SampleSet, f: ScalarFunction) -> MatfunResult:
-    """Exact evaluation of the column mask.
+    """Exact evaluation of the column mask; Katz is ``katz_core``.
 
     Only the sampled columns of f(A_masked) are nonzero, and they equal
     A[:, J] @ g(A11), g(t) = f(t)/t, as A[J, J] = A11 and f(A11) =
@@ -368,9 +398,11 @@ def direct_core_evaluation(g: SparseGraph, mask: SampleSet, f: ScalarFunction) -
     (``core_diag_and_sums``) give diag and rowsum = A[:, J] @ g(A11) @ 1
     exactly (up to the kernel), defective cores included.
     """
+    if f.kind == RESOLVENT_MINUS_ONE:
+        return katz_core(g, mask, f.gamma, arrow=False)
     J, cols, c11 = _core_blocks(g, mask)
     with _stop_at_overflow("direct_core", f.gamma):
-        d11, g1 = core_diag_and_sums(f, c11)
+        d11, g1 = core_diag_and_sums(f.gamma, c11)
         diag = np.zeros(g.n)
         diag[J] = d11
         rowsum = cols @ g1
@@ -378,7 +410,7 @@ def direct_core_evaluation(g: SparseGraph, mask: SampleSet, f: ScalarFunction) -
 
 
 def arrow_core_evaluation(g: SparseGraph, mask: SampleSet, f: ScalarFunction) -> MatfunResult:
-    """Exact evaluation of the arrow mask of an undirected graph.
+    """Exact exp on the arrow mask of an undirected graph; Katz is ``katz_core``.
 
     The Gram matrix A21^T A21 = V S^2 V^T, restricted to its r nonzero
     eigenvalues, gives A21 = Q R with R = S V^T and orthonormal
@@ -390,6 +422,8 @@ def arrow_core_evaluation(g: SparseGraph, mask: SampleSet, f: ScalarFunction) ->
     """
     if g.directed:
         raise ValueError("arrow_core_evaluation requires an undirected graph")
+    if f.kind == RESOLVENT_MINUS_ONE:
+        return katz_core(g, mask, f.gamma, arrow=True)
     J, cols, c11 = _core_blocks(g, mask)
     ell = len(mask)
 
@@ -402,16 +436,6 @@ def arrow_core_evaluation(g: SparseGraph, mask: SampleSet, f: ScalarFunction) ->
     core = np.block([[c11.toarray(), R.T], [R, np.zeros((s.size, s.size))]])
     mu, W = np.linalg.eigh(core)
     rho = float(np.max(np.abs(mu), initial=0.0))
-    if f.kind == RESOLVENT_MINUS_ONE and mu.size:
-        # the eigenvalues of I - gamma*C, descending; their extreme ratio is its 2-norm rcond
-        shift = 1.0 - f.gamma * mu
-        if not shift[-1] > 0:
-            raise EvaluationError(
-                f"resolvent parameter inadmissible: 1 - gamma*rho = {shift[-1]:.3g} <= 0 "
-                f"at gamma={f.gamma:g}"
-            )
-        if shift[-1] < MIN_RCOND * shift[0]:
-            raise EvaluationError("resolvent pole: I - gamma*A is singular to working precision")
     with _stop_at_overflow("arrow_core", f.gamma):
         fmu = f.value(mu)
 

@@ -16,20 +16,22 @@ from sampled_centrality.matfun import DENSE_CAP, EXP_MINUS_ONE
 
 
 def matrix_value(f: ScalarFunction, a: np.ndarray) -> np.ndarray:
-    """f evaluated at a small dense matrix."""
+    """f evaluated at a small dense matrix: expm(gamma*A) - I, or Katz as
+    gamma*A @ (I - gamma*A)^-1, which subtracts no identity."""
     a = np.asarray(a, dtype=np.float64)
     m = a.shape[0]
     if f.kind == EXP_MINUS_ONE:
         return sla.expm(f.gamma * a) - np.eye(m)
-    return f._resolvent(a) - np.eye(m)
+    return f.gamma * a @ sla.solve(np.eye(m) - f.gamma * a, np.eye(m))
 
 
 def dense_matfun(a: np.ndarray, f: ScalarFunction) -> np.ndarray:
     """f evaluated at a dense square matrix.
 
     The exponential uses scaling-and-squaring with the degree-13 Pade
-    approximant (scipy.linalg.expm); the resolvent is an LU solve of
-    (I - gamma*A) X = I.  Both subtract the identity afterwards.
+    approximant (scipy.linalg.expm) and subtracts the identity afterwards;
+    Katz is gamma*A times the LU solve X of (I - gamma*A) X = I, with
+    scipy.linalg.solve rather than any code of the package.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

@@ -849,11 +849,20 @@ def test_run_rows_carry_estimate_metadata(tmp_path):
         out=str(tmp_path / "arrow"),
     )
     assert run(cfg) == 0
-    rows = json.loads((tmp_path / "arrow.json").read_text())["results"]
-    assert len(rows) == 2
-    for row in rows:
+    report = json.loads((tmp_path / "arrow.json").read_text())
+    rows, candidates = report["results"], report["report"]["candidates"]
+    assert len(rows) == len(candidates) == 2
+    g = generate(cfg.generate)
+    for row, candidate in zip(rows, candidates):
         assert row["method"] == "arrow_core"
-        assert 0 < row["spectral_radius_estimate"] * 0.02 <= 0.95
+        # Katz reads gamma*rho < 1 off its core's inverse, with no eigenvalue
+        assert row["spectral_radius_estimate"] is None
+        mask = sample_columns(g, row["ell"], row["seed"], row["strategy"])
+        keep = np.zeros(g.n, dtype=bool)
+        keep[mask.indices] = True
+        arrow = g.csr.toarray() * (keep[:, None] | keep[None, :])
+        exact = dense_matfun(arrow, resolvent_minus_one(0.02)).sum(axis=1)
+        assert rel_err(np.array(candidate["scores"]), np.sort(exact)[::-1]) <= 1e-12
 
     cfg = ExperimentConfig(
         generate="pa:n=200,m=3,seed=1",

@@ -629,6 +629,32 @@ def test_from_edges_peak_is_the_store_plus_one_key_per_entry(directed, repeats):
     assert peak < store + 8 * keys
 
 
+@pytest.mark.parametrize("directed", [False, True])
+def test_matrix_market_peak_holds_no_scipy_arrays_through_the_build(directed):
+    import tracemalloc
+
+    from sampled_centrality.cli import generate
+
+    # the benchmark's 10^5-node PA graph as a general Matrix Market file
+    pa = sp.triu(generate("pa:n=100000,m=5,seed=1").csr).tocoo()
+    n, m = pa.shape[0], pa.nnz
+    entries = "".join(f"{r} {c}\n" for r, c in zip(pa.row + 1, pa.col + 1))
+    source = io.StringIO(f"{MM_HEAD}{n} {n} {m}\n{entries}")
+    del pa, entries
+    keys = m if directed else 2 * m
+    tracemalloc.start()
+    try:
+        g = parse_edge_list(source, format="matrix-market", directed=directed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = {a.ctypes.data: a for c in (g.csr, g.csc) for a in (c.data, c.indices, c.indptr)}
+    store = sum(a.nbytes for a in arrays.values())
+    # the store, one key per entry, and the (src, dst) pairs as read and as
+    # int64: scipy's coordinate arrays, 16 more bytes per entry, are gone
+    assert peak < store + 8 * keys + 24 * m
+
+
 def test_from_edges_refuses_keys_beyond_int64_before_allocating():
     import tracemalloc
 

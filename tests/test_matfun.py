@@ -109,13 +109,13 @@ def test_scalar_function_validation():
 
 def test_quotient_sum_handles_singular_core():
     f = exp_minus_one(1.0)
-    _, g1 = core_diag_and_sums(f, sp.csr_matrix(np.zeros((1, 1))))
+    _, g1 = core_diag_and_sums(f.gamma, sp.csr_matrix(np.zeros((1, 1))))
     assert np.allclose(g1, [1.0])
     # agreement with eigenvalue evaluation on a diagonalizable core
     a = np.array([[0.0, 1.0], [1.0, 0.0]])
     lam, q = np.linalg.eigh(a)
     expected = q @ ((np.expm1(lam) / lam) * (q.T @ np.ones(2)))
-    _, g1 = core_diag_and_sums(f, sp.csr_matrix(a))
+    _, g1 = core_diag_and_sums(f.gamma, sp.csr_matrix(a))
     assert np.allclose(g1, expected, atol=1e-13)
 
 
@@ -136,13 +136,13 @@ def test_augmented_exponential_matches_matrix_quotient():
     for a in (nilpotent, dense_random):
         for gamma in (1.0, 0.3):
             f = exp_minus_one(gamma)
-            d11, g1 = core_diag_and_sums(f, sp.csr_matrix(a))
+            d11, g1 = core_diag_and_sums(f.gamma, sp.csr_matrix(a))
             f11 = matrix_value(f, a)
             assert rel_err(d11, np.diagonal(f11)) <= 1e-12
             assert rel_err(a @ g1, f11.sum(axis=1)) <= 1e-12
             assert rel_err(g1, _phi1_rowsum(a, gamma)) <= 1e-12
     # the nilpotent series terminates: g(A) 1 = sum_k A^k 1 / (k + 1)!
-    _, g1 = core_diag_and_sums(exp_minus_one(1.0), sp.csr_matrix(nilpotent))
+    _, g1 = core_diag_and_sums(1.0, sp.csr_matrix(nilpotent))
     series = np.zeros(6)
     power = np.ones(6)
     factorial = 1.0
@@ -151,8 +151,11 @@ def test_augmented_exponential_matches_matrix_quotient():
         series += power / factorial
         power = nilpotent @ power
     assert np.max(np.abs(g1 - series)) <= 1e-13
+    # Katz on the column mask that samples every node: diag f(A) and
+    # f(A) @ 1 = gamma*A @ (I - gamma*A)^-1 @ 1
     r = resolvent_minus_one(0.02)
-    d11, g1 = core_diag_and_sums(r, sp.csr_matrix(dense_random))
+    g = SparseGraph.from_edges(30, np.argwhere(dense_random), directed=True)
+    katz = direct_core_evaluation(g, _column_mask(30, np.arange(30)), r)
     f11 = matrix_value(r, dense_random)
     # diag f(A) from the Katz series sum_k (gamma*A)^k, nonnegative terms only:
     # X - I loses the digits of a diagonal entry far below 1
@@ -160,10 +163,10 @@ def test_augmented_exponential_matches_matrix_quotient():
     for _ in range(40):
         power = 0.02 * dense_random @ power
         series += power
-    assert rel_err(d11, np.diagonal(series)) <= 1e-12
-    assert rel_err(dense_random @ g1, f11.sum(axis=1)) <= 1e-12
-    katz = 0.02 * np.linalg.solve(np.eye(30) - 0.02 * dense_random, np.ones(30))
-    assert rel_err(g1, katz) <= 1e-12
+    assert rel_err(katz.diag, np.diagonal(series)) <= 1e-12
+    assert rel_err(katz.rowsum, f11.sum(axis=1)) <= 1e-12
+    x = np.linalg.solve(np.eye(30) - 0.02 * dense_random, np.ones(30))
+    assert rel_err(katz.rowsum, 0.02 * dense_random @ x) <= 1e-12
 
 
 def test_column_core_subtracts_no_identity_on_the_directed_cycle():
@@ -319,7 +322,8 @@ def test_arrow_core_random_graphs_match_dense():
         _assert_arrow_matches_dense(g, mask, resolvent_minus_one(0.5 / rho))
 
 
-def test_arrow_core_rank_deficient_trailing_block():
+def _rank_deficient_arrows():
+    """(graph, J) pairs whose trailing block A[rest, J] has rank below ell."""
     # triangle 0-1-2 with the tail 2-3-4: nodes 0 and 1 have every neighbour
     # inside J = {0, 1, 2}, so A[rest, J] has two zero columns
     tail = SparseGraph.from_edges(
@@ -329,13 +333,104 @@ def test_arrow_core_rank_deficient_trailing_block():
     twins = SparseGraph.from_edges(
         6, np.array([[0, 2], [0, 3], [1, 2], [1, 3], [2, 4], [4, 5], [3, 5]]), directed=False
     )
-    for g, indices in ((tail, [0, 1, 2]), (tail, [1, 0]), (twins, [0, 1, 4]), (twins, [1, 0])):
+    return [(tail, [0, 1, 2]), (tail, [1, 0]), (twins, [0, 1, 4]), (twins, [1, 0])]
+
+
+def test_arrow_core_rank_deficient_trailing_block():
+    for g, indices in _rank_deficient_arrows():
         mask = _column_mask(g.n, indices)
         rest = np.setdiff1d(np.arange(g.n), mask.indices)
         assert np.linalg.matrix_rank(g.csr.toarray()[np.ix_(rest, mask.indices)]) < len(indices)
         rho = float(np.max(np.abs(np.linalg.eigvalsh(_arrow_dense(g, mask)))))
         _assert_arrow_matches_dense(g, mask, exp_minus_one(1.0))
         _assert_arrow_matches_dense(g, mask, resolvent_minus_one(0.5 / rho))
+
+
+# -- Katz core ----------------------------------------------------------------
+
+
+def _assert_katz_matches_dense(g, indices, ratio=0.5):
+    """Katz at gamma = ratio / rho(A_masked) on every node, each entry above
+    1e-12 within 1e-12 relative of gamma*A_masked @ (I - gamma*A_masked)^-1
+    from the tests' own dense solve."""
+    mask = _column_mask(g.n, np.asarray(indices, dtype=np.int64))
+    dense = _masked_dense(g, mask) if g.directed else _arrow_dense(g, mask)
+    rho = float(np.max(np.abs(np.linalg.eigvals(dense)), initial=0.0))
+    f = resolvent_minus_one(ratio / rho if rho > 0 else 1.0)
+    exact = matrix_value(f, dense)
+    res = evaluate_masked_function(g, mask, f)
+    assert res.method == ("direct_core" if g.directed else "arrow_core")
+    assert res.spectral_radius_estimate is None
+    assert rel_err(res.diag, np.diagonal(exact)) <= 1e-12
+    assert rel_err(res.rowsum, exact.sum(axis=1)) <= 1e-12
+    return res
+
+
+@pytest.mark.parametrize("directed", [0, 1])
+def test_katz_core_matches_the_dense_solve_on_random_graphs(directed):
+    rng = np.random.default_rng(12)
+    for seed in range(12):
+        n = int(rng.integers(5, 40))
+        g = generate(f"er:n={n},p={rng.uniform(0.05, 0.3)},seed={seed},directed={directed}")
+        J = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        for ratio in (0.5, 0.95):
+            _assert_katz_matches_dense(g, J, ratio)
+
+
+def test_katz_core_on_rank_deficient_trailing_blocks():
+    for g, indices in _rank_deficient_arrows():
+        _assert_katz_matches_dense(g, indices)
+        _assert_katz_matches_dense(g, indices, ratio=0.95)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_katz_core_edge_cases(directed):
+    # a path 0-1-2-3-4 with self-loops on 1 (sampled) and 3 (not sampled,
+    # so the mask drops it) and node 5 alone
+    edges = np.array([[0, 1], [1, 2], [2, 3], [3, 4], [1, 1], [3, 3]])
+    g = SparseGraph.from_edges(6, edges, directed=directed)
+    _assert_katz_matches_dense(g, [1, 4])
+    # J = {0, 1, 5}: node 0 has no neighbour outside J, node 5 none at all
+    res = _assert_katz_matches_dense(g, [0, 1, 5])
+    assert res.diag[5] == res.rowsum[5] == 0.0
+    # every node sampled: the rest is empty and A_masked = A
+    _assert_katz_matches_dense(g, np.arange(6))
+    # the empty mask scores zero
+    res = _assert_katz_matches_dense(g, [])
+    assert res.diag.tolist() == res.rowsum.tolist() == [0.0] * 6
+
+
+def test_katz_pole_counts_the_columns_outside_j():
+    # J the four leaves of star(4): I - gamma*M = I - gamma^2 11^T, and near
+    # gamma = 1/2 the centre's column of I - gamma*A (norm 1 + 4 gamma) sets
+    # |I - gamma*A|_1, twice the leaves' (1 + gamma): |X|_1 is about 5e13
+    mask = _column_mask(5, [1, 2, 3, 4])
+    with pytest.raises(EvaluationError, match="resolvent pole"):
+        evaluate_masked_function(star(4), mask, resolvent_minus_one((1 - 1e-14) / 2))
+    _assert_katz_matches_dense(star(4), [1, 2, 3, 4], ratio=0.95)
+
+
+@pytest.mark.parametrize("directed", [1, 0])
+def test_katz_is_one_lu_of_order_ell(monkeypatch, directed):
+    g = generate(f"er:n=60,p=0.1,seed=3,directed={directed}")
+    mask = sample_columns(g, 12, seed=2)
+    shapes = []
+    dgetrf = sla.lapack.dgetrf
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return dgetrf(a, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("Katz computed an eigenvalue or a condition estimate")
+
+    monkeypatch.setattr(sla.lapack, "dgetrf", counted)
+    monkeypatch.setattr(sla.lapack, "dgecon", refused)
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, refused)
+        monkeypatch.setattr(sla, name, refused)
+    evaluate_masked_function(g, mask, resolvent_minus_one(0.05))
+    assert shapes == [(12, 12)]
 
 
 # -- spectral factorization ---------------------------------------------------
@@ -424,8 +519,12 @@ def test_evaluate_rejects_inadmissible_katz_gamma():
     # the centre of a 4-leaf star keeps every edge of the arrow: rho = 2
     with pytest.raises(EvaluationError, match="inadmissible"):
         evaluate_masked_function(star(4), _column_mask(5, [0]), resolvent_minus_one(0.51))
-    res = evaluate_masked_function(star(4), _column_mask(5, [0]), resolvent_minus_one(0.49))
-    assert res.spectral_radius_estimate == pytest.approx(2.0, abs=1e-12)
+    f = resolvent_minus_one(0.49)
+    res = evaluate_masked_function(star(4), _column_mask(5, [0]), f)
+    assert res.spectral_radius_estimate is None
+    exact = dense_matfun(star(4).csr.toarray(), f)
+    assert rel_err(res.diag, np.diagonal(exact)) <= 1e-12
+    assert rel_err(res.rowsum, exact.sum(axis=1)) <= 1e-12
 
 
 def test_direct_core_spectral_radius_only_for_katz():
@@ -484,7 +583,7 @@ def test_direct_core_katz_gate_matches_the_spectral_radius():
 def test_arrow_core_katz_gate_matches_the_spectral_radius():
     _katz_gate_sweep(directed=False)
     # the centre of a 4-leaf star keeps every edge of the arrow: rho = 2, and
-    # just below 1/rho the shifted eigenvalues' ratio is below MIN_RCOND
+    # just below 1/rho |I - gamma*A|_1 |X|_1 is above 1 / MIN_RCOND
     mask = _column_mask(5, [0])
     with pytest.raises(EvaluationError, match="resolvent pole"):
         evaluate_masked_function(star(4), mask, resolvent_minus_one((1 - 4e-15) / 2))
