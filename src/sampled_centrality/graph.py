@@ -58,23 +58,21 @@ class SparseGraph:
     """Immutable 0/1 adjacency matrix as a canonical scipy CSR/CSC pair.
 
     ``csr`` and ``csc`` are the same matrix in row and column layout, with
-    sorted indices, no duplicates and every stored value 1.  ``labels`` maps
-    internal 0-based ids to the raw ids of the input data (identity when
-    None).
+    sorted indices, no duplicates and every stored value 1.  Node i has the
+    label i + ``first_id`` in the input data: 1 for Matrix Market files,
+    which number nodes from 1, and 0 otherwise.
     """
 
     directed: bool
     csr: sp.csr_matrix
     csc: sp.csc_matrix
-    labels: np.ndarray | None = None
+    first_id: int = 0
     duplicates_collapsed: int = 0
 
     def __post_init__(self):
         for m in (self.csr, self.csc):
             for arr in (m.data, m.indices, m.indptr):
                 arr.flags.writeable = False
-        if self.labels is not None:
-            self.labels.flags.writeable = False
 
     # -- construction -----------------------------------------------------
 
@@ -84,7 +82,7 @@ class SparseGraph:
         n: int,
         edges: np.ndarray,
         directed: bool,
-        labels: np.ndarray | None = None,
+        first_id: int = 0,
     ) -> "SparseGraph":
         """Build from an (m, 2) array of (src, dst) pairs.
 
@@ -148,7 +146,7 @@ class SparseGraph:
             directed=directed,
             csr=a,
             csc=csc,
-            labels=None if labels is None else np.asarray(labels, dtype=np.int64),
+            first_id=first_id,
             duplicates_collapsed=dup,
         )
 
@@ -188,7 +186,7 @@ class SparseGraph:
         return np.flatnonzero(self.col_degrees > 0)
 
     def label_of(self, i: int) -> int:
-        return int(self.labels[i]) if self.labels is not None else int(i)
+        return int(i) + self.first_id
 
 
 def parse_edge_list(
@@ -346,9 +344,8 @@ def _parse_matrix_market(source, directed: bool) -> SparseGraph:
         edges = edges[coo.row >= coo.col]
     # the entries are copied into edges: do not hold scipy's arrays through the build
     del coo
-    labels = np.arange(1, nrows + 1, dtype=np.int64)
     return SparseGraph.from_edges(
-        nrows, edges, directed=directed and symmetry == "general", labels=labels
+        nrows, edges, directed=directed and symmetry == "general", first_id=1
     )
 
 

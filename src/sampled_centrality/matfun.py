@@ -5,15 +5,17 @@ Two scalar functions are supported, both with f(0) = 0:
     exp_minus_one:       f(t) = exp(gamma * t) - 1
     resolvent_minus_one: f(t) = 1 / (1 - gamma * t) - 1
 
-Directed graphs use the column mask (``direct_core_evaluation``), undirected
-graphs the "arrow" mask that keeps entries with a sampled row or column
-(``arrow_core_evaluation``).  Each reduces f(A_masked) to one computation on
-a core of order at most 2*ell plus sparse products, with no iteration; that
-is the one route for each mask.  ``taylor_exp`` is the package's one
-exponential of a sparse nonnegative matrix, run by the column core and the
-subgraph reference.  A result with an inf or nan entry raises
-``EvaluationError`` where it is computed: each core's kernel stops at its
-first overflow or invalid value, with no RuntimeWarning.
+``evaluate_masked_function`` is the one entry.  Directed graphs use the
+column mask, undirected graphs the "arrow" mask that keeps entries with a
+sampled row or column.  The entry takes the sampled blocks, picks one of
+three kernels of order ell (exp on the column mask, exp on the arrow mask,
+Katz on either) and builds the result; each kernel reduces f(A_masked) to
+one computation on a core of order at most 2*ell plus sparse products, with
+no iteration.  ``taylor_exp`` is the package's one exponential of a sparse
+nonnegative matrix, run by the column kernel and the subgraph reference.  A
+result with an inf or nan entry raises ``EvaluationError`` where it is
+computed: the kernel stops at its first overflow or invalid value, with no
+RuntimeWarning.
 
 Katz on either mask is one LU of order ell (``katz_core``).  It takes the
 resolvent exactly when gamma*rho(A_masked) < 1, the rule
@@ -24,7 +26,7 @@ of I - gamma*A_masked provably above 1 / ``MIN_RCOND``.  Since
 reference is admissible for every mask, short of gamma*rho within rounding of 1.
 
 Neither the permutation that would move sampled columns first nor the
-complement of J is materialized: both routes work on all n rows of A[:, J] in
+complement of J is materialized: the kernels work on all n rows of A[:, J] in
 node order, the trailing block included, and write the J entries last, so an
 evaluation costs O(nnz(A[:, J]) + n) plus the core.
 """
@@ -51,7 +53,7 @@ DENSE_CAP = 4000
 # entries of the dense row block of A[:, J] @ K held at once in the arrow diagonal
 _ROW_BLOCK_ENTRIES = 1 << 22
 
-# numerical thresholds of the evaluation routes
+# numerical thresholds of the kernels
 ZERO_EIG_TOL = 1e-10    # relative level of vanishing Gram eigenvalues
 MIN_RCOND = 1e-14       # least reciprocal condition number of I - gamma*A_masked Katz takes
 
@@ -111,8 +113,8 @@ class MatfunResult:
 
     ``metadata()`` is what a report row says about the route: ``method``
     and ``spectral_radius_estimate``: the exact one from the eigenvalues of
-    exp on the arrow mask, else None, as ``katz_core`` reads its rule
-    (gamma*rho < 1) off an inverse with no eigenvalue.  Both routes are
+    exp on a nonempty arrow mask, else None, as ``katz_core`` reads its rule
+    (gamma*rho < 1) off an inverse with no eigenvalue.  Every kernel is
     exact, so ``fallback_reason`` is always None.
     """
 
@@ -250,18 +252,34 @@ def evaluate_masked_function(
     f: ScalarFunction,
     seed: int = 0,
 ) -> MatfunResult:
-    """diag and rowsum of f(A_masked) from the sampled columns.
+    """diag and rowsum of f(A_masked) from the sampled columns J.
 
-    Directed graphs use the column mask (``direct_core_evaluation``) and
-    undirected graphs the arrow mask (``arrow_core_evaluation``), Katz one
-    LU on either (``katz_core``).  All are exact and deterministic, so
-    ``seed`` is read by nothing; ``bench/workloads.py`` still passes it.
+    A directed graph gives the column mask (``method`` ``direct_core``), an
+    undirected one the arrow mask, its sampled rows known by symmetry
+    (``arrow_core``).  One of three kernels of order ell does the work, on
+    J, A[:, J] and A[J, J] from ``_core_blocks``: ``column_exp_core`` and
+    ``arrow_exp_core`` for exp, ``katz_core`` for Katz on either mask.  An
+    empty mask scores zero, as f(0) = 0.  The kernel runs under
+    ``_stop_at_overflow``, and a score that is still inf or nan raises
+    ``EvaluationError`` naming the method and gamma.  Everything is exact
+    and deterministic, so ``seed`` is read by nothing;
+    ``bench/workloads.py`` still passes it.
     """
-    core = direct_core_evaluation if g.directed else arrow_core_evaluation
-    result = core(g, mask, f)
-    for values in (result.diag, result.rowsum):
-        _require_finite(values, result.method, f.gamma)
-    return result
+    J, cols, c11 = _core_blocks(g, mask)
+    route = "direct_core" if g.directed else "arrow_core"
+    rho = None
+    with _stop_at_overflow(route, f.gamma):
+        if not len(J):
+            diag, rowsum = np.zeros(g.n), np.zeros(g.n)
+        elif f.kind == RESOLVENT_MINUS_ONE:
+            diag, rowsum = katz_core(J, cols, c11, f.gamma, arrow=not g.directed)
+        elif g.directed:
+            diag, rowsum = column_exp_core(J, cols, c11, f.gamma)
+        else:
+            diag, rowsum, rho = arrow_exp_core(J, cols, c11, f.gamma)
+    for values in (diag, rowsum):
+        _require_finite(values, route, f.gamma)
+    return MatfunResult(diag, rowsum, method=route, spectral_radius_estimate=rho)
 
 
 def _require_finite(values: np.ndarray, route: str, gamma: float) -> None:
@@ -298,38 +316,83 @@ def _core_blocks(g: SparseGraph, mask: SampleSet):
     return mask.indices, cols, cols[mask.indices]
 
 
-def _augmented(a: sp.csr_matrix, gamma: float, c: float) -> sp.csr_matrix:
-    """[[gamma*A, c*1], [0, 0]] as CSR, for a square CSR matrix A."""
+def _augmented(a: sp.csr_matrix, gamma: float) -> tuple[sp.csr_matrix, float]:
+    """[[gamma*A, c*1], [0, 0]] as CSR for a square CSR matrix A of order m,
+    and c = 2^-ceil(log2 m): the added column's 1-norm is at most 1, and
+    dividing by c is exact."""
     m = a.shape[0]
+    c = math.ldexp(1.0, -(m - 1).bit_length())
     # each row of gamma*A ends with the entry c in column m; row m is empty
     ends = a.indptr[1:]
     data, indices = np.insert(gamma * a.data, ends, c), np.insert(a.indices, ends, m)
     indptr = np.append(a.indptr + np.arange(m + 1), a.nnz + m)
-    return sp.csr_matrix((data, indices, indptr), shape=(m + 1, m + 1))
+    return sp.csr_matrix((data, indices, indptr), shape=(m + 1, m + 1)), c
 
 
-def core_diag_and_sums(gamma: float, a11: sp.csr_matrix):
-    """diag f(A11) and g(A11) @ 1 for f(t) = exp(gamma*t) - 1 and
-    g(t) = f(t)/t, of a sparse core A11 >= 0 (Katz is ``katz_core``).
+def column_exp_core(J: np.ndarray, cols: sp.csr_matrix, c11: sp.csr_matrix, gamma: float):
+    """diag and rowsum of exp on the column mask.
 
-    Both are sums of nonnegative products, with no identity subtracted.  They
-    come from one ``taylor_exp`` of B = [[gamma*A11, c*1], [0, 0]], whose
-    exponential is [[exp(gamma*A11), c*phi1(gamma*A11) @ 1], [0, 1]] (Higham,
-    Functions of Matrices, SIAM 2008), exact for singular A11: its diagonal
-    and its action on the last unit vector, c = 1/m keeping the added
-    column's 1-norm at 1.
+    Only the sampled columns of f(A_masked) are nonzero, and they equal
+    A[:, J] @ g(A11), g(t) = f(t)/t, as A[J, J] = A11 and f(A11) =
+    A11 @ g(A11).  So diag f(A11) and g(A11) @ 1 give diag and rowsum =
+    A[:, J] @ g(A11) @ 1 exactly (up to the kernel), defective cores
+    included.  Both come from one ``taylor_exp`` of the augmented core
+    B = [[gamma*A11, c*1], [0, 0]] from ``_augmented``, whose exponential is
+    [[exp(gamma*A11), c*phi1(gamma*A11) @ 1], [0, 1]] (Higham, Functions of
+    Matrices, SIAM 2008): its diagonal and its action on the last unit
+    vector, sums of nonnegative products with no identity subtracted.
     """
-    m = a11.shape[0]
-    c = 1.0 / max(m, 1)
-    b = _augmented(a11, gamma, c)
-    _, diag, action = taylor_exp(b, np.eye(m + 1, 1, -m))  # on the last unit vector
-    return diag[:m], (gamma / c) * action[:m, 0]
+    ell = len(J)
+    b, c = _augmented(c11, gamma)
+    _, core_diag, action = taylor_exp(b, np.eye(ell + 1, 1, -ell))  # on the last unit vector
+    diag = np.zeros(cols.shape[0])
+    diag[J] = core_diag[:ell]
+    return diag, cols @ ((gamma / c) * action[:ell, 0])
 
 
-def katz_core(g: SparseGraph, mask: SampleSet, gamma: float, arrow: bool) -> MatfunResult:
-    """Katz, f(A_masked) = gamma*A_masked @ (I - gamma*A_masked)^-1, on the
-    column mask or, with ``arrow``, the arrow mask, from one LU of order ell
-    and the inverse it gives.
+def arrow_exp_core(J: np.ndarray, cols: sp.csr_matrix, c11: sp.csr_matrix, gamma: float):
+    """diag, rowsum and the spectral radius of A_arrow for exp on the
+    arrow mask of an undirected graph.
+
+    The Gram matrix A21^T A21 = V S^2 V^T, restricted to its r nonzero
+    eigenvalues, gives A21 = Q R with R = S V^T and orthonormal
+    Q = A21 V S^{-1}.  Then A_arrow = U C U^T with U = [E_J, E_rest Q] and
+    C = [[A11, R^T], [R, 0]], and since f(0) = 0, f(A_arrow) = U f(C) U^T.
+    One symmetric eigendecomposition of C (order ell + r <= 2*ell) and
+    sparse products with the sampled columns give every diagonal entry and
+    row sum, those of J written last; Q is never formed.
+    """
+    ell = len(J)
+    # A21 is cols without its J rows; the 0/1 entries make these differences exact
+    s2, V = np.linalg.eigh((cols.T @ cols - c11.T @ c11).toarray())
+    keep = s2 > ZERO_EIG_TOL * max(1.0, np.max(s2, initial=0.0))
+    s = np.sqrt(s2[keep])
+    P = V[:, keep] / s  # Q = A21 @ P
+    R = s[:, np.newaxis] * V[:, keep].T
+    core = np.block([[c11.toarray(), R.T], [R, np.zeros((s.size, s.size))]])
+    mu, W = np.linalg.eigh(core)
+    rho = float(np.max(np.abs(mu), initial=0.0))
+    fmu = np.expm1(gamma * mu)
+
+    # U^T 1 = [1_J; Q^T 1_rest], and U maps the core back to node order
+    colsum = np.asarray(cols.sum(axis=0) - c11.sum(axis=0)).ravel()
+    z = np.concatenate([np.ones(ell), P.T @ colsum])
+    fz = W @ (fmu * (W.T @ z))
+    rowsum = cols @ (P @ fz[ell:])
+    rowsum[J] = fz[:ell]
+
+    # diag over rest is a_i^T K a_i with K = P F22 P^T, F22 = f(C)[ell:, ell:]
+    PW2 = P @ W[ell:]
+    K = (PW2 * fmu) @ PW2.T
+    diag = _row_quadratic_forms(cols, K)
+    diag[J] = (W[:ell] ** 2) @ fmu
+    return diag, rowsum, rho
+
+
+def katz_core(J: np.ndarray, cols: sp.csr_matrix, c11: sp.csr_matrix, gamma: float, arrow: bool):
+    """diag and rowsum of Katz, f(A_masked) = gamma*A_masked @
+    (I - gamma*A_masked)^-1, on the column mask or, with ``arrow``, the
+    arrow mask, from one LU of order ell and the inverse it gives.
 
     With the sampled nodes J first, A_masked = [[A11, B], [A21, 0]], where
     B = A21^T on the arrow mask and 0 on the column mask.  Eliminating the
@@ -347,116 +410,44 @@ def katz_core(g: SparseGraph, mask: SampleSet, gamma: float, arrow: bool) -> Mat
     gamma*rho(A_masked) < 1, exactly when its Schur complement I - gamma*M
     is one, and that holds exactly when some y > 0 has y - gamma*M y > 0
     (Berman and Plemmons, Nonnegative Matrices in the Mathematical Sciences,
-    SIAM 1994, Ch. 6); then y = X 1 is one.  These are the two inequalities,
-    x > 0 and 1 + r > 0, that certify ``oracle.katz_rowsum``.  A zero pivot
+    SIAM 1994, Ch. 6); y = X 1 is the one tried.  These are the two
+    inequalities, x > 0 and 1 + r > 0, that certify ``oracle.katz_rowsum``.
+    The second is recomputed from M, not read off X: with an exact inverse
+    it is 1 > 0 and y > 0 alone decides, but by the Collatz-Wielandt bound
+    it proves gamma*rho(M) < 1 whatever rounding did to X.  A zero pivot
     is a pole, and since M >= 0 it also proves gamma*rho >= 1.  As X is a
     block of the inverse, |I - gamma*A_masked|_1 * |X|_1 is a lower bound on
     the 1-norm condition number of I - gamma*A_masked; above 1 /
     ``MIN_RCOND`` it is a pole too.  The rcond of I - gamma*M alone would
     not do: on the arrow mask of a star with J its centre, it is always 1.
     """
-    J, cols, c11 = _core_blocks(g, mask)
     n, ell = cols.shape
-    route = "arrow_core" if arrow else "direct_core"
-    if not ell:
-        return MatfunResult(np.zeros(n), np.zeros(n), method=route, spectral_radius_estimate=None)
     rest = 1.0 - np.bincount(J, minlength=n)  # 0 on J, 1 elsewhere
-    with _stop_at_overflow(route, gamma):
-        core = (c11 + gamma * (cols.T @ cols - c11.T @ c11)).tocsr() if arrow else c11
-        shifted = core.toarray(order="F")
-        shifted *= -gamma
-        shifted.flat[:: ell + 1] += 1.0
-        lu, piv, info = sla.lapack.dgetrf(shifted, overwrite_a=True)
-        inadmissible = f"resolvent parameter inadmissible: gamma*rho >= 1 at gamma={gamma:g}"
-        if info > 0:
-            raise EvaluationError(f"resolvent pole: I - gamma*M has a zero pivot; {inadmissible}")
-        lwork = int(sla.lapack.dgetri_lwork(ell)[0])
-        x, _ = sla.lapack.dgetri(lu, piv, lwork=lwork, overwrite_lu=True)
-        # |I - gamma*A_masked|_1 over J's columns, then e_k or [gamma*A21[k]; e_k] for the rest
-        loops = c11.diagonal()
-        colsums = np.bincount(cols.indices, weights=cols.data, minlength=ell)
-        norms = np.abs(1.0 - gamma * loops) + gamma * (colsums - loops)
-        others = rest * (1.0 + gamma * (cols @ np.ones(ell))) if arrow else rest
-        if not max(norms.max(), others.max()) * np.linalg.norm(x, 1) <= 1.0 / MIN_RCOND:
-            raise EvaluationError("resolvent pole: I - gamma*A is singular to working precision")
-        y = x.sum(axis=1)
-        if not (np.all(y > 0) and np.all(y - gamma * (core @ y) > 0)):
-            raise EvaluationError(f"{inadmissible}, as I - gamma*M is not a nonsingular M-matrix")
-        diag = _row_quadratic_forms(cols, gamma**2 * x) if arrow else np.zeros(n)
-        diag[J] = gamma * np.asarray(core.multiply(x.T).sum(axis=1)).ravel()  # (M X)_ii
-        rowsum = gamma * (cols @ (x @ (1.0 + gamma * (cols.T @ rest)) if arrow else y))
-        rowsum[J] += gamma * (cols.T @ (rest * (1.0 + rowsum))) if arrow else 0.0
-    return MatfunResult(diag, rowsum, method=route, spectral_radius_estimate=None)
-
-
-def direct_core_evaluation(g: SparseGraph, mask: SampleSet, f: ScalarFunction) -> MatfunResult:
-    """Exact evaluation of the column mask; Katz is ``katz_core``.
-
-    Only the sampled columns of f(A_masked) are nonzero, and they equal
-    A[:, J] @ g(A11), g(t) = f(t)/t, as A[J, J] = A11 and f(A11) =
-    A11 @ g(A11).  So diag f(A11) and g(A11) @ 1 from the ell-by-ell core
-    (``core_diag_and_sums``) give diag and rowsum = A[:, J] @ g(A11) @ 1
-    exactly (up to the kernel), defective cores included.
-    """
-    if f.kind == RESOLVENT_MINUS_ONE:
-        return katz_core(g, mask, f.gamma, arrow=False)
-    J, cols, c11 = _core_blocks(g, mask)
-    with _stop_at_overflow("direct_core", f.gamma):
-        d11, g1 = core_diag_and_sums(f.gamma, c11)
-        diag = np.zeros(g.n)
-        diag[J] = d11
-        rowsum = cols @ g1
-    return MatfunResult(diag, rowsum, method="direct_core", spectral_radius_estimate=None)
-
-
-def arrow_core_evaluation(g: SparseGraph, mask: SampleSet, f: ScalarFunction) -> MatfunResult:
-    """Exact exp on the arrow mask of an undirected graph; Katz is ``katz_core``.
-
-    The Gram matrix A21^T A21 = V S^2 V^T, restricted to its r nonzero
-    eigenvalues, gives A21 = Q R with R = S V^T and orthonormal
-    Q = A21 V S^{-1}.  Then A_arrow = U C U^T with U = [E_J, E_rest Q] and
-    C = [[A11, R^T], [R, 0]], and since f(0) = 0, f(A_arrow) = U f(C) U^T.
-    One symmetric eigendecomposition of C (order ell + r <= 2*ell) and
-    sparse products with the sampled columns give every diagonal entry and
-    row sum, those of J written last; Q is never formed.
-    """
-    if g.directed:
-        raise ValueError("arrow_core_evaluation requires an undirected graph")
-    if f.kind == RESOLVENT_MINUS_ONE:
-        return katz_core(g, mask, f.gamma, arrow=True)
-    J, cols, c11 = _core_blocks(g, mask)
-    ell = len(mask)
-
-    # A21 is cols without its J rows; the 0/1 entries make these differences exact
-    s2, V = np.linalg.eigh((cols.T @ cols - c11.T @ c11).toarray())
-    keep = s2 > ZERO_EIG_TOL * max(1.0, np.max(s2, initial=0.0))
-    s = np.sqrt(s2[keep])
-    P = V[:, keep] / s  # Q = A21 @ P
-    R = s[:, np.newaxis] * V[:, keep].T
-    core = np.block([[c11.toarray(), R.T], [R, np.zeros((s.size, s.size))]])
-    mu, W = np.linalg.eigh(core)
-    rho = float(np.max(np.abs(mu), initial=0.0))
-    with _stop_at_overflow("arrow_core", f.gamma):
-        fmu = f.value(mu)
-
-        # U^T 1 = [1_J; Q^T 1_rest], and U maps the core back to node order
-        colsum = np.asarray(cols.sum(axis=0) - c11.sum(axis=0)).ravel()
-        z = np.concatenate([np.ones(ell), P.T @ colsum])
-        fz = W @ (fmu * (W.T @ z))
-        rowsum = cols @ (P @ fz[ell:])
-        rowsum[J] = fz[:ell]
-
-        # diag over rest is a_i^T K a_i with K = P F22 P^T, F22 = f(C)[ell:, ell:]
-        PW2 = P @ W[ell:]
-        K = (PW2 * fmu) @ PW2.T
-        diag = _row_quadratic_forms(cols, K)
-        diag[J] = (W[:ell] ** 2) @ fmu
-    return MatfunResult(
-        diag=diag,
-        rowsum=rowsum,
-        method="arrow_core",
-        spectral_radius_estimate=rho,
-    )
+    core = (c11 + gamma * (cols.T @ cols - c11.T @ c11)).tocsr() if arrow else c11
+    shifted = core.toarray(order="F")
+    shifted *= -gamma
+    shifted.flat[:: ell + 1] += 1.0
+    lu, piv, info = sla.lapack.dgetrf(shifted, overwrite_a=True)
+    inadmissible = f"resolvent parameter inadmissible: gamma*rho >= 1 at gamma={gamma:g}"
+    if info > 0:
+        raise EvaluationError(f"resolvent pole: I - gamma*M has a zero pivot; {inadmissible}")
+    lwork = int(sla.lapack.dgetri_lwork(ell)[0])
+    x, _ = sla.lapack.dgetri(lu, piv, lwork=lwork, overwrite_lu=True)
+    # |I - gamma*A_masked|_1 over J's columns, then e_k or [gamma*A21[k]; e_k] for the rest
+    loops = c11.diagonal()
+    colsums = np.bincount(cols.indices, weights=cols.data, minlength=ell)
+    norms = np.abs(1.0 - gamma * loops) + gamma * (colsums - loops)
+    others = rest * (1.0 + gamma * (cols @ np.ones(ell))) if arrow else rest
+    if not max(norms.max(), others.max()) * np.linalg.norm(x, 1) <= 1.0 / MIN_RCOND:
+        raise EvaluationError("resolvent pole: I - gamma*A is singular to working precision")
+    y = x.sum(axis=1)
+    if not (np.all(y > 0) and np.all(y - gamma * (core @ y) > 0)):
+        raise EvaluationError(f"{inadmissible}, as I - gamma*M is not a nonsingular M-matrix")
+    diag = _row_quadratic_forms(cols, gamma**2 * x) if arrow else np.zeros(n)
+    diag[J] = gamma * np.asarray(core.multiply(x.T).sum(axis=1)).ravel()  # (M X)_ii
+    rowsum = gamma * (cols @ (x @ (1.0 + gamma * (cols.T @ rest)) if arrow else y))
+    rowsum[J] += gamma * (cols.T @ (rest * (1.0 + rowsum))) if arrow else 0.0
+    return diag, rowsum
 
 
 def _row_quadratic_forms(a: sp.csr_matrix, K: np.ndarray) -> np.ndarray:

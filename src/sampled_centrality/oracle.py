@@ -84,22 +84,22 @@ def expm_rowsum(g: SparseGraph, gamma: float) -> np.ndarray:
     phi1(z) = (e^z - 1)/z, and exp(gamma*A) - I = gamma*A*phi1(gamma*A), so
     the scores are (gamma/c)*A times the top of that column: sums of
     nonnegative products, accurate relative to each score however small.
-    c = 2^-ceil(log2 n) keeps the added column's 1-norm at most 1, so it does
-    not raise the step count.  The column is the action of the sparse
-    exponential on the last unit vector (Al-Mohy and Higham, SIAM J. Sci.
-    Comput. 33(2), 2011), in O(nnz) memory.  It is deterministic: the
-    randomized 1-norm estimates that pick its step count are exact for a
-    nonnegative matrix.
+    ``matfun._augmented`` picks c = 2^-ceil(log2 n), which keeps the added
+    column's 1-norm at most 1, so it does not raise the step count.  The
+    column is the action of the sparse exponential on the last unit vector
+    (Al-Mohy and Higham, SIAM J. Sci. Comput. 33(2), 2011), in O(nnz)
+    memory.  It is deterministic: the randomized 1-norm estimates that pick
+    its step count are exact for a nonnegative matrix.
     """
     # imported here: scipy.sparse.linalg adds 15-40 ms to importing the package
     from scipy.sparse.linalg import expm_multiply
 
     f = exp_minus_one(gamma)
     n = g.n
-    c = 2.0 ** -int(np.ceil(np.log2(n)))
+    b, c = _augmented(g.csr, f.gamma)
     last = np.zeros(n + 1)
     last[n] = 1.0
-    top = expm_multiply(_augmented(g.csr, f.gamma, c), last)[:n]
+    top = expm_multiply(b, last)[:n]
     rowsum = (f.gamma / c) * (g.csr @ top)
     _require_finite(rowsum, "expm_rowsum", f.gamma)
     return rowsum

@@ -1,5 +1,5 @@
 """Arnoldi spectral reconstruction of f on the column mask: the independent
-second method that cross-checks ``direct_core_evaluation``.
+second method that cross-checks the column-mask exp of ``evaluate_masked_function``.
 
 No pipeline route runs it.  The tests import it from here to check that two
 unrelated methods, Ritz pairs of the column-masked operator and one dense
@@ -195,7 +195,7 @@ def krylov_spectral_evaluation(
 ) -> KrylovResult:
     """diag and rowsum of f on the column mask by Arnoldi spectral reconstruction.
 
-    An independent cross-check of ``direct_core_evaluation``: once the
+    An independent cross-check of the column-mask exp: once the
     Arnoldi basis of the column-masked operator breaks down, the Ritz pairs
     reconstruct the nonzero columns of f(A_masked) through a solve against
     the sampled rows of the eigenvector block.  Raises EvaluationError when

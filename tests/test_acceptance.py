@@ -28,7 +28,6 @@ from sampled_centrality import (
     topk_overlap,
 )
 from sampled_centrality.cli import TIMING_KEYS, ExperimentConfig, generate, run
-from sampled_centrality.matfun import direct_core_evaluation
 from sampled_centrality.oracle import subgraph_diag
 from conftest import (
     directed_edge,
@@ -154,7 +153,7 @@ def test_criterion_4_method_cross_validation():
             continue
         if res.condition_estimate > 1e6:
             continue
-        core = direct_core_evaluation(g, mask, f)
+        core = evaluate_masked_function(g, mask, f)
         worst = max(worst, rel_err(res.diag, core.diag), rel_err(res.rowsum, core.rowsum))
         compared += 1
 

@@ -677,13 +677,16 @@ PUBLIC_NAMES = [
     "transpose",
 ]
 # (owner, name) pairs that left the package: the tests' dense and sampling
-# oracles moved to tests/, the rest had no pipeline caller
+# oracles moved to tests/, the two core routes were folded into
+# evaluate_masked_function, the rest had no pipeline caller
 REMOVED = [
     ("graph", "remove_self_loops"),
     ("graph", "write_edge_list"),
     ("graph.SparseGraph", "dense"),
     ("graph.SparseGraph", "entry_set"),
     ("graph.SparseGraph", "nonzero_rows"),
+    ("matfun", "arrow_core_evaluation"),
+    ("matfun", "direct_core_evaluation"),
     ("matfun", "transpose_measures"),
     ("matfun.ScalarFunction", "matrix_value"),
     ("oracle", "dense_matfun"),
@@ -705,10 +708,6 @@ def test_public_surface_is_the_pipeline():
             owner = getattr(owner, cls)
         assert not hasattr(owner, name), f"{path}.{name}"
         assert not hasattr(sampled_centrality, name), name
-    # the two core routes stay in matfun, where evaluate_masked_function picks one
-    for name in ("direct_core_evaluation", "arrow_core_evaluation"):
-        assert not hasattr(sampled_centrality, name)
-        assert callable(getattr(matfun, name))
 
 
 def test_readme_library_example_runs(tmp_path, monkeypatch):

@@ -274,7 +274,8 @@ def test_parse_matrix_market_general():
     assert g.n == 3
     assert g.edge_count == 2
     assert g.column(1).tolist() == [0]
-    assert g.labels.tolist() == [1, 2, 3]
+    assert g.first_id == 1
+    assert [g.label_of(i) for i in range(g.n)] == [1, 2, 3]
 
 
 def test_parse_matrix_market_needs_a_seekable_stream():
@@ -303,7 +304,7 @@ def test_parse_matrix_market_coerces_values_to_one():
     assert g.csr.toarray()[0, 1] == 1.0
 
 
-# (text, n, directed, csr.indptr, csr.indices); labels are always 1..n
+# (text, n, directed, csr.indptr, csr.indices); node ids always start at 1
 MM_FIXTURES = {
     "pattern-general-comment": (MM_GENERAL, 3, True, [0, 1, 2, 2], [1, 2]),
     "integer-symmetric-diagonal": (
@@ -335,7 +336,7 @@ def test_parse_matrix_market_fixture_graphs(name):
     text, n, directed, indptr, indices = MM_FIXTURES[name]
     g = parse_edge_list(io.StringIO(text), format="matrix-market", directed=True)
     assert (g.n, g.directed) == (n, directed)
-    assert g.labels.tolist() == list(range(1, n + 1))
+    assert g.first_id == 1
     assert g.csr.indptr.tolist() == indptr
     assert g.csr.indices.tolist() == indices
 

@@ -24,12 +24,7 @@ from sampled_centrality import (
 )
 from sampled_centrality import matfun
 from sampled_centrality.cli import generate
-from sampled_centrality.matfun import (
-    ScalarFunction,
-    arrow_core_evaluation,
-    core_diag_and_sums,
-    direct_core_evaluation,
-)
+from sampled_centrality.matfun import ScalarFunction
 from conftest import (
     directed_edge,
     directed_two_cycle,
@@ -80,7 +75,7 @@ def _arrow_dense(g, mask):
 def _assert_arrow_matches_dense(g, mask, f):
     """diag and rowsum on every node against dense f of the arrow-masked matrix."""
     exact = dense_matfun(_arrow_dense(g, mask), f)
-    res = arrow_core_evaluation(g, mask, f)
+    res = evaluate_masked_function(g, mask, f)
     assert res.method == "arrow_core"
     assert rel_err(res.diag, np.diagonal(exact)) <= 1e-10
     assert rel_err(res.rowsum, exact @ np.ones(g.n)) <= 1e-10
@@ -105,6 +100,13 @@ def test_scalar_function_validation():
             exp_minus_one(gamma)
         with pytest.raises(ValueError, match="gamma"):
             resolvent_minus_one(gamma)
+
+
+def core_diag_and_sums(gamma, a11):
+    """diag f(A11) and g(A11) @ 1 from the column kernel, given A[:, J] = I:
+    its row sums A[:, J] @ g(A11) @ 1 are then g(A11) @ 1 itself."""
+    m = a11.shape[0]
+    return matfun.column_exp_core(np.arange(m), sp.identity(m, format="csr"), a11, gamma)
 
 
 def test_quotient_sum_handles_singular_core():
@@ -155,7 +157,7 @@ def test_augmented_exponential_matches_matrix_quotient():
     # f(A) @ 1 = gamma*A @ (I - gamma*A)^-1 @ 1
     r = resolvent_minus_one(0.02)
     g = SparseGraph.from_edges(30, np.argwhere(dense_random), directed=True)
-    katz = direct_core_evaluation(g, _column_mask(30, np.arange(30)), r)
+    katz = evaluate_masked_function(g, _column_mask(30, np.arange(30)), r)
     f11 = matrix_value(r, dense_random)
     # diag f(A) from the Katz series sum_k (gamma*A)^k, nonnegative terms only:
     # X - I loses the digits of a diagonal entry far below 1
@@ -197,7 +199,7 @@ def test_column_core_exp_matches_blocked_expm_multiply():
     g = generate("er:n=600,p=0.05,seed=1")
     mask = sample_columns(g, 200, seed=1, strategy="guided")
     J, gamma = mask.indices, 3.0
-    res = direct_core_evaluation(g, mask, exp_minus_one(gamma))
+    res = evaluate_masked_function(g, mask, exp_minus_one(gamma))
     keep = np.zeros(g.n)
     keep[J] = 1.0
     masked = (g.csr @ sp.diags(keep)).tocsc()
@@ -301,14 +303,8 @@ def test_arrow_core_triangle():
         mask = _column_mask(3, indices)
         _assert_arrow_matches_dense(g, mask, exp_minus_one(1.0))
         _assert_arrow_matches_dense(g, mask, resolvent_minus_one(0.2))
-    res = arrow_core_evaluation(g, full_column_sample(g), exp_minus_one(1.0))
+    res = evaluate_masked_function(g, full_column_sample(g), exp_minus_one(1.0))
     assert res.spectral_radius_estimate == pytest.approx(2.0, abs=1e-12)
-
-
-def test_arrow_core_rejects_directed():
-    g = directed_edge()
-    with pytest.raises(ValueError, match="undirected"):
-        arrow_core_evaluation(g, _column_mask(2, [1]), exp_minus_one(1.0))
 
 
 def test_arrow_core_random_graphs_match_dense():
@@ -431,6 +427,26 @@ def test_katz_is_one_lu_of_order_ell(monkeypatch, directed):
         monkeypatch.setattr(sla, name, refused)
     evaluate_masked_function(g, mask, resolvent_minus_one(0.05))
     assert shapes == [(12, 12)]
+
+
+def test_katz_admissibility_is_certified_whatever_the_inverse(monkeypatch):
+    # y - gamma*M y > 0 is recomputed from M, so it proves gamma*rho(M) < 1 by
+    # the Collatz-Wielandt bound even when X is not the inverse.  On the arrow
+    # mask of star(4) at its centre (rho = 2), gamma = 0.6 gives
+    # I - gamma*M = 1 - 1.44: the absolute value of its inverse has
+    # y = X 1 > 0, and only the image (1 - 1.44) y refuses it
+    dgetri = sla.lapack.dgetri
+
+    def absolute(*args, **kwargs):
+        x, info = dgetri(*args, **kwargs)
+        return np.abs(x), info
+
+    monkeypatch.setattr(sla.lapack, "dgetri", absolute)
+    mask = _column_mask(5, [0])
+    with pytest.raises(EvaluationError, match="not a nonsingular M-matrix"):
+        evaluate_masked_function(star(4), mask, resolvent_minus_one(0.6))
+    # at gamma*rho < 1 the inverse is positive already, and nothing changes
+    _assert_katz_matches_dense(star(4), [0], ratio=0.95)
 
 
 # -- spectral factorization ---------------------------------------------------
@@ -642,7 +658,7 @@ def test_method_equivalence_on_random_instances():
             continue
         if res.condition_estimate > 1e6:
             continue
-        core = direct_core_evaluation(g, mask, f)
+        core = evaluate_masked_function(g, mask, f)
         assert rel_err(res.diag, core.diag) <= 1e-8
         assert rel_err(res.rowsum, core.rowsum) <= 1e-8
         compared += 1
@@ -655,7 +671,7 @@ def test_method_equivalence_on_random_instances():
 def test_direct_core_nilpotent_edge():
     g = directed_edge()
     mask = SampleSet(np.array([1]), "column", "guided", 2)
-    res = direct_core_evaluation(g, mask, exp_minus_one(1.0))
+    res = evaluate_masked_function(g, mask, exp_minus_one(1.0))
     assert res.diag.tolist() == [0.0, 0.0]
     assert res.rowsum.tolist() == [1.0, 0.0]
 
@@ -664,7 +680,7 @@ def test_direct_core_small_gamma_first_order():
     g = _er_digraph(30, 0.2, seed=12)
     mask = sample_columns(g, 8, seed=1)
     gamma = 1e-8
-    res = direct_core_evaluation(g, mask, exp_minus_one(gamma))
+    res = evaluate_masked_function(g, mask, exp_minus_one(gamma))
     keep = np.zeros(g.n)
     keep[mask.indices] = 1.0
     degrees_into_mask = g.csr.toarray() @ keep
@@ -676,36 +692,42 @@ def test_direct_core_agrees_with_dense_masked_function():
     f = exp_minus_one(0.7)
     g = _er_digraph(40, 0.18, seed=3)
     mask = sample_columns(g, 15, seed=2)
-    res = direct_core_evaluation(g, mask, f)
+    res = evaluate_masked_function(g, mask, f)
     exact = sla.expm(0.7 * _masked_dense(g, mask)) - np.eye(g.n)
     assert rel_err(res.diag, np.diagonal(exact)) <= 1e-10
     assert rel_err(res.rowsum, exact @ np.ones(g.n)) <= 1e-10
 
 
 def test_direct_core_resolvent_pole_detected():
-    g = undirected_edge()
+    g = directed_two_cycle()
     mask = full_column_sample(g)
     with pytest.raises(EvaluationError, match="pole"):
-        direct_core_evaluation(g, mask, resolvent_minus_one(1.0))
+        evaluate_masked_function(g, mask, resolvent_minus_one(1.0))
 
 
 @pytest.mark.parametrize(
-    "spec, route, core",
-    [
-        ("er:n=200,p=0.05,seed=1", "direct_core", direct_core_evaluation),
-        ("pa:n=200,m=3,seed=1", "arrow_core", arrow_core_evaluation),
-    ],
+    "spec, route", [("er:n=200,p=0.05,seed=1", "direct_core"), ("pa:n=200,m=3,seed=1", "arrow_core")]
 )
-def test_core_routes_stop_at_the_first_overflow(spec, route, core):
-    # exp(1000 A11) overflows: the kernel raises at once, with no RuntimeWarning
+def test_core_routes_stop_at_the_first_overflow(spec, route, monkeypatch):
+    # exp(1000 A11) overflows: the kernel raises at once, with no RuntimeWarning;
+    # on the arrow mask its two eigh calls run under the same guard
     g = generate(spec)
     mask = sample_columns(g, 20, seed=1, strategy="guided")
+    guarded = []
+    eigh = np.linalg.eigh
+
+    def recorded(a, *args, **kwargs):
+        guarded.append(np.geterr()["over"] == np.geterr()["invalid"] == "raise")
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
     message = f"{route} returned inf or nan scores at gamma=1000"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(EvaluationError, match=message) as info:
-            core(g, mask, exp_minus_one(1000.0))
+            evaluate_masked_function(g, mask, exp_minus_one(1000.0))
     assert isinstance(info.value.__cause__, FloatingPointError)
+    assert guarded == ([] if g.directed else [True, True])
 
 
 def test_direct_core_respects_cap(monkeypatch):
@@ -713,21 +735,21 @@ def test_direct_core_respects_cap(monkeypatch):
     mask = sample_columns(g, 10, seed=0)
     monkeypatch.setattr(matfun, "DENSE_CAP", 5)
     with pytest.raises(EvaluationError, match="cap"):
-        direct_core_evaluation(g, mask, exp_minus_one(1.0))
+        evaluate_masked_function(g, mask, exp_minus_one(1.0))
 
 
 def test_row_quadratic_forms_over_several_row_blocks(monkeypatch):
     g = generate("pa:n=400,m=3,seed=2")
     mask = sample_columns(g, 12, seed=1)
     f = exp_minus_one(0.5)
-    single = arrow_core_evaluation(g, mask, f)
+    single = evaluate_masked_function(g, mask, f)
     # a row block holds _ROW_BLOCK_ENTRIES // ell of the rows of A[:, J] @ K,
     # taken over the rows of A[:, J] with a stored entry
     stored = np.count_nonzero(np.diff(g.csc[:, mask.indices].tocsr().indptr))
     monkeypatch.setattr(matfun, "_ROW_BLOCK_ENTRIES", len(mask) * (stored // 3 - 1))
     step = matfun._ROW_BLOCK_ENTRIES // len(mask)
     assert -(-stored // step) >= 3
-    blocked = arrow_core_evaluation(g, mask, f)
+    blocked = evaluate_masked_function(g, mask, f)
     assert rel_err(blocked.diag, single.diag) <= 1e-14
 
 

@@ -16,6 +16,7 @@ from sampled_centrality import (
     EvaluationError,
     SparseGraph,
     dense_left_perron,
+    evaluate_masked_function,
     exp_minus_one,
     expm_rowsum,
     katz_rowsum,
@@ -23,7 +24,6 @@ from sampled_centrality import (
     sample_columns,
 )
 from sampled_centrality import matfun, oracle
-from sampled_centrality.matfun import direct_core_evaluation
 from sampled_centrality.cli import generate
 from conftest import (
     directed_edge,
@@ -219,18 +219,20 @@ PANEL_COLUMNS = 64
 
 def whole_matrix_column_core(g: SparseGraph, mask, gamma: float):
     """diag and rowsum of exp(gamma*A_masked) - I on the column mask from
-    the whole-matrix Horner of the augmented core [[gamma*A11, 1/ell], [0, 0]]."""
+    the whole-matrix Horner of the augmented core [[gamma*A11, c*1], [0, 0]],
+    c = 2^-ceil(log2 ell)."""
     J, ell = mask.indices, len(mask)
+    c = 2.0 ** -int(np.ceil(np.log2(ell)))
     cols = g.csc[:, J].tocsr()
     aug = np.zeros((ell + 1, ell + 1))
     aug[:ell, :ell] = gamma * cols[J].toarray()
-    aug[:ell, ell] = 1.0 / ell
+    aug[:ell, ell] = c
     unit = np.zeros((ell + 1, 1))
     unit[ell] = 1.0
     core_diag, action = whole_matrix_taylor_exp(sp.csr_matrix(aug), unit)
     diag = np.zeros(g.n)
     diag[J] = core_diag[:ell]
-    return diag, cols @ ((gamma / (1.0 / ell)) * action[:ell, 0])
+    return diag, cols @ ((gamma / c) * action[:ell, 0])
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -239,6 +241,7 @@ def test_subgraph_diag_panels_match_the_whole_matrix_bitwise(name, workers, monk
     monkeypatch.setattr(matfun, "_available_cpus", lambda: workers)
     build, gammas = PANEL_PARITY_GRAPHS[name]
     g = build()
+    digraph = SparseGraph.from_edges(g.n, np.column_stack(g.csr.nonzero()), directed=True)
     mask = sample_columns(g, min(g.n, 100), seed=1)
     assert g.n % PANEL_COLUMNS and (len(mask) + 1) % PANEL_COLUMNS
     squarings = []
@@ -249,9 +252,9 @@ def test_subgraph_diag_panels_match_the_whole_matrix_bitwise(name, workers, monk
         plan = (result.degree, result.squarings, result.norm_bound)
         assert plan == _plan(g, gamma)
         squarings.append(result.squarings)
-        # the column core's exponential runs the same kernel
+        # the column core's exponential runs the same kernel, on the digraph of A
         monkeypatch.setattr(matfun, "_PANEL_ENTRIES", PANEL_COLUMNS * (len(mask) + 1))
-        core = direct_core_evaluation(g, mask, exp_minus_one(gamma))
+        core = evaluate_masked_function(digraph, mask, exp_minus_one(gamma))
         diag, rowsum = whole_matrix_column_core(g, mask, gamma)
         assert np.array_equal(core.diag, diag) and np.array_equal(core.rowsum, rowsum)
     assert squarings[:2] == [0, 1] and squarings[2] >= 2
